@@ -11,12 +11,13 @@ channel kappa added to every downward flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import AtomNetwork, Configuration, DetuningSchedule, SimParams
+from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
+                    basis_bits, local_mismatch)
+from .propagate import propagate
 from .timeseries import TimeSeries
 
 GENERATOR_CAP = 14
@@ -26,22 +27,22 @@ class ClassicalEngineError(ValueError):
     pass
 
 
-@lru_cache(maxsize=8)
-def basis_bits(n_atoms: int) -> np.ndarray:
-    """(2^N, N) occupation-number matrix of the configuration basis."""
-    idx = np.arange(1 << n_atoms)
-    return ((idx[:, None] >> np.arange(n_atoms)[None, :]) & 1).astype(np.float64)
+def _rates(mismatch: np.ndarray, bits, params: SimParams):
+    """Flip rates: the Lorentzian omega^2 gamma / ((gamma/2)^2 + mismatch^2)
+    plus kappa for every excited atom (bits = 1)."""
+    return (params.omega**2 * params.gamma
+            / ((params.gamma / 2.0) ** 2 + mismatch**2) + params.kappa * bits)
 
 
 def transition_rate(k: int, config: Configuration, network: AtomNetwork,
                     params: SimParams,
                     detunings: np.ndarray | None = None) -> float:
-    """Flip rate of atom k in the given configuration."""
+    """Coherent flip rate of atom k in the given configuration (the decay
+    channel is not included)."""
     if params.gamma <= 0:
         raise ClassicalEngineError("classical rates require gamma > 0")
-    from .model import local_mismatch
-    m = local_mismatch(k, config, network, detunings)
-    return params.omega**2 * params.gamma / ((params.gamma / 2.0) ** 2 + m**2)
+    return float(_rates(local_mismatch(k, config, network, detunings), 0.0,
+                        params))
 
 
 def classical_generator(network: AtomNetwork, params: SimParams,
@@ -56,21 +57,14 @@ def classical_generator(network: AtomNetwork, params: SimParams,
     det = network.static_detunings if detunings is None else np.asarray(detunings, float)
     bits = basis_bits(n)
     v = network.interaction_matrix()
-    dim = 1 << n
-    idx = np.arange(dim)
-    rows, cols, data = [], [], []
-    for k in range(n):
-        mism = det[k] + bits @ v[k]
-        gam = params.omega**2 * params.gamma / ((params.gamma / 2.0) ** 2 + mism**2)
-        rate = gam + params.kappa * bits[:, k]
-        rows.append(idx ^ (1 << k))
-        cols.append(idx)
-        data.append(rate)
-    g = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim)).tocsr()
-    g = g - sp.diags(np.asarray(g.sum(axis=0)).ravel())
-    return g.tocsr()
+    # column c: outflow -sum_k rate_k(c) on the diagonal, rate_k(c) to c ^ 2^k
+    rates = np.column_stack([_rates(det[k] + bits @ v[k], bits[:, k], params)
+                             for k in range(n)])
+    rows = np.arange(1 << n)[:, None] ^ np.array([0, *(1 << np.arange(n))])
+    data = np.column_stack([-rates.sum(axis=1), rates])
+    return sp.csc_matrix((data.ravel(), rows.ravel(),
+                          np.arange(0, data.size + 1, n + 1)),
+                         shape=(1 << n, 1 << n)).tocsr()
 
 
 def probability_from_configuration(config: Configuration) -> np.ndarray:
@@ -79,81 +73,36 @@ def probability_from_configuration(config: Configuration) -> np.ndarray:
     return p
 
 
-def evolve_classical_exact(p0: np.ndarray, generator: sp.spmatrix,
-                           t_end: float, dt: float | None = None,
-                           output_sites=()) -> TimeSeries:
-    """RK4 on dp/dt = G p, recording per-site densities every step."""
-    p = np.asarray(p0, dtype=float).copy()
-    dim = p.size
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
+def evolve_classical_exact(p0: np.ndarray, generator, t_end: float,
+                           output_sites=(), breakpoints=()) -> TimeSeries:
+    """Exact propagation of dp/dt = G p onto the record grid, checking
+    normalisation and positivity at every record time.  `generator` is G,
+    or a function of a segment's start time returning G on that segment
+    when G changes at `breakpoints`."""
+    p = np.asarray(p0, dtype=float)
+    n = p.size.bit_length() - 1
+    if 1 << n != p.size:
         raise ClassicalEngineError("probability vector length must be 2^N")
     if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
         raise ClassicalEngineError("p0 must be a normalized probability vector")
-    if dt is None:
-        max_diag = float(np.max(np.abs(generator.diagonal()))) or 1.0
-        dt = min(0.005, 0.5 / max_diag)
-    bits = basis_bits(n)
-    sites = np.asarray(list(output_sites), dtype=int)
-
-    steps = max(1, int(round(t_end / dt)))
-    h = t_end / steps
-    times = [0.0]
-    dens = [p @ bits]
-    for s in range(steps):
-        k1 = generator @ p
-        k2 = generator @ (p + 0.5 * h * k1)
-        k3 = generator @ (p + 0.5 * h * k2)
-        k4 = generator @ (p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(p.sum() - 1.0) > 1e-6:
-            raise ClassicalEngineError(
-                f"normalization drift at t={(s + 1) * h:.3f}; reduce dt")
-        times.append((s + 1) * h)
-        dens.append(p @ bits)
-    times = np.array(times)
-    dens = np.array(dens)
-    n_o = dens[:, sites].sum(axis=1) if sites.size else np.zeros_like(times)
-    ts = TimeSeries(times, dens, n_o,
-                    metadata={"engine": "classical-exact", "dt": h,
-                              "output_sites": [int(s) for s in sites]})
-    ts.final_state = p
-    return ts
+    build = generator if callable(generator) else lambda t0: generator
+    return propagate(p, build, t_end, "classical-exact", ClassicalEngineError,
+                     output_sites, breakpoints)
 
 
 def evolve_classical(network: AtomNetwork, params: SimParams,
                      initial: Configuration, t_end: float,
-                     dt: float | None = None,
                      schedule: DetuningSchedule | None = None,
                      output_sites=()) -> TimeSeries:
     """Exact classical evolution of a device, rebuilding the generator at
     schedule breakpoints."""
-    nodes = [0.0]
-    if schedule is not None:
-        nodes += [float(b) for b in schedule.breakpoints() if 0.0 < b < t_end]
-    nodes.append(float(t_end))
-    nodes = np.unique(nodes)
-    p = probability_from_configuration(initial)
+    schedule = schedule or DetuningSchedule()
     static = network.static_detunings
-    pieces = []
-    for t0, t1 in zip(nodes[:-1], nodes[1:]):
-        det = static if schedule is None else schedule.detunings_at(t0, static)
-        gen = classical_generator(network, params, det)
-        seg = evolve_classical_exact(p, gen, t1 - t0, dt, output_sites)
-        p = seg.final_state
-        seg.times = seg.times + t0
-        pieces.append(seg)
-    times = np.concatenate([pc.times if i == 0 else pc.times[1:]
-                            for i, pc in enumerate(pieces)])
-    dens = np.concatenate([pc.site_density if i == 0 else pc.site_density[1:]
-                           for i, pc in enumerate(pieces)])
-    n_o = np.concatenate([pc.output_count if i == 0 else pc.output_count[1:]
-                          for i, pc in enumerate(pieces)])
-    ts = TimeSeries(times, dens, n_o,
-                    metadata={"engine": "classical-exact",
-                              "output_sites": [int(s) for s in output_sites]})
-    ts.final_state = p
-    return ts
+    return evolve_classical_exact(
+        probability_from_configuration(initial),
+        lambda t0: classical_generator(network, params,
+                                       schedule.detunings_at(t0, static)),
+        t_end, output_sites, schedule.breakpoints())
 
 
 class NeighborTable:
@@ -220,12 +169,6 @@ class Trajectory:
         return bits
 
 
-def _rates(mismatch: np.ndarray, bits: np.ndarray, params: SimParams):
-    gam = params.omega**2 * params.gamma / (
-        (params.gamma / 2.0) ** 2 + mismatch**2)
-    return gam + params.kappa * bits
-
-
 def gillespie_run(network: AtomNetwork, params: SimParams,
                   config0: Configuration, t_end: float, seed,
                   table: NeighborTable | None = None,
@@ -247,15 +190,12 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
         table = NeighborTable.for_params(network, params)
     rng = np.random.default_rng(seed)
     static = network.static_detunings
-
-    breakpoints = []
-    if schedule is not None:
-        breakpoints = [float(b) for b in schedule.breakpoints() if 0.0 < b < t_end]
-    breakpoints.append(float(t_end))
+    schedule = schedule or DetuningSchedule()
+    bp_iter = iter([*(float(b) for b in schedule.breakpoints()
+                      if 0.0 < b < t_end), float(t_end)])
 
     bits = config0.as_array().astype(np.float64)
-    det = (static if schedule is None
-           else schedule.detunings_at(0.0, static)).astype(float)
+    det = schedule.detunings_at(0.0, static)
     # mismatch of every atom against the current configuration
     mism = det.copy()
     for k in np.nonzero(bits)[0]:
@@ -264,7 +204,6 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
 
     events = []
     t = 0.0
-    bp_iter = iter(breakpoints)
     next_bp = next(bp_iter)
     while True:
         rates = _rates(mism, bits, params)

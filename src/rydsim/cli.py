@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .experiments import (EXPERIMENT_DEFAULTS, ExperimentError, make_config,
                           run_experiment)
+from .propagate import TOL
 
 
 def _load_config(target: str, overrides: dict) -> dict:
@@ -28,9 +29,14 @@ def _load_config(target: str, overrides: dict) -> dict:
     if not path.exists():
         raise ExperimentError(
             f"{target!r} is neither a known experiment nor a config file")
-    data = json.loads(path.read_text())
-    if "config" in data:  # replay from a JSON summary
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{target}: invalid JSON ({exc})") from None
+    if isinstance(data, dict) and "config" in data:  # replay from a summary
         data = data["config"]
+    if not isinstance(data, dict) or "experiment" not in data:
+        raise ExperimentError(f"{target}: config has no 'experiment' key")
     config = make_config(data["experiment"],
                          **{k: v for k, v in data.items() if k != "experiment"})
     for key, value in overrides.items():
@@ -110,11 +116,12 @@ def _check(name: str, ok: bool, detail: str, report: list) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
 
-def run_validation(dt: float | None = None, decay_trajectories: int = 10000) -> bool:
+def run_validation(tol: float = TOL, decay_trajectories: int = 10000) -> bool:
     """Analytic oracles, cross-engine agreement and conservation checks.
 
-    Returns True if everything passed.  `dt` overrides the Rabi check's
-    integration step (useful to demonstrate the failure diagnostics).
+    Returns True if everything passed.  `tol` overrides the Rabi check's
+    propagator tolerance (a coarse one demonstrates the failure
+    diagnostics).
     """
     from .classical import (classical_generator, evolve_classical,
                             evolve_classical_exact, gillespie_run)
@@ -128,7 +135,7 @@ def run_validation(dt: float | None = None, decay_trajectories: int = 10000) -> 
     # analytic Rabi oscillation
     try:
         ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
-                            Configuration((0,)), 5.0, dt=dt, output_sites=(0,))
+                            Configuration((0,)), 5.0, tol=tol, output_sites=(0,))
         err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
         _check("rabi", err < 1e-6, f"max |<n> - sin^2(t)| = {err:.2e}", report)
     except Exception as exc:
@@ -193,7 +200,7 @@ def run_validation(dt: float | None = None, decay_trajectories: int = 10000) -> 
 
 
 def cmd_validate(args) -> int:
-    ok = run_validation(dt=args.dt)
+    ok = run_validation(tol=args.tol)
     print("validation " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -228,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_val = sub.add_parser("validate", help="run engine self-checks")
-    p_val.add_argument("--dt", type=float, default=None,
-                       help="override quantum step (diagnostics)")
+    p_val.add_argument("--tol", type=float, default=TOL,
+                       help="propagator tolerance of the Rabi check "
+                            "(diagnostics)")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

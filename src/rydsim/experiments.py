@@ -20,10 +20,9 @@ from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
                       build_switch_chain, build_transport_chain,
                       find_gate_work_time, logic_readout)
 from .model import SimParams
+from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
 from .timeseries import TimeSeries, config_hash
-
-RECORD_POINTS = 200
 
 EXPERIMENT_DEFAULTS = {
     "fig3": {
@@ -69,7 +68,11 @@ def make_config(name: str, **overrides) -> dict:
 def worker_count() -> int:
     env = os.environ.get("RYDSIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ExperimentError(
+                f"RYDSIM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -108,25 +111,22 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     return ts
 
 
-def _record_grid(ts: TimeSeries, t_end: float) -> TimeSeries:
-    grid = np.linspace(ts.times[0], t_end, RECORD_POINTS)
-    return ts.resample(grid)
-
-
 def _switch_point(job):
-    ratio, gamma, kappa, t_end, engine = job
+    ratio, gamma, kappa, t_end, engine, sampling = job
     params = SimParams(1.0, gamma, kappa)
     dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
-    ts = run_device(dev, params, t_end, engine=engine)
-    return ratio, dev.work_time, _record_grid(ts, t_end)
+    ts = run_device(dev, params, t_end, engine=engine, **sampling)
+    return ratio, dev.work_time, ts
 
 
 def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
+    # kmc's trajectory count and seed, where the config sets them
+    sampling = {k: config[k] for k in ("trajectories", "seed") if k in config}
     jobs = [(r, config["gamma"], config["kappa"], config["t_end"],
-             config.get("engine"))
+             config.get("engine"), sampling)
             for r in config["scan"]]
     results = _pool_map(_switch_point, jobs)
     rows, series = [], {}
@@ -182,7 +182,7 @@ def _diode_point(job):
     params = SimParams(1.0, gamma, kappa)
     dev = build_diode(direction, ratio * DELTA_F, gamma=gamma)
     ts = run_device(dev, params, t_end, engine=engine)
-    return ts.value_at(dev.work_time), dev.work_time, _record_grid(ts, t_end)
+    return ts.value_at(dev.work_time), dev.work_time, ts
 
 
 def run_fig5c(config: dict) -> dict:
@@ -273,8 +273,7 @@ def run_appD(config: dict) -> dict:
         for ratio in config["scan"]:
             dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
             ts = run_device(dev, params, config["t_end"])
-            series[f"gamma_{gamma:g}_dg_{ratio:g}"] = _record_grid(
-                ts, config["t_end"])
+            series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
             if np.isclose(ratio, 1.0):
                 t_peak = float(ts.times[int(np.argmax(ts.output_count))])
                 rows.append((gamma, t_peak))

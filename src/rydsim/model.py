@@ -10,6 +10,7 @@ factors cancel and never appear explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,6 +165,16 @@ class DetuningSchedule:
             if t0 <= t < t1:
                 det[atom] = value
         return det
+
+
+@lru_cache(maxsize=8)
+def basis_bits(n_atoms: int) -> np.ndarray:
+    """Read-only (2^N, N) occupation-number matrix of the configuration
+    basis: entry [c, k] is bit k of c."""
+    idx = np.arange(1 << n_atoms)
+    bits = ((idx[:, None] >> np.arange(n_atoms)[None, :]) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:

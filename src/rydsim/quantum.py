@@ -1,34 +1,35 @@
-"""Exact open-system engine: many-body Hamiltonian on the 2^N basis and
-fixed-step RK4 integration of the Lindblad master equation with dephasing
-and decay channels.
+"""Exact open-system engine: the Lindblad master equation with dephasing
+and decay on the 2^N basis, written once as a sparse Liouvillian on
+vec(rho) and propagated onto the record grid by `rydsim.propagate`.
 
-The Hamiltonian is never materialized as a generic sparse matrix.  Its
-diagonal (detunings + pairwise van der Waals shifts) is stored as a vector
-and the drive term is applied through single-bit-flip index gathers, one
-pass per atom.  Basis-state index convention: bit k of the integer index is
-atom k's occupation.
+The Hamiltonian is its diagonal (detunings + pairwise van der Waals
+shifts) plus the implicit single-bit-flip drive.  Basis-state index
+convention: bit k of the integer index is atom k's occupation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
-from .model import AtomNetwork, Configuration, DetuningSchedule, SimParams
+from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
+                    basis_bits)
+from .propagate import TOL, propagate
 from .timeseries import TimeSeries
 
-DEFAULT_DT_FACTOR = 0.005  # dt = 0.005 / omega unless overridden
-ATOM_CAP = 12
+# Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
+# 2-CPU machine (354 s, 920 MB resident); larger estimated peaks are refused.
+ATOM_CAP = 10
 
 
 class CapacityError(ValueError):
-    """Too many atoms for the dense 2^N representation."""
+    """Too many atoms for the memory the engine may allocate."""
 
 
 class IntegrationError(RuntimeError):
-    """Integration left the physical manifold (trace drift)."""
+    """The state left the physical manifold (beyond `propagate.LIMITS`)."""
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,16 @@ class SparseHamiltonian:
         return h
 
 
-@lru_cache(maxsize=8)
-def _basis_tables(n_atoms: int):
-    """Bit-occupation matrix, per-atom flip index arrays and excited-index
-    lists for the 2^N basis."""
-    dim = 1 << n_atoms
-    idx = np.arange(dim)
-    bits = ((idx[:, None] >> np.arange(n_atoms)[None, :]) & 1).astype(np.float64)
-    flips = [idx ^ (1 << k) for k in range(n_atoms)]
-    excited = [np.nonzero(idx & (1 << k))[0] for k in range(n_atoms)]
-    popcount = bits.sum(axis=1)
-    return bits, flips, excited, popcount
-
-
 def _check_cap(n_atoms: int):
-    if n_atoms > ATOM_CAP:
-        raise CapacityError(f"N={n_atoms} exceeds dense-engine cap {ATOM_CAP}")
+    """Raise before allocating if a run's estimated peak bytes exceed the
+    N = ATOM_CAP run's: the Liouvillian's ~(2N + 1 + N/4) 4^N complex
+    entries with int32 indices, plus four vec(rho)-sized work vectors."""
+    need, cap = ((20 * (2 * n + 1 + n / 4) + 64) * 4**n
+                 for n in (n_atoms, ATOM_CAP))
+    if need > cap:
+        raise CapacityError(
+            f"N={n_atoms} needs ~{need / 2**30:.1f} GiB, over the "
+            f"{cap / 2**30:.1f} GiB of the N={ATOM_CAP} cap")
 
 
 def build_hamiltonian(network: AtomNetwork, detunings: np.ndarray,
@@ -76,64 +71,71 @@ def build_hamiltonian(network: AtomNetwork, detunings: np.ndarray,
     """Hamiltonian for the given per-atom detunings (schedule snapshot)."""
     n = network.n_atoms
     _check_cap(n)
-    bits, _, _, _ = _basis_tables(n)
+    bits = basis_bits(n)
     v = network.interaction_matrix()
     det = np.asarray(detunings, dtype=float)
     diagonal = bits @ det + 0.5 * np.einsum("ci,ij,cj->c", bits, v, bits)
     return SparseHamiltonian(diagonal, float(omega), n)
 
 
-def _damping_weights(n_atoms: int, gamma: float, kappa: float) -> np.ndarray:
-    """Elementwise damping of coherences and populations.
+def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
+    """Generator of d vec(rho)/dt, vec(rho)[i << N | j] = rho[i, j]:
 
-    Dephasing contributes -gamma/2 * popcount(i XOR j) (n_k^2 = n_k collapses
-    the anticommutator), decay's anticommutator -kappa/2 * (pop(i) + pop(j)).
+    -i[H, rho] + gamma sum_k D[n_k] rho + kappa sum_k D[sigma_k] rho.
+
+    Dephasing damps rho[i, j] by gamma/2 per atom where i and j differ,
+    decay by kappa/2 per excitation of i and of j, and feeds rho[i, j]
+    from rho[i + 2^k, j + 2^k] where atom k is down in both.  Filled row
+    by row straight into CSR arrays, with no intermediate copy.
     """
-    bits, _, _, pop = _basis_tables(n_atoms)
-    idx = np.arange(1 << n_atoms)
-    xor_pop = pop[idx[:, None] ^ idx[None, :]].astype(float)
-    return -0.5 * gamma * xor_pop - 0.5 * kappa * (pop[:, None] + pop[None, :])
+    n, dim = ham.n_atoms, ham.dim
+    pop = basis_bits(n).sum(axis=1)
+    idx = np.arange(dim * dim, dtype=np.int32)
+    i, j = idx >> n, idx & (dim - 1)
+    # each row: the diagonal, 2N drive flips, then one decay feed per atom
+    # down in both i and j
+    flips = [0] + [1 << b for b in range(2 * n)]
+    values = [-1j * (ham.diagonal[i] - ham.diagonal[j])
+              - 0.5 * params.gamma * pop[i ^ j]
+              - 0.5 * params.kappa * (pop[i] + pop[j])]
+    values += [1j * ham.omega] * n + [-1j * ham.omega] * n
+    boths = ([(1 << k) | (1 << (k + n)) for k in range(n)]
+             if params.kappa > 0 else [])
+    feeds = [(idx & both) == 0 for both in boths]
+    indptr = np.zeros(idx.size + 1, dtype=np.int32)
+    np.cumsum(len(flips) + sum(feeds, np.zeros(idx.size, np.int32)),
+              out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    for s, (flip, value) in enumerate(zip(flips, values)):
+        indices[indptr[:-1] + s] = idx ^ flip
+        data[indptr[:-1] + s] = value
+    slot = indptr[:-1] + len(flips)
+    for both, feed in zip(boths, feeds):
+        indices[slot[feed]] = idx[feed] | both
+        data[slot[feed]] = params.kappa
+        slot += feed
+    return sp.csr_matrix((data, indices, indptr), shape=(idx.size, idx.size))
 
 
 def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
                  params: SimParams) -> np.ndarray:
     """d(rho)/dt under the master equation with dephasing and decay."""
-    n = ham.n_atoms
     if rho.shape != (ham.dim, ham.dim):
         raise ValueError("rho shape does not match Hamiltonian dimension")
-    weights = _damping_weights(n, params.gamma, params.kappa)
-    return _rhs(rho, ham.diagonal, ham.omega, params.kappa, weights, n)
-
-
-def _rhs(rho, diagonal, omega, kappa, weights, n_atoms):
-    _, flips, excited, _ = _basis_tables(n_atoms)
-    out = (-1j) * (diagonal[:, None] * rho - rho * diagonal[None, :])
-    for k in range(n_atoms):
-        f = flips[k]
-        out += (-1j * omega) * (rho[f, :] - rho[:, f])
-    out += weights * rho
-    if kappa > 0:
-        b = 1
-        for k in range(n_atoms):
-            e = excited[k]
-            t = e ^ (1 << k)
-            out[np.ix_(t, t)] += kappa * rho[np.ix_(e, e)]
-    return out
+    return (liouvillian(ham, params) @ rho.ravel()).reshape(rho.shape)
 
 
 def density_from_configuration(config: Configuration) -> np.ndarray:
     """Pure computational-basis density matrix |c><c|."""
-    dim = 1 << len(config)
-    rho = np.zeros((dim, dim), dtype=complex)
-    i = config.to_index()
-    rho[i, i] = 1.0
+    rho = np.zeros((1 << len(config),) * 2, dtype=complex)
+    rho[config.to_index(), config.to_index()] = 1.0
     return rho
 
 
 def site_densities(rho: np.ndarray, n_atoms: int) -> np.ndarray:
     """<n_j> for every atom from the diagonal of rho."""
-    bits, _, _, _ = _basis_tables(n_atoms)
-    return np.real(np.diag(rho)) @ bits
+    return np.real(np.diag(rho)) @ basis_bits(n_atoms)
 
 
 def measure_output(rho: np.ndarray, output_sites, n_atoms: int) -> float:
@@ -145,29 +147,14 @@ def measure_output(rho: np.ndarray, output_sites, n_atoms: int) -> float:
     return float(dens[sites].sum())
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def _segment_nodes(schedule, t_end: float) -> np.ndarray:
-    nodes = [0.0]
-    if schedule is not None:
-        for b in schedule.breakpoints():
-            if 0.0 < b < t_end:
-                nodes.append(float(b))
-    nodes.append(float(t_end))
-    return np.unique(nodes)
-
-
 def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
-                   t_end: float, dt: float | None = None,
+                   t_end: float, tol: float = TOL,
                    schedule: DetuningSchedule | None = None,
                    output_sites=()) -> TimeSeries:
-    """Integrate the master equation with fixed-step RK4.
-
-    `initial` is a Configuration (basis state) or a density matrix.  The
-    diagonal is rebuilt at schedule breakpoints, which are snapped to the
-    step grid by adjusting dt per segment.  Records every step.
+    """Propagate the master equation from `initial` (a Configuration or a
+    density matrix) onto the record grid, rebuilding the Liouvillian at
+    schedule breakpoints.  `tol` is the propagator's truncation tolerance;
+    trace, hermiticity and positivity are checked at every record time.
     """
     n = network.n_atoms
     _check_cap(n)
@@ -177,44 +164,19 @@ def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
         rho = density_from_configuration(initial)
     else:
         rho = np.array(initial, dtype=complex)
-    if dt is None:
-        dt = DEFAULT_DT_FACTOR / params.omega
-    if dt > 0.01 / params.omega:
-        raise ValueError("dt must be <= 0.01/omega")
+    schedule = schedule or DetuningSchedule()
+    dim = 1 << n
 
-    weights = _damping_weights(n, params.gamma, params.kappa)
-    static = network.static_detunings
-    nodes = _segment_nodes(schedule, t_end)
+    def build(t0):
+        det = schedule.detunings_at(t0, network.static_detunings)
+        return liouvillian(build_hamiltonian(network, det, params.omega),
+                           params)
 
-    times = [0.0]
-    dens = [site_densities(rho, n)]
-    for seg_start, seg_end in zip(nodes[:-1], nodes[1:]):
-        det = static if schedule is None else schedule.detunings_at(seg_start, static)
-        ham = build_hamiltonian(network, det, params.omega)
-        length = seg_end - seg_start
-        steps = max(1, int(round(length / dt)))
-        h = length / steps
-        for s in range(steps):
-            k1 = _rhs(rho, ham.diagonal, ham.omega, params.kappa, weights, n)
-            k2 = _rhs(rho + 0.5 * h * k1, ham.diagonal, ham.omega, params.kappa, weights, n)
-            k3 = _rhs(rho + 0.5 * h * k2, ham.diagonal, ham.omega, params.kappa, weights, n)
-            k4 = _rhs(rho + h * k3, ham.diagonal, ham.omega, params.kappa, weights, n)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append(seg_start + (s + 1) * h)
-            dens.append(site_densities(rho, n))
-            if s % 50 == 49 or s == steps - 1:
-                drift = abs(np.real(np.trace(rho)) - 1.0)
-                if not drift < 1e-6:
-                    raise IntegrationError(
-                        f"trace drift {drift:.2e} at t={times[-1]:.3f}; "
-                        "reduce dt")
+    def observe(x):
+        r = x.reshape(dim, dim)
+        return r.diagonal().real, {"hermiticity": np.abs(r - r.conj().T).max()}
 
-    times = np.array(times)
-    dens = np.array(dens)
-    sites = np.asarray(list(output_sites), dtype=int)
-    n_o = dens[:, sites].sum(axis=1) if sites.size else np.zeros_like(times)
-    ts = TimeSeries(times, dens, n_o,
-                    metadata={"engine": "quantum", "dt": dt,
-                              "output_sites": [int(s) for s in sites]})
-    ts.final_state = rho
+    ts = propagate(rho.ravel(), build, t_end, "quantum", IntegrationError,
+                   output_sites, schedule.breakpoints(), tol, observe)
+    ts.final_state = ts.final_state.reshape(dim, dim)
     return ts

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               classical_generator, ensemble_average,
@@ -100,6 +101,19 @@ class TestEvolveClassicalExact:
         gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
         with pytest.raises(ClassicalEngineError):
             evolve_classical_exact(np.array([0.7, 0.0]), gen, 1.0)
+
+    def test_leaking_generator_raises(self):
+        # columns that do not sum to zero lose probability
+        leak = sp.csr_matrix(np.array([[-1.0, 0.0], [0.5, 0.0]]))
+        with pytest.raises(ClassicalEngineError):
+            evolve_classical_exact(np.array([1.0, 0.0]), leak, 1.0)
+
+    def test_residuals_in_metadata(self):
+        gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.1))
+        ts = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0)
+        assert ts.times.size == 200
+        for key in ("norm_drift", "negativity"):
+            assert 0.0 <= ts.metadata[key] < 1e-12
 
 
 class TestNeighborTable:

@@ -58,6 +58,37 @@ class TestRun:
         assert "engine failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("case", ["invalid-json", "no-experiment",
+                                      "bad-threads"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     case):
+        cfg_path = tmp_path / "cfg.json"
+        config = make_config("fig3", t_end=1.0, engine="classical-exact")
+        config["scan"] = [0.5, 1.0]
+        if case == "invalid-json":
+            cfg_path.write_text("{not json")
+        elif case == "no-experiment":
+            del config["experiment"]
+            cfg_path.write_text(json.dumps(config))
+        else:
+            monkeypatch.setenv("RYDSIM_THREADS", "abc")
+            cfg_path.write_text(json.dumps(config))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "engine failure" not in err
+
+    def test_fig3_kmc_honours_trajectories_and_seed(self):
+        def kmc_series(seed):
+            config = make_config("fig3", engine="kmc", trajectories=20,
+                                 seed=seed)
+            config["scan"] = [1.0]
+            return run_experiment(config)["series"]["dg_ratio_1"]
+        a, b = kmc_series(1), kmc_series(2)
+        assert a.metadata["n_trajectories"] == 20
+        assert a.metadata["master_seed"] == 1
+        assert not (a.output_count == b.output_count).all()
+
+
 class TestScan:
     def test_scan_writes_csv_only(self, tmp_path):
         # trim the grid through a config file to keep the test fast
@@ -84,8 +115,8 @@ class TestValidate:
         assert "PASS  rabi" in out
         assert "FAIL" not in out
 
-    def test_bad_dt_reported_as_failure(self, capsys):
-        assert not run_validation(dt=0.5, decay_trajectories=200)
+    def test_coarse_tol_reported_as_failure(self, capsys):
+        assert not run_validation(tol=0.5, decay_trajectories=200)
         assert "FAIL  rabi" in capsys.readouterr().out
 
 

@@ -5,8 +5,7 @@ from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
 from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
                             density_from_configuration, evolve_quantum,
-                            lindblad_rhs, measure_output, purity,
-                            site_densities)
+                            lindblad_rhs, measure_output, site_densities)
 
 
 def single_atom(detuning=0.0):
@@ -106,7 +105,8 @@ class TestEvolveQuantum:
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
         ts = evolve_quantum(net, SimParams(1.0, 0.0, 0.0),
                             Configuration((1, 0, 0)), 4.0)
-        assert purity(ts.final_state) == pytest.approx(1.0, abs=1e-6)
+        rho = ts.final_state
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-6)
 
     def test_conservation_invariants(self):
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
@@ -146,10 +146,23 @@ class TestEvolveQuantum:
         assert ts.value_at(0.99) < 0.01
         assert ts.value_at(1.0 + np.pi / 2) > 0.95
 
-    def test_rejects_large_dt(self):
-        with pytest.raises(ValueError):
-            evolve_quantum(single_atom(), SimParams(1.0, 0.0, 0.0),
-                           Configuration((0,)), 1.0, dt=0.5)
+    def test_rejects_tol_outside_unit_interval(self):
+        for tol in (0.0, -1e-3, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                evolve_quantum(single_atom(), SimParams(1.0, 0.0, 0.0),
+                               Configuration((0,)), 1.0, tol=tol)
+
+    def test_unphysical_initial_state_raises(self):
+        rho = np.diag([1.5, 0.0]).astype(complex)
+        with pytest.raises(IntegrationError):
+            evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01), rho, 1.0)
+
+    def test_residuals_in_metadata(self):
+        ts = evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01),
+                            Configuration((0,)), 2.0)
+        for key in ("norm_drift", "hermiticity", "negativity"):
+            assert 0.0 <= ts.metadata[key] < 1e-10
+        assert ts.times.size == 200
 
 
 class TestMeasureOutput:
