@@ -1,9 +1,9 @@
 """Strong-dephasing classical engine.
 
 Two routes onto the same rate equation: an exact propagator on the 2^N
-probability vector (small N) and an event-driven Gillespie sampler whose
-rate cache is updated incrementally through a cutoff neighbor table
-(large 3D gases).  Flip rates follow the Lorentzian form
+probability vector (small N) and an event-driven Gillespie sampler that
+advances whole ensembles in lockstep, with pair energies taken from the
+atom positions (large 3D gases).  Flip rates follow the Lorentzian form
 Gamma_k = omega^2 gamma / ((gamma/2)^2 + mismatch_k^2), with the decay
 channel kappa added to every downward flip.
 """
@@ -21,6 +21,9 @@ from .propagate import propagate
 from .timeseries import TimeSeries
 
 GENERATOR_CAP = 14
+# Trajectories x atoms in one lockstep block: bounds the sampler's memory
+# at O(BLOCK_ELEMENTS) for any ensemble size.
+BLOCK_ELEMENTS = 2 ** 20
 
 
 class ClassicalEngineError(ValueError):
@@ -160,79 +163,122 @@ class Trajectory:
                 raise ClassicalEngineError("event times must be increasing")
             last = t
 
-    def occupation_at(self, t: float) -> np.ndarray:
-        bits = self.initial.as_array().astype(np.int64)
-        for et, atom, new_bit in self.events:
-            if et > t:
-                break
-            bits[atom] = new_bit
-        return bits
+
+def _pair_energies(network: AtomNetwork, atoms: np.ndarray) -> np.ndarray:
+    """C6 / r^6 from each of `atoms` to every atom, zero for an atom and
+    itself: shape (len(atoms), N), taken from the positions."""
+    pos = network.positions
+    r2 = sum((pos[:, c] - pos[atoms, c][:, None]) ** 2 for c in range(3))
+    with np.errstate(divide="ignore"):
+        rows = network.c6 / r2**3
+    rows[np.arange(atoms.size), atoms] = 0.0
+    return rows
 
 
-def gillespie_run(network: AtomNetwork, params: SimParams,
-                  config0: Configuration, t_end: float, seed,
-                  table: NeighborTable | None = None,
-                  schedule: DetuningSchedule | None = None) -> Trajectory:
-    """Exact event-driven sampling of the classical rate equation.
+def _waits(rates: np.ndarray, rng) -> np.ndarray:
+    """Exponential waiting times at the total rate of each row."""
+    total = rates.sum(axis=1)
+    if not np.all(total > 0):
+        raise ClassicalEngineError("total rate vanished; omega must be > 0")
+    return rng.exponential(1.0 / total)
 
-    Waiting times are exponential in the current total rate; the flipped
-    atom is drawn proportionally to its rate.  After each event only the
-    flipped atom's neighbors have their mismatch updated.  Piecewise
-    constant schedules cap each waiting time at the next breakpoint and
-    resample there.
+
+def _lockstep_block(network: AtomNetwork, params: SimParams,
+                    config0: Configuration, t_end: float,
+                    schedule: DetuningSchedule, m: int, rng,
+                    times: np.ndarray, out: np.ndarray, log=None):
+    """Advance m trajectories from config0 to t_end in lockstep.
+
+    Each trajectory holds its occupations, mismatches and the time of its
+    pending event.  Before each stop (record times, schedule breakpoints,
+    t_end) every trajectory whose event comes earlier fires it in one
+    vectorised step: the atom is drawn in proportion to its rate, the
+    mismatches move by its pair energies and a new wait is drawn.  At a
+    breakpoint the mismatches shift with the detunings and every pending
+    event is redrawn, which is exact for a memoryless process.
+
+    Returns, per record time, the summed occupations, the summed output
+    counts (weights `out`) and their squares, and the events of each
+    trajectory.  `log` collects (time, atom, new_bit) of every event.
     """
     if params.gamma <= 0:
         raise ClassicalEngineError("Gillespie sampling requires gamma > 0")
     n = network.n_atoms
     if len(config0) != n:
         raise ClassicalEngineError("configuration length mismatch")
-    if table is None:
-        table = NeighborTable.for_params(network, params)
-    rng = np.random.default_rng(seed)
     static = network.static_detunings
-    schedule = schedule or DetuningSchedule()
-    bp_iter = iter([*(float(b) for b in schedule.breakpoints()
-                      if 0.0 < b < t_end), float(t_end)])
-
-    bits = config0.as_array().astype(np.float64)
+    starts = {float(b) for b in schedule.breakpoints() if 0.0 < b < t_end}
     det = schedule.detunings_at(0.0, static)
-    # mismatch of every atom against the current configuration
-    mism = det.copy()
-    for k in np.nonzero(bits)[0]:
-        nbr, en = table.neighbors(int(k))
-        mism[nbr] += en
+    bits0 = config0.as_array().astype(float)
+    mism0 = det + _pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
+    bits, mism = np.tile(bits0, (m, 1)), np.tile(mism0, (m, 1))
+    rates = _rates(mism, bits, params)
+    pending = _waits(rates, rng)
+    events = np.zeros(m, dtype=np.int64)
+    dens = np.zeros((times.size, n))
+    n_o = np.zeros((2, times.size))
+    rec = 0
+    for stop in np.union1d(times, [*starts, t_end]):
+        while (fire := np.flatnonzero(pending < stop)).size:
+            cum = np.cumsum(rates[fire], axis=1)
+            atom = (cum < rng.uniform(0.0, cum[:, -1])[:, None]).sum(axis=1)
+            new = 1.0 - bits[fire, atom]
+            bits[fire, atom] = new
+            sign = 2.0 * new - 1.0
+            mism[fire] += sign[:, None] * _pair_energies(network, atom)
+            rates[fire] = _rates(mism[fire], bits[fire], params)
+            if log is not None:
+                log += zip(pending[fire].tolist(), atom.tolist(),
+                           new.astype(int).tolist())
+            pending[fire] += _waits(rates[fire], rng)
+            events[fire] += 1
+        if rec < times.size and stop == times[rec]:
+            counts = bits @ out
+            dens[rec] = bits.sum(axis=0)
+            n_o[:, rec] = counts.sum(), counts @ counts
+            rec += 1
+        if stop in starts:
+            new_det = schedule.detunings_at(stop, static)
+            mism += new_det - det
+            det = new_det
+            rates = _rates(mism, bits, params)
+            pending = stop + _waits(rates, rng)
+    return dens, n_o, events
 
+
+def gillespie_run(network: AtomNetwork, params: SimParams,
+                  config0: Configuration, t_end: float, seed,
+                  schedule: DetuningSchedule | None = None) -> Trajectory:
+    """Exact event-driven sampling of the classical rate equation: one
+    trajectory of the lockstep sampler, drawing from default_rng(seed),
+    with its event log.
+
+    Waiting times are exponential in the current total rate; the flipped
+    atom is drawn proportionally to its rate.  Piecewise constant
+    schedules resample the pending event at each breakpoint.
+    """
     events = []
-    t = 0.0
-    next_bp = next(bp_iter)
-    while True:
-        rates = _rates(mism, bits, params)
-        total = rates.sum()
-        if total <= 0:
-            raise ClassicalEngineError("total rate vanished; omega must be > 0")
-        t_next = t + rng.exponential(1.0 / total)
-        if t_next >= next_bp:
-            # no event before the breakpoint: advance and resample
-            t = next_bp
-            if t >= t_end:
-                break
-            old = det
-            det = schedule.detunings_at(t, static)
-            mism += det - old
-            next_bp = next(bp_iter)
-            continue
-        t = t_next
-        cum = np.cumsum(rates)
-        a = int(np.searchsorted(cum, rng.uniform(0.0, cum[-1])))
-        new_bit = 1.0 - bits[a]
-        bits[a] = new_bit
-        nbr, en = table.neighbors(a)
-        if new_bit:
-            mism[nbr] += en
-        else:
-            mism[nbr] -= en
-        events.append((t, a, int(new_bit)))
+    _lockstep_block(network, params, config0, t_end,
+                    schedule or DetuningSchedule(), 1,
+                    np.random.default_rng(seed), np.empty(0),
+                    np.zeros(network.n_atoms), log=events)
     return Trajectory(config0, events, float(t_end))
+
+
+def _ensemble_series(times: np.ndarray, dens_sum: np.ndarray,
+                     no_sum: np.ndarray, no_sq: np.ndarray, m: int,
+                     sites: np.ndarray) -> TimeSeries:
+    """Ensemble means from sums over m trajectories, with the standard
+    error of the output count."""
+    mean_no = no_sum / m
+    if m > 1:
+        var = np.maximum(no_sq / m - mean_no**2, 0.0) * m / (m - 1)
+        stderr = np.sqrt(var / m)
+    else:
+        stderr = np.zeros_like(mean_no)
+    return TimeSeries(times, dens_sum / m, mean_no, stderr,
+                      metadata={"engine": "kmc", "n_trajectories": m,
+                                "output_sites": [int(s) for s in sites]})
 
 
 def ensemble_average(trajectories, times: np.ndarray, output_sites,
@@ -268,32 +314,45 @@ def ensemble_average(trajectories, times: np.ndarray, output_sites,
             gi += 1
         no_sum += no_traj
         no_sq += no_traj**2
-    m = len(trajectories)
-    mean_no = no_sum / m
-    if m > 1:
-        var = np.maximum(no_sq / m - mean_no**2, 0.0) * m / (m - 1)
-        stderr = np.sqrt(var / m)
-    else:
-        stderr = np.zeros_like(mean_no)
-    return TimeSeries(times, dens_sum / m, mean_no, stderr,
-                      metadata={"engine": "kmc", "n_trajectories": m,
-                                "output_sites": [int(s) for s in sites]})
+    return _ensemble_series(times, dens_sum, no_sum, no_sq, len(trajectories),
+                            sites)
 
 
 def gillespie_ensemble(network: AtomNetwork, params: SimParams,
                        config0: Configuration, t_end: float,
                        n_trajectories: int, master_seed: int,
                        times: np.ndarray, output_sites,
-                       table: NeighborTable | None = None,
                        schedule: DetuningSchedule | None = None) -> TimeSeries:
-    """Run a reproducible ensemble; trajectory i uses stream
-    (master_seed, i) so results are independent of scheduling order."""
-    if table is None:
-        table = NeighborTable.for_params(network, params)
-    trajs = [gillespie_run(network, params, config0, t_end,
-                           seed=[master_seed, i], table=table,
-                           schedule=schedule)
-             for i in range(n_trajectories)]
-    ts = ensemble_average(trajs, times, output_sites, network.n_atoms)
-    ts.metadata["master_seed"] = master_seed
+    """Mean per-site density and output count of a sampled ensemble on
+    `times`, with the standard error of the output count.
+
+    Trajectories advance in lockstep blocks of at most BLOCK_ELEMENTS // N;
+    block b draws from stream (master_seed, b), so a seed, ensemble size
+    and atom count always give the same result.  The metadata counts the
+    blocks and the events per trajectory (mean and max).
+    """
+    if n_trajectories < 1:
+        raise ClassicalEngineError("empty trajectory ensemble")
+    times = np.asarray(times, dtype=float)
+    if times[-1] > t_end:
+        raise ClassicalEngineError("trajectory shorter than time grid")
+    schedule = schedule or DetuningSchedule()
+    sites = np.asarray(list(output_sites), dtype=int)
+    out = np.zeros(network.n_atoms)
+    out[sites] = 1.0
+    block = max(1, BLOCK_ELEMENTS // network.n_atoms)
+    offsets = range(0, n_trajectories, block)
+    dens, n_o, events = 0.0, 0.0, []
+    for b, start in enumerate(offsets):
+        part = _lockstep_block(network, params, config0, t_end, schedule,
+                               min(block, n_trajectories - start),
+                               np.random.default_rng([master_seed, b]),
+                               times, out)
+        dens, n_o = dens + part[0], n_o + part[1]
+        events.append(part[2])
+    events = np.concatenate(events)
+    ts = _ensemble_series(times, dens, *n_o, n_trajectories, sites)
+    ts.metadata.update(master_seed=master_seed,
+                       events_mean=float(events.mean()),
+                       events_max=int(events.max()), blocks=len(offsets))
     return ts

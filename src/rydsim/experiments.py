@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .classical import NeighborTable, evolve_classical, gillespie_ensemble
+from .classical import evolve_classical, gillespie_ensemble
 from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
                       build_diode, build_gas_switch, build_nand_gate,
                       build_switch_chain, build_transport_chain,
@@ -111,12 +111,20 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     return ts
 
 
+def _at_work_time(ts: TimeSeries, work_time: float, t_end: float) -> float:
+    """Output count at the device work time, which t_end must reach."""
+    if t_end < work_time:
+        raise ExperimentError(f"t_end {t_end:g} is below the device work "
+                              f"time {work_time:g}")
+    return ts.value_at(work_time)
+
+
 def _switch_point(job):
     ratio, gamma, kappa, t_end, engine, sampling = job
     params = SimParams(1.0, gamma, kappa)
     dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
     ts = run_device(dev, params, t_end, engine=engine, **sampling)
-    return ratio, dev.work_time, ts
+    return ratio, _at_work_time(ts, dev.work_time, t_end), dev.work_time, ts
 
 
 def run_fig3(config: dict) -> dict:
@@ -130,8 +138,8 @@ def run_fig3(config: dict) -> dict:
             for r in config["scan"]]
     results = _pool_map(_switch_point, jobs)
     rows, series = [], {}
-    for ratio, t_w, ts in results:
-        rows.append((ratio, ts.value_at(t_w), t_w))
+    for ratio, n_o, t_w, ts in results:
+        rows.append((ratio, n_o, t_w))
         series[f"dg_ratio_{ratio:g}"] = ts
     return {"scan_rows": rows,
             "scan_header": ["delta_g_over_delta_f", "N_o_at_t_w", "t_w"],
@@ -152,13 +160,11 @@ def run_fig4(config: dict) -> dict:
         for inst in range(config["instances"]):
             dev = build_gas_switch(on, seed=config["seed"] + inst,
                                    n_atoms=config["n_atoms"])
-            table = NeighborTable.for_params(dev.network, GAS_PARAMS)
             ts = gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial,
                                     t_end, config["trajectories"],
                                     master_seed=1000 * config["seed"] + inst,
                                     times=times,
-                                    output_sites=dev.output_sites,
-                                    table=table)
+                                    output_sites=dev.output_sites)
             acc_no += ts.output_count
             acc_err += ts.output_stderr**2
             per_instance.append(ts.plateau_value())
@@ -182,7 +188,7 @@ def _diode_point(job):
     params = SimParams(1.0, gamma, kappa)
     dev = build_diode(direction, ratio * DELTA_F, gamma=gamma)
     ts = run_device(dev, params, t_end, engine=engine)
-    return ts.value_at(dev.work_time), dev.work_time, ts
+    return _at_work_time(ts, dev.work_time, t_end), dev.work_time, ts
 
 
 def run_fig5c(config: dict) -> dict:

@@ -142,11 +142,3 @@ def build_chain(spacings, detunings, c6: float) -> AtomNetwork:
     positions = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
     return AtomNetwork(positions, np.asarray(detunings, dtype=float), c6)
 
-
-def export_positions_csv(path, positions: np.ndarray,
-                         detunings: np.ndarray) -> None:
-    """Geometry export: index, x, y, z, detuning."""
-    with open(path, "w") as fh:
-        fh.write("index,x,y,z,detuning\n")
-        for i, (p, d) in enumerate(zip(positions, detunings)):
-            fh.write(f"{i},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{d:.9g}\n")

@@ -47,11 +47,11 @@ class AtomNetwork:
             raise ModelError("need at least one atom")
         if self.c6 <= 0:
             raise ModelError("c6 must be positive")
-        if pos.shape[0] > 1:
-            d = pairwise_distances(pos)
-            iu = np.triu_indices(pos.shape[0], k=1)
-            if np.any(d[iu] <= 0):
-                raise ModelError("all pairwise distances must be positive")
+        if not np.all(np.isfinite(pos)):
+            raise ModelError("positions must be finite")
+        # a zero pairwise distance is a repeated row
+        if np.unique(pos, axis=0).shape[0] < pos.shape[0]:
+            raise ModelError("all pairwise distances must be positive")
         pos.setflags(write=False)
         det.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -201,17 +201,6 @@ def blockade_radius(c6: float, omega: float) -> float:
     if c6 <= 0 or omega <= 0:
         raise ModelError("c6 and omega must be positive")
     return (c6 / omega) ** (1.0 / 6.0)
-
-
-def dephasing_blockade_radius(c6: float, gamma: float) -> float:
-    """Diagnostic companion to blockade_radius using the dephasing rate.
-
-    Reported alongside the drive-based radius because device parameters
-    are sometimes stated against (c6/gamma)^(1/6) instead.
-    """
-    if c6 <= 0 or gamma <= 0:
-        raise ModelError("c6 and gamma must be positive")
-    return (c6 / gamma) ** (1.0 / 6.0)
 
 
 def local_mismatch(k: int, config: Configuration, network: AtomNetwork,

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rydsim import classical
 from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               classical_generator, ensemble_average,
                               evolve_classical, evolve_classical_exact,
                               gillespie_ensemble, gillespie_run,
                               probability_from_configuration, transition_rate)
+from rydsim.devices import build_nand_gate
 from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, SimParams
 
@@ -183,7 +185,7 @@ class TestGillespie:
         for i in range(samples):
             traj = gillespie_run(net, params, Configuration((0,)), 5.0,
                                  seed=[17, i])
-            occupied += traj.occupation_at(5.0)[0]
+            occupied += traj.events[-1][2] if traj.events else 0
         frac = occupied / samples
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / samples)
 
@@ -222,6 +224,57 @@ class TestGillespie:
                                  seed=[23, i], schedule=sched)
             flips_before += sum(1 for t, _, _ in traj.events if t < 5.0)
         assert flips_before == 0
+
+
+class TestGillespieEnsemble:
+    net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
+    params = SimParams(1.0, 1.0, 0.003)
+    config0 = Configuration((1, 0, 0))
+    times = np.linspace(0.1, 4.0, 40)
+
+    def sample(self, m, seed):
+        return gillespie_ensemble(self.net, self.params, self.config0, 4.0,
+                                  m, seed, self.times, output_sites=(2,))
+
+    def exact(self):
+        return evolve_classical(self.net, self.params, self.config0, 4.0,
+                                output_sites=(2,)).resample(self.times)
+
+    def test_seed_replays_bit_identically(self):
+        a, b, c = self.sample(300, 5), self.sample(300, 5), self.sample(300, 6)
+        assert np.array_equal(a.site_density, b.site_density)
+        assert np.array_equal(a.output_stderr, b.output_stderr)
+        assert not np.array_equal(a.site_density, c.site_density)
+
+    def test_scheduled_device_matches_exact(self):
+        # the NAND gate's NOT atom (3) is pulsed onto resonance mid-run
+        dev = build_nand_gate((1, 1))
+        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 4.0,
+                                 4000, 99, self.times, dev.output_sites,
+                                 schedule=dev.schedule)
+        exact = evolve_classical(dev.network, self.params, dev.initial, 4.0,
+                                 schedule=dev.schedule,
+                                 output_sites=dev.output_sites)
+        diff = ens.site_density - exact.resample(self.times).site_density
+        assert np.max(np.abs(diff)) < 0.03
+
+    def test_blocks_replay_and_match_exact(self, monkeypatch):
+        monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 500)
+        a, b = self.sample(4000, 99), self.sample(4000, 99)
+        assert a.metadata["blocks"] == 8
+        assert np.array_equal(a.site_density, b.site_density)
+        assert np.array_equal(a.output_stderr, b.output_stderr)
+        assert np.max(np.abs(a.site_density - self.exact().site_density)) < 0.03
+
+    def test_work_counters(self):
+        # an excited atom under a negligible drive decays once, and only once
+        ens = gillespie_ensemble(single_atom(), SimParams(1e-4, 1.0, 2.0),
+                                 Configuration((1,)), 20.0, 50, 3,
+                                 np.array([10.0, 20.0]), output_sites=(0,))
+        assert ens.metadata["events_mean"] == 1.0
+        assert ens.metadata["events_max"] == 1
+        assert ens.metadata["blocks"] == 1
+        np.testing.assert_array_equal(ens.output_count, 0.0)
 
 
 class TestEnsembleAverage:

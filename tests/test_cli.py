@@ -77,6 +77,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "engine failure" not in err
 
+    @pytest.mark.parametrize("experiment, trim", [
+        ("fig3", {"scan": [1.0], "engine": "classical-exact"}),
+        ("fig5c", {"gammas": [1.0], "engine": "classical-exact"}),
+        ("appE", {"gammas": [1.0], "scan": [2.0]}),
+    ])
+    def test_t_end_below_work_time_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, experiment, trim):
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(experiment, **trim)))
+        argv = ["run", str(cfg_path), "--t-end", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end 2 is below the device work time 4.6")
+
     def test_fig3_kmc_honours_trajectories_and_seed(self):
         def kmc_series(seed):
             config = make_config("fig3", engine="kmc", trajectories=20,

@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from rydsim.geometry import (CylinderSpec, GeometryError, PackingError,
                              RegionPartition, assign_regions, build_chain,
-                             export_positions_csv, sample_cylinder)
+                             sample_cylinder)
 
 
 class TestSampleCylinder:
@@ -107,12 +107,3 @@ class TestBuildChain:
         with pytest.raises(GeometryError):
             build_chain([1.0, 0.0], [0.0, 0.0, 0.0], 10.0)
 
-
-def test_export_positions_csv(tmp_path):
-    net = build_chain([1.0], [-10.0, -5.0], 10.0)
-    path = tmp_path / "geom.csv"
-    export_positions_csv(path, net.positions, net.static_detunings)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,x,y,z,detuning"
-    assert lines[1].split(",") == ["0", "0", "0", "0", "-10"]
-    assert len(lines) == 3

@@ -3,8 +3,7 @@ import pytest
 
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
                           ModelError, SimParams, UnitConversion,
-                          blockade_radius, convert_units,
-                          dephasing_blockade_radius, facilitation_detuning,
+                          blockade_radius, convert_units, facilitation_detuning,
                           facilitation_radius, local_mismatch,
                           DIMENSIONLESS, PHYSICAL)
 
@@ -49,11 +48,9 @@ class TestBlockadeRadius:
         assert blockade_radius(10.0, 1.0) == pytest.approx(10 ** (1 / 6))
         assert blockade_radius(1.0, 1.0) == 1.0
 
-    def test_gas_values_both_definitions(self):
-        # drive-based definition gives ~16.1 um; the gamma-based diagnostic
-        # matches the 10.4 um value for the gas parameters
+    def test_gas_value(self):
+        # drive-based definition gives ~16.1 um for the gas parameters
         assert blockade_radius(869e9, 50e3) == pytest.approx(16.1, abs=0.05)
-        assert dephasing_blockade_radius(869e9, 0.7e6) == pytest.approx(10.4, abs=0.05)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(1)
@@ -149,6 +146,17 @@ class TestAtomNetwork:
     def test_rejects_coincident_atoms(self):
         with pytest.raises(ModelError):
             AtomNetwork([[0, 0, 0], [0, 0, 0]], [0.0, 0.0], 10.0)
+
+    def test_rejects_repeated_position_among_many(self):
+        pos = np.random.default_rng(3).uniform(0, 10, size=(50, 3))
+        pos[37] = pos[3]
+        with pytest.raises(ModelError, match="distances must be positive"):
+            AtomNetwork(pos, np.zeros(50), 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_positions(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            AtomNetwork([[0, 0, 0], [bad, 0, 0]], [0.0, 0.0], 1.0)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ModelError):
