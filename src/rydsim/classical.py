@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits, local_mismatch)
+                    basis_bits, local_mismatch, pair_energies)
 from .propagate import propagate
 from .timeseries import TimeSeries
 
@@ -164,17 +164,6 @@ class Trajectory:
             last = t
 
 
-def _pair_energies(network: AtomNetwork, atoms: np.ndarray) -> np.ndarray:
-    """C6 / r^6 from each of `atoms` to every atom, zero for an atom and
-    itself: shape (len(atoms), N), taken from the positions."""
-    pos = network.positions
-    r2 = sum((pos[:, c] - pos[atoms, c][:, None]) ** 2 for c in range(3))
-    with np.errstate(divide="ignore"):
-        rows = network.c6 / r2**3
-    rows[np.arange(atoms.size), atoms] = 0.0
-    return rows
-
-
 def _waits(rates: np.ndarray, rng) -> np.ndarray:
     """Exponential waiting times at the total rate of each row."""
     total = rates.sum(axis=1)
@@ -210,7 +199,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     starts = {float(b) for b in schedule.breakpoints() if 0.0 < b < t_end}
     det = schedule.detunings_at(0.0, static)
     bits0 = config0.as_array().astype(float)
-    mism0 = det + _pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
+    mism0 = det + pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
     bits, mism = np.tile(bits0, (m, 1)), np.tile(mism0, (m, 1))
     rates = _rates(mism, bits, params)
     pending = _waits(rates, rng)
@@ -225,7 +214,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             new = 1.0 - bits[fire, atom]
             bits[fire, atom] = new
             sign = 2.0 * new - 1.0
-            mism[fire] += sign[:, None] * _pair_energies(network, atom)
+            mism[fire] += sign[:, None] * pair_energies(network, atom)
             rates[fire] = _rates(mism[fire], bits[fire], params)
             if log is not None:
                 log += zip(pending[fire].tolist(), atom.tolist(),

@@ -49,13 +49,11 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     config = result["config"]
-    chash = result["config_hash"]
+    series = result.get("series", {})
     if not scan_only:
-        for key, series in result.get("series", {}).items():
-            series.metadata["config_hash"] = chash
-            series.metadata["code_version"] = __version__
+        for key, ts in series.items():
             path = out_dir / f"{key}.csv"
-            series.to_csv(path)
+            ts.to_csv(path)
             written.append(path)
     if "scan_rows" in result:
         path = out_dir / "scan.csv"
@@ -68,7 +66,7 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
     summary = {
         "experiment": config["experiment"],
         "config": config,
-        "config_hash": chash,
+        "config_hash": result["config_hash"],
         "code_version": __version__,
         "outputs": [p.name for p in written],
     }
@@ -76,6 +74,10 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
                 "truth_table_ok"):
         if key in result:
             summary[key] = result[key]
+    # engine, work counters and invariant residuals of each series; all
+    # deterministic, so a replay writes the same summary
+    if series:
+        summary["series"] = {key: ts.metadata for key, ts in series.items()}
     path = out_dir / "summary.json"
     path.write_text(json.dumps(summary, indent=2, default=str) + "\n")
     written.append(path)

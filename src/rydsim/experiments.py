@@ -15,10 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .classical import evolve_classical, gillespie_ensemble
-from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
-                      build_diode, build_gas_switch, build_nand_gate,
-                      build_switch_chain, build_transport_chain,
-                      find_gate_work_time, logic_readout)
+from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
+                      build_and_gate, build_diode, build_gas_switch,
+                      build_nand_gate, build_switch_chain,
+                      build_transport_chain, find_gate_work_time,
+                      logic_readout)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -148,6 +149,8 @@ def run_fig3(config: dict) -> dict:
 
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
+    if config["instances"] < 1:
+        raise ExperimentError("fig4 needs at least one instance")
     t_end = config["t_end"]
     times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
     out = {"series": {}}
@@ -156,10 +159,15 @@ def run_fig4(config: dict) -> dict:
         key = "on" if on else "off"
         acc_no = np.zeros_like(times)
         acc_err = np.zeros_like(times)
-        per_instance = []
+        per_instance, counters = [], []
         for inst in range(config["instances"]):
-            dev = build_gas_switch(on, seed=config["seed"] + inst,
-                                   n_atoms=config["n_atoms"])
+            try:
+                dev = build_gas_switch(on, seed=config["seed"] + inst,
+                                       n_atoms=config["n_atoms"])
+            except DeviceError as exc:
+                raise ExperimentError(
+                    f"n_atoms {config['n_atoms']} is too few for the gas "
+                    f"switch: {exc}") from None
             ts = gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial,
                                     t_end, config["trajectories"],
                                     master_seed=1000 * config["seed"] + inst,
@@ -168,11 +176,17 @@ def run_fig4(config: dict) -> dict:
             acc_no += ts.output_count
             acc_err += ts.output_stderr**2
             per_instance.append(ts.plateau_value())
+            counters.append([ts.metadata[k] for k in
+                             ("events_mean", "events_max", "blocks")])
         mean_no = acc_no / config["instances"]
         stderr = np.sqrt(acc_err) / config["instances"]
+        means, maxes, blocks = zip(*counters)
         ens = TimeSeries(times, np.zeros((times.size, 1)), mean_no, stderr,
                          metadata={"engine": "kmc", "switch": key,
-                                   "instances": config["instances"]})
+                                   "instances": config["instances"],
+                                   "events_mean": float(np.mean(means)),
+                                   "events_max": max(maxes),
+                                   "blocks": sum(blocks)})
         out["series"][key] = ens
         plateaus[key] = float(np.mean(per_instance))
     out["plateau_on"] = plateaus["on"]
@@ -193,14 +207,16 @@ def _diode_point(job):
 
 def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
+    directions = ("forward", "reverse")
+    jobs = [(gamma, direction, config["delta_g_ratio"], config["t_end"],
+             config.get("engine"))
+            for gamma in config["gammas"] for direction in directions]
+    results = iter(_pool_map(_diode_point, jobs))
     rows, series = [], {}
     for gamma in config["gammas"]:
         point = {}
-        for direction in ("forward", "reverse"):
-            n_o, t_w, ts = _diode_point((gamma, direction,
-                                         config["delta_g_ratio"],
-                                         config["t_end"],
-                                         config.get("engine")))
+        for direction in directions:
+            n_o, t_w, ts = next(results)
             point[direction] = (n_o, t_w)
             series[f"{direction}_gamma_{gamma:g}"] = ts
         rows.append((gamma, point["forward"][0], point["reverse"][0],

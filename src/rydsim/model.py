@@ -63,11 +63,7 @@ class AtomNetwork:
 
     def interaction_matrix(self) -> np.ndarray:
         """(N, N) matrix of C6 / r_ij^6 with zero diagonal."""
-        d = pairwise_distances(self.positions)
-        with np.errstate(divide="ignore"):
-            v = self.c6 / d**6
-        np.fill_diagonal(v, 0.0)
-        return v
+        return pair_energies(self, np.arange(self.n_atoms))
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,15 @@ def basis_bits(n_atoms: int) -> np.ndarray:
     return bits
 
 
-def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=-1))
+def pair_energies(network: AtomNetwork, atoms: np.ndarray) -> np.ndarray:
+    """C6 / r^6 from each of `atoms` to every atom, zero for an atom and
+    itself: shape (len(atoms), N), taken from the positions."""
+    pos = network.positions
+    r2 = sum((pos[:, c] - pos[atoms, c][:, None]) ** 2 for c in range(3))
+    with np.errstate(divide="ignore"):
+        rows = network.c6 / r2**3
+    rows[np.arange(atoms.size), atoms] = 0.0
+    return rows
 
 
 def facilitation_detuning(r_f: float, c6: float) -> float:
@@ -216,9 +218,7 @@ def local_mismatch(k: int, config: Configuration, network: AtomNetwork,
         raise ModelError("configuration length must match network")
     det = network.static_detunings if detunings is None else detunings
     bits = config.as_array().astype(float)
-    bits[k] = 0.0
-    v = network.interaction_matrix()
-    return float(det[k] + v[k] @ bits)
+    return float(det[k] + pair_energies(network, np.array([k]))[0] @ bits)
 
 
 @dataclass(frozen=True)

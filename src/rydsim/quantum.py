@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits)
-from .propagate import TOL, propagate
+from .propagate import SPAN_ELEMENTS, TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
@@ -57,8 +57,11 @@ class SparseHamiltonian:
 def _check_cap(n_atoms: int):
     """Raise before allocating if a run's estimated peak bytes exceed the
     N = ATOM_CAP run's: the Liouvillian's ~(2N + 1 + N/4) 4^N complex
-    entries with int32 indices, plus four vec(rho)-sized work vectors."""
-    need, cap = ((20 * (2 * n + 1 + n / 4) + 64) * 4**n
+    entries with int32 indices, three vec(rho)-sized work vectors, and a
+    span's record-time sums and their update, each at most
+    max(SPAN_ELEMENTS, 4^N) entries plus one vec(rho)."""
+    need, cap = ((20 * (2 * n + 1 + n / 4) + 48) * 4**n
+                 + 32 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
                  for n in (n_atoms, ATOM_CAP))
     if need > cap:
         raise CapacityError(

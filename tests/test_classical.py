@@ -47,6 +47,23 @@ class TestTransitionRate:
             transition_rate(0, Configuration((0,)), single_atom(),
                             SimParams(1.0, 0.0, 0.0))
 
+    def test_large_gas_needs_no_interaction_matrix(self, monkeypatch):
+        from rydsim.devices import GAS_PARAMS, build_gas_switch
+        net = build_gas_switch(True, seed=1).network
+
+        def refuse(self):
+            raise AssertionError("(N, N) interaction matrix built")
+        monkeypatch.setattr(AtomNetwork, "interaction_matrix", refuse)
+        bits = np.zeros(net.n_atoms, dtype=int)
+        bits[::50] = 1
+        k = 7
+        r = np.linalg.norm(net.positions[bits == 1] - net.positions[k], axis=1)
+        mismatch = net.static_detunings[k] + np.sum(net.c6 / r**6)
+        expected = (GAS_PARAMS.omega**2 * GAS_PARAMS.gamma
+                    / ((GAS_PARAMS.gamma / 2) ** 2 + mismatch**2))
+        rate = transition_rate(k, Configuration(tuple(bits)), net, GAS_PARAMS)
+        assert rate == pytest.approx(expected, rel=1e-9)
+
 
 class TestClassicalGenerator:
     def test_single_atom_resonant(self):

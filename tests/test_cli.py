@@ -22,6 +22,25 @@ class TestRun:
         assert summary["experiment"] == "fig4"
         assert summary["plateau_on"] > 0
         assert "on_off_ratio" in summary
+        for key in ("on", "off"):
+            counters = summary["series"][key]
+            assert counters["events_mean"] > 0
+            assert counters["events_max"] >= counters["events_mean"]
+            assert counters["blocks"] == 1
+
+    def test_summary_holds_exact_engine_counters(self, tmp_path):
+        config = make_config("fig7-and", engine="classical-exact")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        summary = json.loads(
+            (tmp_path / "fig7-and" / "summary.json").read_text())
+        assert sorted(summary["series"]) == ["input_00", "input_01",
+                                             "input_10", "input_11"]
+        for meta in summary["series"].values():
+            assert meta["engine"] == "classical-exact"
+            assert meta["products"] > 0 and meta["spans"] > 0
+            assert meta["norm_drift"] < 1e-6
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
         main(tiny_fig4_args(tmp_path / "a"))
@@ -59,7 +78,8 @@ class TestRun:
 
 
     @pytest.mark.parametrize("case", ["invalid-json", "no-experiment",
-                                      "bad-threads"])
+                                      "bad-threads", "gas-too-small",
+                                      "no-gas-instances"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
@@ -70,9 +90,17 @@ class TestRun:
         elif case == "no-experiment":
             del config["experiment"]
             cfg_path.write_text(json.dumps(config))
-        else:
+        elif case == "bad-threads":
             monkeypatch.setenv("RYDSIM_THREADS", "abc")
             cfg_path.write_text(json.dumps(config))
+        elif case == "gas-too-small":
+            # under 336 atoms the shrunk gate is narrower than the
+            # facilitation radius
+            cfg_path.write_text(json.dumps(make_config(
+                "fig4", n_atoms=300, instances=1, trajectories=2, t_end=5.0)))
+        else:
+            cfg_path.write_text(json.dumps(make_config(
+                "fig4", n_atoms=400, instances=0, trajectories=2, t_end=5.0)))
         assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "engine failure" not in err
@@ -102,6 +130,19 @@ class TestRun:
         assert a.metadata["n_trajectories"] == 20
         assert a.metadata["master_seed"] == 1
         assert not (a.output_count == b.output_count).all()
+
+    def test_fig5c_independent_of_worker_count(self, monkeypatch):
+        config = make_config("fig5c", engine="classical-exact",
+                             gammas=[0.5, 1.0], t_end=5.0)
+        results = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RYDSIM_THREADS", workers)
+            results.append(run_experiment(config))
+        assert results[0]["scan_rows"] == results[1]["scan_rows"]
+        assert len(results[0]["scan_rows"]) == 2
+        for key, ts in results[0]["series"].items():
+            other = results[1]["series"][key]
+            assert (ts.site_density == other.site_density).all()
 
 
 class TestScan:

@@ -1,0 +1,157 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
+
+import rydsim
+from rydsim import propagate as prop
+from rydsim.devices import DELTA_F, build_switch_chain
+from rydsim.experiments import run_device
+from rydsim.model import SimParams
+
+
+def rate_generator(rng, dim=16, scale=1.0):
+    """Random rate matrix: non-negative off-diagonal rates, zero column
+    sums, so the state stays a probability vector."""
+    g = scale * rng.uniform(size=(dim, dim))
+    np.fill_diagonal(g, 0.0)
+    g -= np.diag(g.sum(axis=0))
+    return g
+
+
+def start(dim=16):
+    x = np.zeros(dim)
+    x[0] = 1.0
+    return x
+
+
+def run(generators, edges, t_end, x):
+    """propagate on a piecewise-constant generator: generators[i] holds
+    from edges[i] (edges[0] = 0) to the next edge."""
+    def build(t0):
+        return sp.csr_matrix(generators[edges.index(t0)])
+    return prop.propagate(x, build, t_end, "test", RuntimeError,
+                          breakpoints=edges[1:])
+
+
+def reference(generators, edges, t_end, x):
+    """exp of each piece by scipy.linalg.expm, chained, at every record
+    time."""
+    bounds = [*edges, t_end]
+    out = []
+    for t in np.linspace(0.0, t_end, prop.RECORD_POINTS):
+        y = x
+        for g, t0, t1 in zip(generators, bounds[:-1], bounds[1:]):
+            if t > t0:
+                y = expm(g * (min(t, t1) - t0)) @ y
+        out.append(y)
+    return np.array(out)
+
+
+def densities(states):
+    bits = (np.arange(states.shape[1])[:, None] >> np.arange(4)) & 1
+    return states @ bits
+
+
+def test_random_generator_matches_expm():
+    rng = np.random.default_rng(1)
+    gens, t_end, x = [rate_generator(rng)], 3.0, start()
+    ts = run(gens, [0.0], t_end, x)
+    expected = reference(gens, [0.0], t_end, x)
+    np.testing.assert_allclose(ts.site_density, densities(expected),
+                               atol=1e-12)
+    np.testing.assert_allclose(ts.final_state, expected[-1], atol=1e-12)
+    assert ts.metadata["products"] > 0
+    assert ts.metadata["spans"] >= 1
+
+
+@pytest.mark.parametrize("case", ["between-records", "on-record",
+                                  "segment-shorter-than-interval"])
+def test_breakpoints_match_expm(case):
+    rng = np.random.default_rng(2)
+    t_end, x = 4.0, start()
+    dt = t_end / (prop.RECORD_POINTS - 1)
+    if case == "between-records":
+        edges = [0.0, 37.4 * dt]
+    elif case == "on-record":
+        edges = [0.0, np.linspace(0.0, t_end, prop.RECORD_POINTS)[57]]
+    else:
+        edges = [0.0, 80.2 * dt, 80.7 * dt]
+    gens = [rate_generator(rng, scale=s) for s in (1.0, 3.0, 0.5)][:len(edges)]
+    ts = run(gens, edges, t_end, x)
+    expected = reference(gens, edges, t_end, x)
+    np.testing.assert_allclose(ts.site_density, densities(expected),
+                               atol=1e-12)
+    np.testing.assert_allclose(ts.final_state, expected[-1], atol=1e-12)
+
+
+def test_zero_generator_keeps_the_state():
+    x = np.full(16, 1.0 / 16)
+    ts = run([np.zeros((16, 16))], [0.0], 5.0, x)
+    np.testing.assert_array_equal(ts.final_state, x)
+    np.testing.assert_allclose(ts.site_density, 0.5)
+    assert ts.metadata["spans"] == 1
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
+def test_rejects_non_positive_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        run([np.zeros((16, 16))], [0.0], t_end, start())
+
+
+def test_one_span_covers_dozens_of_record_times():
+    # 1-norm 1 over t_end 20: spans of theta_55 = 9.9, ~99 records each
+    rng = np.random.default_rng(3)
+    g = rate_generator(rng)
+    g /= np.abs(g).sum(axis=0).max()
+    ts = run([g], [0.0], 20.0, start())
+    assert ts.metadata["spans"] == 3
+    np.testing.assert_allclose(ts.site_density,
+                               densities(reference([g], [0.0], 20.0, start())),
+                               atol=1e-12)
+
+
+def test_span_ends_at_its_last_allowed_record(monkeypatch):
+    # room for the sums of 5 record times of a 16-state vector
+    monkeypatch.setattr(prop, "SPAN_ELEMENTS", 5 * 16)
+    rng = np.random.default_rng(4)
+    g = rate_generator(rng, scale=0.01)
+    ts = run([g], [0.0], 2.0, start())
+    assert ts.metadata["spans"] == 40  # 199 record intervals / 5
+    np.testing.assert_allclose(ts.site_density,
+                               densities(reference([g], [0.0], 2.0, start())),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("engine, most", [("quantum", 1400),
+                                          ("classical-exact", 700)])
+def test_switch_products_repeat_and_stay_low(engine, most):
+    dev = build_switch_chain(DELTA_F, gamma=1.0)
+    counts = [run_device(dev, SimParams(1.0, 1.0, 0.003), 8.0,
+                         engine=engine).metadata["products"]
+              for _ in range(2)]
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= most
+
+
+BANNED = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial")
+
+
+def test_package_imports_only_scipy_sparse():
+    offenders = []
+    for path in sorted(Path(rydsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names
+                          if any(name == b or name.startswith(b + ".")
+                                 for b in BANNED)]
+    assert not offenders
