@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits, local_mismatch, pair_energies)
-from .propagate import propagate
+                    basis_bits, pair_energies)
+from .propagate import bendixson, propagate
 from .timeseries import TimeSeries
 
 GENERATOR_CAP = 14
@@ -35,17 +35,6 @@ def _rates(mismatch: np.ndarray, bits, params: SimParams):
     plus kappa for every excited atom (bits = 1)."""
     return (params.omega**2 * params.gamma
             / ((params.gamma / 2.0) ** 2 + mismatch**2) + params.kappa * bits)
-
-
-def transition_rate(k: int, config: Configuration, network: AtomNetwork,
-                    params: SimParams,
-                    detunings: np.ndarray | None = None) -> float:
-    """Coherent flip rate of atom k in the given configuration (the decay
-    channel is not included)."""
-    if params.gamma <= 0:
-        raise ClassicalEngineError("classical rates require gamma > 0")
-    return float(_rates(local_mismatch(k, config, network, detunings), 0.0,
-                        params))
 
 
 def classical_generator(network: AtomNetwork, params: SimParams,
@@ -88,7 +77,12 @@ def evolve_classical_exact(p0: np.ndarray, generator, t_end: float,
         raise ClassicalEngineError("probability vector length must be 2^N")
     if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
         raise ClassicalEngineError("p0 must be a normalized probability vector")
-    build = generator if callable(generator) else lambda t0: generator
+    make = generator if callable(generator) else lambda t0: generator
+
+    def build(t0):
+        g = make(t0)
+        return g, bendixson(g)
+
     return propagate(p, build, t_end, "classical-exact", ClassicalEngineError,
                      output_sites, breakpoints)
 
@@ -112,8 +106,8 @@ class NeighborTable:
     """Per-atom neighbor lists with precomputed C6/r^6 interaction energies.
 
     Pairs whose interaction energy falls below `interaction_floor` are
-    dropped; by default the floor is gamma/100, far below the linewidth.
-    Stored CSR-style (indptr/indices/energies), symmetric by construction.
+    dropped.  Stored CSR-style (indptr/indices/energies), symmetric by
+    construction.
     """
 
     def __init__(self, network: AtomNetwork, interaction_floor: float):
@@ -136,15 +130,6 @@ class NeighborTable:
                         np.empty(0, np.int32))
         self.energies = (np.concatenate(en_list) if en_list else
                          np.empty(0, float))
-
-    def neighbors(self, k: int):
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        return self.indices[lo:hi], self.energies[lo:hi]
-
-    @classmethod
-    def for_params(cls, network: AtomNetwork, params: SimParams,
-                   floor_fraction: float = 0.01) -> "NeighborTable":
-        return cls(network, floor_fraction * params.gamma)
 
 
 @dataclass

@@ -37,12 +37,9 @@ def _load_config(target: str, overrides: dict) -> dict:
         data = data["config"]
     if not isinstance(data, dict) or "experiment" not in data:
         raise ExperimentError(f"{target}: config has no 'experiment' key")
-    config = make_config(data["experiment"],
-                         **{k: v for k, v in data.items() if k != "experiment"})
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    return config
+    fields = {k: v for k, v in data.items() if k != "experiment"}
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
+    return make_config(data["experiment"], **fields)
 
 
 def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list:

@@ -50,19 +50,34 @@ EXPERIMENT_DEFAULTS = {
 }
 
 
+# Keys an experiment reads besides those of its defaults.
+OPTIONAL_KEYS = {"fig3": ("engine", "trajectories", "seed"),
+                 "fig5c": ("engine",), "fig7-and": ("engine",),
+                 "fig7-nand": ("engine",), "appC": ("engine",)}
+
+
 class ExperimentError(ValueError):
     pass
 
 
 def make_config(name: str, **overrides) -> dict:
+    """The experiment's defaults with the given (non-None) overrides, each
+    of which the experiment must read; a non-positive t_end, trajectory or
+    instance count is refused before anything runs."""
     if name not in EXPERIMENT_DEFAULTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENT_DEFAULTS)}")
-    config = {"experiment": name}
-    config.update(EXPERIMENT_DEFAULTS[name])
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+    config = {"experiment": name, **EXPERIMENT_DEFAULTS[name]}
+    given = {key: value for key, value in overrides.items()
+             if value is not None}
+    unread = set(given) - set(config) - set(OPTIONAL_KEYS.get(name, ()))
+    if unread:
+        raise ExperimentError(f"{name} does not read {sorted(unread)}")
+    config.update(given)
+    for key in ("t_end", "trajectories", "instances"):
+        value = config.get(key, 1)
+        if not (isinstance(value, (int, float)) and 0 < value < np.inf):
+            raise ExperimentError(f"{key} must be positive, got {value!r}")
     return config
 
 
@@ -149,8 +164,6 @@ def run_fig3(config: dict) -> dict:
 
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
-    if config["instances"] < 1:
-        raise ExperimentError("fig4 needs at least one instance")
     t_end = config["t_end"]
     times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
     out = {"series": {}}

@@ -1,16 +1,21 @@
 """Shared propagator of both exact engines: x' = A x with A constant
-between schedule breakpoints, sampled on the record grid by truncated
-Taylor series of exp(tau A) x (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33:488, 2011) that need only products A @ x with a scipy.sparse A.
+between schedule breakpoints, sampled on the record grid by Chebyshev
+series of exp(tau A) x (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984)
+that need only products A @ x with a scipy.sparse A.  Let the rectangle
+Re [lo, hi] x Im [-b, b] hold A's spectrum, with centre c = (lo + hi) / 2,
+half-widths a = (hi - lo) / 2 and b, d = a if a >= b else ib, and
+W = (A - c) / d:
 
-One expansion serves every record time of a span: its terms
-v_j = (hA)^j x / j! give exp(tau A) x = sum_j (tau/h)^j v_j for all
-tau <= h, so the span's length, not the record spacing, sets the work.
+    exp(tau A) x = e^{c tau} sum_k (2 - delta_k0) I_k(tau d) T_k(W) x,
+
+with I_k(i tau b) = i^k J_k(tau b).  The terms T_k(W) x do not depend on
+tau, so one series per span serves every record time inside it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import basis_bits
 from .timeseries import TimeSeries
@@ -22,43 +27,116 @@ LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "hermiticity": 1e-8}
 # Entries of the record-time sums one span keeps: bounds the accumulators'
 # memory at O(SPAN_ELEMENTS) plus one vector, whatever the record spacing.
 SPAN_ELEMENTS = 2 ** 22
-
-# theta_m: a degree-m Taylor step of 1-norm <= theta_m has backward error
-# below 2^-53 (Higham, Functions of Matrices, Table A.3, for m <= 30;
-# Al-Mohy & Higham 2011, Table 3.1, above).
-THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-         6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-         11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-         16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62,
-         22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86,
-         28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5,
-         55: 9.9}
-DEGREES, BOUNDS = np.array(list(THETA)), np.array(list(THETA.values()))
+# Most terms of one span's series: on the imaginary axis a series needs ~30
+# terms beyond tau |d|, so longer spans save few products, while each
+# record sum takes more of them.
+DEGREE = 80
+# Terms built between two flushes into the record sums, and the entries of
+# the buffer a flush goes through (at least CHUNK rows).
+CHUNK = 8
+FLUSH_ELEMENTS = 2 ** 15
+# Candidate span lengths tau |d| when a segment starts, longest first.
+REACH = DEGREE * 2.0 ** (-np.arange(320) / 16)
 
 
-def _span(a, x: np.ndarray, taus: np.ndarray, norm: float, tol: float):
-    """exp(tau a) @ x for every tau of `taus` (ascending, the last one the
-    span length h, with h * norm <= theta_55), and the number of products.
+def bendixson(a) -> tuple:
+    """(lo, hi, b): Gershgorin bounds on the Hermitian and skew-Hermitian
+    parts of sparse `a`, which hold its spectrum in Re [lo, hi] x
+    Im [-b, b].  Forms a's transpose: for small `a` only."""
+    diag = a.diagonal()
+    off = a - sp.diags(diag)
+    herm = np.asarray(abs(off + off.conj().T).sum(axis=1)).ravel() / 2
+    skew = np.asarray(abs(off - off.conj().T).sum(axis=1)).ravel() / 2
+    return (float((diag.real - herm).min()), float((diag.real + herm).max()),
+            float((np.abs(diag.imag) + skew).max()))
 
-    The degree is the smallest m with theta_m >= h * norm, so the series is
-    accurate at every tau <= h.  It stops once two successive terms at
-    tau = h fall below tol of the partial sum there."""
-    h = taus[-1]
-    m = DEGREES[min(np.searchsorted(BOUNDS, h * norm), DEGREES.size - 1)]
-    ratio = taus / h
-    sums = np.tile(x, (taus.size, 1))
-    term, weight = x, np.ones(taus.size)
-    last = np.abs(x).max()
-    for j in range(1, m + 1):
-        term = a @ term
-        term *= h / j
-        weight *= ratio
-        sums += weight[:, None] * term
-        size = np.abs(term).max()
-        if last + size <= tol * np.abs(sums[-1]).max():
-            break
-        last = size
-    return sums, j
+
+def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
+    """(x.size, terms): (2 - delta_k0) e^-x I_k(x) if `real`, else
+    (2 - delta_k0) J_k(x), by backward recurrence of the ratios c_k / c_{k-1}
+    (Miller), which cannot overflow at small x, normalised by
+    sum_k (2 - delta_k0) e^-x I_k(x) = 1 or J_0^2 + 2 sum_k J_k^2 = 1."""
+    sign = 1.0 if real else -1.0
+    half = 0.5 * np.asarray(x, dtype=float)
+    ratios = np.ones((terms, half.size))
+    r = np.zeros(half.size)
+    with np.errstate(divide="ignore"):
+        for k in range(terms + 20, 0, -1):
+            den = k / half + sign * r
+            # den is 0 only where J_{k-1}(x) is
+            r = 1.0 / np.where(den == 0.0, 1e-300, den)
+            if k < terms:
+                ratios[k] = r
+    c = np.cumprod(ratios, axis=0)
+    if real:
+        c[1:] *= 2.0
+        return (c / c.sum(axis=0)).T
+    c /= np.abs(c).max(axis=0)
+    norm = np.sqrt(c[0] ** 2 + 2.0 * (c[1:] ** 2).sum(axis=0))
+    c[1:] *= 2.0
+    # J_0 + 2 sum_k J_2k = 1 fixes the sign
+    return (c * (np.sign(c[::2].sum(axis=0)) / norm)).T
+
+
+class _Series:
+    """The Chebyshev series of exp(tau A) on one segment's rectangle."""
+
+    def __init__(self, rect, tol: float):
+        lo, self.hi, b = rect
+        self.c, a = (lo + self.hi) / 2, (self.hi - lo) / 2
+        self.real, self.tol = a >= b, tol
+        self.f, short = (a, b) if self.real else (b, a)
+        self.d = self.f if self.real else 1j * self.f
+        # T_k grows as rho^k at the ends of the short axis
+        s = short / self.f if self.f else 0.0
+        self.rho = s + np.hypot(1.0, s)
+        # e^{shift tau} times the Bessel table is e^{c tau} I_k(tau d) i^-k
+        self.shift = self.c + self.f if self.real else self.c
+        self.phase = np.array([1, 1, 1, 1] if self.real else [1, 1j, -1, -1j])
+        self.reach = np.inf
+        if self.f:
+            w = self.weights(REACH / self.f, DEGREE + 32)[1]
+            ok = w[:, DEGREE:].sum(axis=1) < tol
+            self.reach = REACH[np.argmax(ok) if ok.any() else -1] / self.f
+
+    def weights(self, taus: np.ndarray, terms: int):
+        """The Bessel table at taus, and |c_k| rho^k against the size
+        e^{tau hi} of the result."""
+        table = _bessel(taus * self.f, self.real, terms)
+        return table, (np.abs(table) * self.rho ** np.arange(terms)
+                       * np.exp((self.shift - self.hi) * taus)[:, None])
+
+    def span(self, a, x: np.ndarray, taus: np.ndarray):
+        """exp(tau a) @ x for every tau of `taus` (ascending, the last one
+        at most `reach`), and the number of products.  Each record keeps
+        the terms until the rest of its weights falls below tol; the terms
+        go into the record sums CHUNK at a time, by matrix products."""
+        table, w = self.weights(taus, DEGREE)
+        tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] >= self.tol
+        need = np.maximum.accumulate(np.maximum(tail.sum(axis=1), 1))
+        terms = int(need[-1])
+        coef = (table[:, :terms] * self.phase[np.arange(terms) % 4]
+                * np.exp(self.shift * taus)[:, None])
+        rows = max(3, min(CHUNK, SPAN_ELEMENTS // x.size))
+        group = max(rows, FLUSH_ELEMENTS // x.size)
+        dtype = np.result_type(a.dtype, x.dtype, coef.dtype)
+        block = np.empty((min(rows, terms), x.size), dtype)
+        part = np.empty((min(group, taus.size), x.size), dtype)
+        sums = np.zeros((taus.size, x.size), dtype)
+        block[0] = x
+        for k in range(terms):
+            if k:  # T_k = 2 W T_{k-1} - T_{k-2}, T_1 = W T_0
+                cur = block[(k - 1) % rows]
+                y = (a @ cur - self.c * cur) * ((1 + (k > 1)) / self.d)
+                block[k % rows] = y - block[(k - 2) % rows] if k > 1 else y
+            if k % rows == rows - 1 or k == terms - 1:
+                start = k - k % rows
+                for i in range(np.searchsorted(need, start, side="right"),
+                               taus.size, group):
+                    sums[i:i + group] += np.matmul(
+                        coef[i:i + group, start:k + 1], block[:k + 1 - start],
+                        out=part[:min(group, taus.size - i)])
+        return sums, terms - 1
 
 
 def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
@@ -67,12 +145,14 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
     the `engine`'s TimeSeries of per-site densities, with x at t_end as
     `final_state`.  A changes only at `breakpoints`; build(t0) returns it
-    for the segment starting at t0.  `tol` truncates the series.
+    for the segment starting at t0, with its rectangle (lo, hi, b) (see
+    `bendixson`).  `tol` truncates the series.
 
-    Each segment is walked in spans of 1-norm at most theta_55, each ending
-    early at the segment's end or at its SPAN_ELEMENTS // x.size-th record
-    time; one expansion per span gives x at the span's record times and
-    end.  The metadata counts the spans and the products A @ x.
+    Each segment is walked in spans, each ending at the first of: the
+    longest length whose series stays within DEGREE terms, the segment's
+    end, and its SPAN_ELEMENTS // x.size-th record time; one
+    series per span gives x at the span's record times and end.  The
+    metadata counts the spans and the products A @ x.
 
     At each record time observe(x) returns the 2^N basis populations and
     any residuals besides their normalisation drift and negativity.  A
@@ -103,22 +183,22 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     record(0.0, x)
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
-        a = build(t).tocsr()
-        norm = float(np.bincount(a.indices, np.abs(a.data), a.shape[1]).max())
+        a, rect = build(t)
+        series = _Series(rect, tol)
         while t < end:
-            stop = min(end, t + BOUNDS[-1] / norm if norm else end,
+            stop = min(end, t + series.reach,
                        times[min(rec + most, RECORD_POINTS) - 1])
             inside = np.searchsorted(times, stop, side="right") - rec
             taus = times[rec:rec + inside] - t
             if not inside or times[rec + inside - 1] != stop:
                 taus = np.append(taus, stop - t)
-            sums, used = _span(a, x, taus, norm, tol)
+            sums, used = series.span(a, x, taus)
             products, spans = products + used, spans + 1
-            for y in sums[:inside]:
-                record(times[rec], y)
-                rec += 1
-            # free the sums before the next span allocates its own
-            x, t = sums[-1].copy(), stop
+            for i in range(inside):
+                record(times[rec + i], sums[i])
+            # free the sums, holding no view of them, before the next span
+            # allocates its own
+            rec, x, t = rec + inside, sums[-1].copy(), stop
             del sums
     dens = np.array(dens)
     sites = np.asarray(list(output_sites), dtype=int)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits)
-from .propagate import SPAN_ELEMENTS, TOL, propagate
+from .propagate import CHUNK, SPAN_ELEMENTS, TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
@@ -44,24 +44,16 @@ class SparseHamiltonian:
     def dim(self) -> int:
         return 1 << self.n_atoms
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix, for small-N verification only."""
-        dim = self.dim
-        h = np.diag(self.diagonal.astype(complex))
-        for k in range(self.n_atoms):
-            flipped = np.arange(dim) ^ (1 << k)
-            h[np.arange(dim), flipped] += self.omega
-        return h
-
 
 def _check_cap(n_atoms: int):
     """Raise before allocating if a run's estimated peak bytes exceed the
     N = ATOM_CAP run's: the Liouvillian's ~(2N + 1 + N/4) 4^N complex
-    entries with int32 indices, three vec(rho)-sized work vectors, and a
-    span's record-time sums and their update, each at most
-    max(SPAN_ELEMENTS, 4^N) entries plus one vec(rho)."""
-    need, cap = ((20 * (2 * n + 1 + n / 4) + 48) * 4**n
-                 + 32 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
+    entries with int32 indices, three vec(rho)-sized work vectors, a span's
+    block of series terms, and its record-time sums and their update, each
+    at most max(SPAN_ELEMENTS, 4^N) entries plus one vec(rho)."""
+    need, cap = ((20 * (2 * n + 1 + n / 4)
+                  + 16 * (3 + min(CHUNK, max(3, SPAN_ELEMENTS // 4**n))))
+                 * 4**n + 32 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
                  for n in (n_atoms, ATOM_CAP))
     if need > cap:
         raise CapacityError(
@@ -121,6 +113,18 @@ def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(idx.size, idx.size))
 
 
+def enclosure(ham: SparseHamiltonian, params: SimParams) -> tuple:
+    """The Liouvillian's rectangle (lo, hi, b) (see `propagate.bendixson`)
+    without its transpose.  -i[H, .] is skew-Hermitian, its imaginary parts
+    at most H's diagonal spread plus 2 N omega (Gershgorin); the damping,
+    per atom at most (gamma + kappa) / 2 or kappa, is Hermitian; the decay
+    feed widens both by at most N kappa / 2."""
+    n, gamma, kappa = ham.n_atoms, params.gamma, params.kappa
+    feed = 0.5 * n * kappa
+    return (-n * max(0.5 * (gamma + kappa), kappa) - feed, feed,
+            float(np.ptp(ham.diagonal)) + 2 * n * abs(ham.omega) + feed)
+
+
 def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
                  params: SimParams) -> np.ndarray:
     """d(rho)/dt under the master equation with dephasing and decay."""
@@ -134,20 +138,6 @@ def density_from_configuration(config: Configuration) -> np.ndarray:
     rho = np.zeros((1 << len(config),) * 2, dtype=complex)
     rho[config.to_index(), config.to_index()] = 1.0
     return rho
-
-
-def site_densities(rho: np.ndarray, n_atoms: int) -> np.ndarray:
-    """<n_j> for every atom from the diagonal of rho."""
-    return np.real(np.diag(rho)) @ basis_bits(n_atoms)
-
-
-def measure_output(rho: np.ndarray, output_sites, n_atoms: int) -> float:
-    """Expected excitation count summed over the output sites."""
-    dens = site_densities(rho, n_atoms)
-    sites = np.asarray(list(output_sites), dtype=int)
-    if sites.size and (sites.min() < 0 or sites.max() >= n_atoms):
-        raise ValueError("output site index out of range")
-    return float(dens[sites].sum())
 
 
 def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
@@ -172,8 +162,8 @@ def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
 
     def build(t0):
         det = schedule.detunings_at(t0, network.static_detunings)
-        return liouvillian(build_hamiltonian(network, det, params.omega),
-                           params)
+        ham = build_hamiltonian(network, det, params.omega)
+        return liouvillian(ham, params), enclosure(ham, params)
 
     def observe(x):
         r = x.reshape(dim, dim)

@@ -7,14 +7,21 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               classical_generator, ensemble_average,
                               evolve_classical, evolve_classical_exact,
                               gillespie_ensemble, gillespie_run,
-                              probability_from_configuration, transition_rate)
+                              probability_from_configuration)
 from rydsim.devices import build_nand_gate
 from rydsim.geometry import build_chain
-from rydsim.model import AtomNetwork, Configuration, SimParams
+from rydsim.model import AtomNetwork, Configuration, SimParams, local_mismatch
 
 
 def single_atom(detuning=0.0):
     return AtomNetwork([[0, 0, 0]], [detuning], 10.0)
+
+
+def transition_rate(k, config, network, params):
+    """Rate at which atom k flips out of `config`: the generator's entry
+    from config to config with bit k flipped."""
+    c = config.to_index()
+    return classical_generator(network, params)[c ^ (1 << k), c]
 
 
 class TestTransitionRate:
@@ -58,11 +65,14 @@ class TestTransitionRate:
         bits[::50] = 1
         k = 7
         r = np.linalg.norm(net.positions[bits == 1] - net.positions[k], axis=1)
-        mismatch = net.static_detunings[k] + np.sum(net.c6 / r**6)
-        expected = (GAS_PARAMS.omega**2 * GAS_PARAMS.gamma
-                    / ((GAS_PARAMS.gamma / 2) ** 2 + mismatch**2))
-        rate = transition_rate(k, Configuration(tuple(bits)), net, GAS_PARAMS)
-        assert rate == pytest.approx(expected, rel=1e-9)
+        expected = net.static_detunings[k] + np.sum(net.c6 / r**6)
+        config = Configuration(tuple(bits))
+        assert local_mismatch(k, config, net) == pytest.approx(expected,
+                                                               rel=1e-9)
+        # the sampler's rates come from the same pair sums
+        ts = gillespie_ensemble(net, GAS_PARAMS, config, 0.5, 2, 0,
+                                np.array([0.25, 0.5]), (k,))
+        assert ts.metadata["events_mean"] > 0
 
 
 class TestClassicalGenerator:
@@ -135,6 +145,12 @@ class TestEvolveClassicalExact:
             assert 0.0 <= ts.metadata[key] < 1e-12
 
 
+def neighbors(table, k):
+    """Atoms paired with atom k in the table, and their pair energies."""
+    lo, hi = table.indptr[k], table.indptr[k + 1]
+    return table.indices[lo:hi], table.energies[lo:hi]
+
+
 class TestNeighborTable:
     def test_symmetry(self):
         rng = np.random.default_rng(13)
@@ -143,7 +159,7 @@ class TestNeighborTable:
         table = NeighborTable(net, interaction_floor=0.05)
         pairs = set()
         for i in range(40):
-            nbr, en = table.neighbors(i)
+            nbr, en = neighbors(table, i)
             assert np.all(en > 0.05)
             for j in nbr:
                 pairs.add((i, int(j)))
@@ -167,10 +183,10 @@ class TestNeighborTable:
         net, params = dev.network, GAS_PARAMS
         rng = np.random.default_rng(4)
         bits = (rng.uniform(size=net.n_atoms) < 0.05).astype(float)
-        table = NeighborTable.for_params(net, params)
+        table = NeighborTable(net, 0.01 * params.gamma)
         mism = net.static_detunings.astype(float).copy()
         for k in np.nonzero(bits)[0]:
-            nbr, en = table.neighbors(int(k))
+            nbr, en = neighbors(table, int(k))
             mism[nbr] += en
         r_table = _rates(mism, bits, params)
         full = net.static_detunings + net.interaction_matrix() @ bits

@@ -79,13 +79,28 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["invalid-json", "no-experiment",
                                       "bad-threads", "gas-too-small",
-                                      "no-gas-instances"])
+                                      "no-gas-instances", "negative-t-end",
+                                      "nan-t-end", "text-t-end",
+                                      "no-gas-trajectories",
+                                      "no-kmc-trajectories"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
         config = make_config("fig3", t_end=1.0, engine="classical-exact")
         config["scan"] = [0.5, 1.0]
-        if case == "invalid-json":
+        target, flags = str(cfg_path), []
+        if case == "negative-t-end":
+            target, flags = "fig7-and", ["--t-end", "-1"]
+        elif case == "nan-t-end":
+            target, flags = "fig7-and", ["--t-end", "nan"]
+        elif case == "text-t-end":
+            cfg_path.write_text(json.dumps({**config, "t_end": "8"}))
+        elif case == "no-gas-trajectories":
+            target, flags = "fig4", ["--trajectories", "0"]
+        elif case == "no-kmc-trajectories":
+            target = "fig3"
+            flags = ["--engine", "kmc", "--trajectories", "0"]
+        elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":
             del config["experiment"]
@@ -99,11 +114,25 @@ class TestRun:
             cfg_path.write_text(json.dumps(make_config(
                 "fig4", n_atoms=300, instances=1, trajectories=2, t_end=5.0)))
         else:
-            cfg_path.write_text(json.dumps(make_config(
-                "fig4", n_atoms=400, instances=0, trajectories=2, t_end=5.0)))
-        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+            cfg_path.write_text(json.dumps({**make_config(
+                "fig4", n_atoms=400, trajectories=2, t_end=5.0),
+                "instances": 0}))
+        assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "engine failure" not in err
+
+    @pytest.mark.parametrize("target, flags", [
+        ("fig5c", ["--gamma", "3"]), ("fig5c", ["--n-atoms", "4"]),
+        ("appE", ["--engine", "kmc"]), ("fig4", ["--kappa", "0.1"])])
+    def test_unread_override_exits_2(self, tmp_path, capsys, target, flags):
+        # an override the experiment never reads would change only the
+        # config hash
+        assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {target} does "
+                                                  "not read")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**make_config(target), "foo": 1}))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("experiment, trim", [
         ("fig3", {"scan": [1.0], "engine": "classical-exact"}),
