@@ -1,15 +1,21 @@
-"""Shared propagator of both exact engines: x' = A x with A constant
+"""Shared propagator of both exact engines: x' = A x with a real A constant
 between schedule breakpoints, sampled on the record grid by Chebyshev
 series of exp(tau A) x (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984)
-that need only products A @ x with a scipy.sparse A.  Let the rectangle
-Re [lo, hi] x Im [-b, b] hold A's spectrum, with centre c = (lo + hi) / 2,
-half-widths a = (hi - lo) / 2 and b, d = a if a >= b else ib, and
-W = (A - c) / d:
+that need only products A @ x with a real scipy.sparse A.  Let the
+rectangle Re [lo, hi] x Im [-b, b] hold A's spectrum, with centre
+c = (lo + hi) / 2 and half-widths a = (hi - lo) / 2 and b.  If a >= b,
+with W = (A - c) / a,
 
-    exp(tau A) x = e^{c tau} sum_k (2 - delta_k0) I_k(tau d) T_k(W) x,
+    exp(tau A) x = e^{c tau} sum_k (2 - delta_k0) I_k(tau a) T_k(W) x;
 
-with I_k(i tau b) = i^k J_k(tau b).  The terms T_k(W) x do not depend on
-tau, so one series per span serves every record time inside it.
+else, with B = (A - c) / b, T_k(-iB) = (-i)^k U_k and i^k J_k = I_k(i tau b)
+make the series real (Kosloff, Annu. Rev. Phys. Chem. 45:145, 1994):
+
+    exp(tau A) x = e^{c tau} sum_k (2 - delta_k0) J_k(tau b) U_k x,
+    U_0 = 1, U_1 = B, U_{k+1} = 2 B U_k + U_{k-1}.
+
+The terms do not depend on tau, so one series per span serves every
+record time inside it.
 """
 
 from __future__ import annotations
@@ -22,20 +28,25 @@ from .timeseries import TimeSeries
 
 RECORD_POINTS = 200
 TOL = 2.0 ** -53
-# Largest residuals allowed at a record time (the thresholds of `validate`).
-LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "hermiticity": 1e-8}
-# Entries of the record-time sums one span keeps: bounds the accumulators'
-# memory at O(SPAN_ELEMENTS) plus one vector, whatever the record spacing.
-SPAN_ELEMENTS = 2 ** 22
+# Largest residuals allowed: at a record time (the thresholds of
+# `validate`), and of a segment's generator, whose population column sums
+# change the norm at most that fast.  The default runs' largest column sum
+# is 3.5e-15 (classical generator; 3.5e-18 for the quantum one).
+LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "trace_leak": 1e-10}
+# Entries of the record-time sums one span keeps (64 MB): bounds the
+# accumulators' memory at O(SPAN_ELEMENTS) plus one vector, whatever the
+# record spacing.
+SPAN_ELEMENTS = 2 ** 23
 # Most terms of one span's series: on the imaginary axis a series needs ~30
-# terms beyond tau |d|, so longer spans save few products, while each
+# terms beyond tau max(a, b), so longer spans save few products, while each
 # record sum takes more of them.
 DEGREE = 80
 # Terms built between two flushes into the record sums, and the entries of
 # the buffer a flush goes through (at least CHUNK rows).
 CHUNK = 8
 FLUSH_ELEMENTS = 2 ** 15
-# Candidate span lengths tau |d| when a segment starts, longest first.
+# Candidate span lengths tau max(a, b) when a segment starts, longest
+# first.
 REACH = DEGREE * 2.0 ** (-np.arange(320) / 16)
 
 
@@ -85,14 +96,14 @@ class _Series:
         lo, self.hi, b = rect
         self.c, a = (lo + self.hi) / 2, (self.hi - lo) / 2
         self.real, self.tol = a >= b, tol
+        # f: the long half-width; U_{k+1} = 2 (A - c) / f U_k -+ U_{k-1}
         self.f, short = (a, b) if self.real else (b, a)
-        self.d = self.f if self.real else 1j * self.f
-        # T_k grows as rho^k at the ends of the short axis
+        self.step = np.subtract if self.real else np.add
+        # the terms grow as rho^k at the ends of the short axis
         s = short / self.f if self.f else 0.0
         self.rho = s + np.hypot(1.0, s)
-        # e^{shift tau} times the Bessel table is e^{c tau} I_k(tau d) i^-k
+        # e^{shift tau} times the Bessel table is the series' coefficients
         self.shift = self.c + self.f if self.real else self.c
-        self.phase = np.array([1, 1, 1, 1] if self.real else [1, 1j, -1, -1j])
         self.reach = np.inf
         if self.f:
             w = self.weights(REACH / self.f, DEGREE + 32)[1]
@@ -115,20 +126,20 @@ class _Series:
         tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] >= self.tol
         need = np.maximum.accumulate(np.maximum(tail.sum(axis=1), 1))
         terms = int(need[-1])
-        coef = (table[:, :terms] * self.phase[np.arange(terms) % 4]
-                * np.exp(self.shift * taus)[:, None])
+        coef = table[:, :terms] * np.exp(self.shift * taus)[:, None]
         rows = max(3, min(CHUNK, SPAN_ELEMENTS // x.size))
         group = max(rows, FLUSH_ELEMENTS // x.size)
-        dtype = np.result_type(a.dtype, x.dtype, coef.dtype)
-        block = np.empty((min(rows, terms), x.size), dtype)
-        part = np.empty((min(group, taus.size), x.size), dtype)
-        sums = np.zeros((taus.size, x.size), dtype)
+        block = np.empty((min(rows, terms), x.size))
+        part = np.empty((min(group, taus.size), x.size))
+        sums = np.zeros((taus.size, x.size))
         block[0] = x
         for k in range(terms):
-            if k:  # T_k = 2 W T_{k-1} - T_{k-2}, T_1 = W T_0
-                cur = block[(k - 1) % rows]
-                y = (a @ cur - self.c * cur) * ((1 + (k > 1)) / self.d)
-                block[k % rows] = y - block[(k - 2) % rows] if k > 1 else y
+            if k:
+                cur, new = block[(k - 1) % rows], block[k % rows]
+                np.multiply(a @ cur - self.c * cur, (1 + (k > 1)) / self.f,
+                            out=new)
+                if k > 1:
+                    self.step(new, block[(k - 2) % rows], out=new)
             if k % rows == rows - 1 or k == terms - 1:
                 start = k - k % rows
                 for i in range(np.searchsorted(need, start, side="right"),
@@ -141,7 +152,7 @@ class _Series:
 
 def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
               output_sites=(), breakpoints=(), tol: float = TOL,
-              observe=lambda x: (x, {})) -> TimeSeries:
+              populations=slice(None)) -> TimeSeries:
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
     the `engine`'s TimeSeries of per-site densities, with x at t_end as
     `final_state`.  A changes only at `breakpoints`; build(t0) returns it
@@ -154,10 +165,11 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     series per span gives x at the span's record times and end.  The
     metadata counts the spans and the products A @ x.
 
-    At each record time observe(x) returns the 2^N basis populations and
-    any residuals besides their normalisation drift and negativity.  A
-    residual not below its LIMITS entry raises `error`; the largest of
-    each goes to the metadata.
+    x[populations] are the 2^N basis populations.  Each segment's A must
+    conserve their sum: its `trace_leak`, the largest column sum of
+    A[populations], and the populations' normalisation drift and
+    negativity at each record time must stay below their LIMITS entries,
+    or `error` is raised; the largest of each goes to the metadata.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -168,22 +180,26 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
                        [b for b in breakpoints if 0.0 < b < t_end])
     most = max(1, SPAN_ELEMENTS // x.size)
     worst, dens = {}, []
+    counted = np.zeros(x.size)
+    counted[populations] = 1.0
 
-    def record(t, y):
-        pop, residuals = observe(y)
-        residuals.update(norm_drift=abs(pop.sum() - 1.0),
-                         negativity=-pop.min())
+    def check(t, **residuals):
         if not all(value < LIMITS[key] for key, value in residuals.items()):
             raise error(f"at t={t:.3f}: " + ", ".join(
                 f"{key} {value:.1e}" for key, value in residuals.items()))
         for key, value in residuals.items():
             worst[key] = max(worst.get(key, 0.0), float(value))
+
+    def record(t, y):
+        pop = y[populations]
+        check(t, norm_drift=abs(pop.sum() - 1.0), negativity=-pop.min())
         dens.append(pop @ basis_bits(pop.size.bit_length() - 1))
 
     record(0.0, x)
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
         a, rect = build(t)
+        check(t, trace_leak=np.abs(counted @ a).max())
         series = _Series(rect, tol)
         while t < end:
             stop = min(end, t + series.reach,

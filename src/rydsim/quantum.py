@@ -1,6 +1,7 @@
 """Exact open-system engine: the Lindblad master equation with dephasing
-and decay on the 2^N basis, written once as a sparse Liouvillian on
-vec(rho) and propagated onto the record grid by `rydsim.propagate`.
+and decay on the 2^N basis, written once as a real sparse Liouvillian on
+rho's 4^N real coordinates in an orthonormal Hermitian basis (`to_real`)
+and propagated onto the record grid by `rydsim.propagate`.
 
 The Hamiltonian is its diagonal (detunings + pairwise van der Waals
 shifts) plus the implicit single-bit-flip drive.  Basis-state index
@@ -10,6 +11,7 @@ convention: bit k of the integer index is atom k's occupation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,8 +22,12 @@ from .propagate import CHUNK, SPAN_ELEMENTS, TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
-# 2-CPU machine (354 s, 920 MB resident); larger estimated peaks are refused.
+# 2-CPU machine (transport chain: 164 s, 600 MB resident); larger estimated
+# peaks are refused.
 ATOM_CAP = 10
+SQRT2 = np.sqrt(2.0)
+# Largest |rho - rho^H| entry an initial density matrix may have.
+HERMITICITY = 1e-8
 
 
 class CapacityError(ValueError):
@@ -47,13 +53,13 @@ class SparseHamiltonian:
 
 def _check_cap(n_atoms: int):
     """Raise before allocating if a run's estimated peak bytes exceed the
-    N = ATOM_CAP run's: the Liouvillian's ~(2N + 1 + N/4) 4^N complex
-    entries with int32 indices, three vec(rho)-sized work vectors, a span's
-    block of series terms, and its record-time sums and their update, each
-    at most max(SPAN_ELEMENTS, 4^N) entries plus one vec(rho)."""
-    need, cap = ((20 * (2 * n + 1 + n / 4)
-                  + 16 * (3 + min(CHUNK, max(3, SPAN_ELEMENTS // 4**n))))
-                 * 4**n + 32 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
+    N = ATOM_CAP run's: the Liouvillian's (2N + 2 + N/4) 4^N real entries
+    with int32 indices, three 4^N-entry work vectors, a span's block of
+    series terms, and its record-time sums and their update, each at most
+    max(SPAN_ELEMENTS, 4^N) entries plus one vector."""
+    need, cap = ((12 * (2 * n + 2 + n / 4)
+                  + 8 * (3 + min(CHUNK, max(3, SPAN_ELEMENTS // 4**n))))
+                 * 4**n + 16 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
                  for n in (n_atoms, ATOM_CAP))
     if need > cap:
         raise CapacityError(
@@ -73,39 +79,83 @@ def build_hamiltonian(network: AtomNetwork, detunings: np.ndarray,
     return SparseHamiltonian(diagonal, float(omega), n)
 
 
+def to_real(rho: np.ndarray) -> np.ndarray:
+    """The 4^N real coordinates x of a Hermitian rho in the orthonormal
+    Hermitian basis, at the vec index p = i << N | j: x[p] = rho[i, i] on
+    the diagonal, sqrt(2) Re rho[i, j] above it (i < j) and
+    sqrt(2) Im rho[j, i] below it.  An isometry: ||x||_2 = ||rho||_F."""
+    x = SQRT2 * (np.triu(rho.real, 1) + np.tril(rho.imag.T, -1))
+    np.fill_diagonal(x, rho.real.diagonal())
+    return x.ravel()
+
+
+def from_real(x: np.ndarray) -> np.ndarray:
+    """The Hermitian (2^N, 2^N) rho whose coordinates are x (`to_real`)."""
+    x = x.reshape((isqrt(x.size),) * 2)
+    upper = (np.triu(x, 1) + 1j * np.tril(x, -1).T) / SQRT2
+    return upper + upper.conj().T + np.diag(x.diagonal())
+
+
 def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
-    """Generator of d vec(rho)/dt, vec(rho)[i << N | j] = rho[i, j]:
+    """Real generator R of dx/dt, x = to_real(rho), for
 
     -i[H, rho] + gamma sum_k D[n_k] rho + kappa sum_k D[sigma_k] rho.
 
-    Dephasing damps rho[i, j] by gamma/2 per atom where i and j differ,
-    decay by kappa/2 per excitation of i and of j, and feeds rho[i, j]
-    from rho[i + 2^k, j + 2^k] where atom k is down in both.  Filled row
-    by row straight into CSR arrays, with no intermediate copy.
+    R is P^H L P, with L the complex Liouvillian on vec(rho) and P the
+    basis map of `to_real`, so the two are unitarily similar.  Row p of L
+    holds: -i (E_i - E_j) minus the damping at p (dephasing gamma/2 per
+    atom where i and j differ, decay kappa/2 per excitation of i and of
+    j), -i omega at the N single-bit flips q of i and +i omega at those of
+    j, and the decay feed kappa from p + 2^k (1 + 2^N) where atom k is
+    down in both i and j.  With x[p] = Re(w_p rho[p]) and, off the
+    diagonal, rho[q] = c_q (x[q] + i x[q^T]) (w_p = sqrt(2) and
+    c_q = 1/sqrt(2) above it, i sqrt(2) and -i/sqrt(2) below it, both 1 on
+    it), each term of L gives one real entry of R: the damping at (p, p),
+    E_i - E_j at (p, p^T), the feed kappa at its own index, and each flip
+    +-omega |w_p c_q| at q^T if q lies on p's side of the diagonal, else
+    at q.  Filled row by row straight into CSR arrays, with no complex or
+    intermediate copy; a diagonal row holds two equal entries per atom,
+    and a zero where it has no transpose.
     """
     n, dim = ham.n_atoms, ham.dim
     pop = basis_bits(n).sum(axis=1)
     idx = np.arange(dim * dim, dtype=np.int32)
     i, j = idx >> n, idx & (dim - 1)
-    # each row: the diagonal, 2N drive flips, then one decay feed per atom
-    # down in both i and j
-    flips = [0] + [1 << b for b in range(2 * n)]
-    values = [-1j * (ham.diagonal[i] - ham.diagonal[j])
-              - 0.5 * params.gamma * pop[i ^ j]
-              - 0.5 * params.kappa * (pop[i] + pop[j])]
-    values += [1j * ham.omega] * n + [-1j * ham.omega] * n
+    lower, diag = i > j, i == j
+    size = np.where(diag, 1.0, SQRT2)  # |w_p| = 1 / |c_p|
+    trans = (j << n) | i
+
+    def fixed():
+        """Columns and values of the damping, E_i - E_j and the 2N flips."""
+        yield idx, (-0.5 * params.gamma * pop[i ^ j]
+                    - 0.5 * params.kappa * (pop[i] + pop[j]))
+        yield trans, ham.diagonal[i] - ham.diagonal[j]
+        for b in range(2 * n):
+            q = idx ^ (1 << b)
+            same = lower == lower[q]
+            # Re(w_p (-+i omega) c_q) and Re(i w_p (-+i omega) c_q): a flip
+            # of i gives +omega at q^T, or at q +omega below the diagonal
+            # and -omega above it; a flip of j the opposite signs.  rho[q]
+            # on the diagonal is real, and adds nothing above it.
+            value = (np.where(same, ~diag[q], 2.0 * lower - 1.0)
+                     * size / size[q] * (ham.omega if b >= n else -ham.omega))
+            yield np.where(same, trans[q], q), value
+
+    # each row: the 2N + 2 fixed entries, then one decay feed per atom down
+    # in both i and j
+    slots = 2 * n + 2
     boths = ([(1 << k) | (1 << (k + n)) for k in range(n)]
              if params.kappa > 0 else [])
     feeds = [(idx & both) == 0 for both in boths]
     indptr = np.zeros(idx.size + 1, dtype=np.int32)
-    np.cumsum(len(flips) + sum(feeds, np.zeros(idx.size, np.int32)),
+    np.cumsum(slots + sum(feeds, np.zeros(idx.size, np.int32)),
               out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1], dtype=complex)
-    for s, (flip, value) in enumerate(zip(flips, values)):
-        indices[indptr[:-1] + s] = idx ^ flip
-        data[indptr[:-1] + s] = value
-    slot = indptr[:-1] + len(flips)
+    data = np.empty(indptr[-1])
+    for s, (cols, values) in enumerate(fixed()):
+        indices[indptr[:-1] + s] = cols
+        data[indptr[:-1] + s] = values
+    slot = indptr[:-1] + slots
     for both, feed in zip(boths, feeds):
         indices[slot[feed]] = idx[feed] | both
         data[slot[feed]] = params.kappa
@@ -127,10 +177,14 @@ def enclosure(ham: SparseHamiltonian, params: SimParams) -> tuple:
 
 def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
                  params: SimParams) -> np.ndarray:
-    """d(rho)/dt under the master equation with dephasing and decay."""
+    """d(rho)/dt under the master equation with dephasing and decay, for
+    any rho: its Hermitian parts h1 and h2 of rho = h1 + i h2 each go
+    through the real Liouvillian."""
     if rho.shape != (ham.dim, ham.dim):
         raise ValueError("rho shape does not match Hamiltonian dimension")
-    return (liouvillian(ham, params) @ rho.ravel()).reshape(rho.shape)
+    r = liouvillian(ham, params)
+    h1, h2 = (rho + rho.conj().T) / 2, (rho - rho.conj().T) / 2j
+    return from_real(r @ to_real(h1)) + 1j * from_real(r @ to_real(h2))
 
 
 def density_from_configuration(config: Configuration) -> np.ndarray:
@@ -145,9 +199,10 @@ def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
                    schedule: DetuningSchedule | None = None,
                    output_sites=()) -> TimeSeries:
     """Propagate the master equation from `initial` (a Configuration or a
-    density matrix) onto the record grid, rebuilding the Liouvillian at
-    schedule breakpoints.  `tol` is the propagator's truncation tolerance;
-    trace, hermiticity and positivity are checked at every record time.
+    Hermitian density matrix) onto the record grid, rebuilding the
+    Liouvillian at schedule breakpoints.  `tol` is the propagator's
+    truncation tolerance; trace and positivity are checked at every record
+    time, and the state stays Hermitian by construction.
     """
     n = network.n_atoms
     _check_cap(n)
@@ -157,19 +212,21 @@ def evolve_quantum(network: AtomNetwork, params: SimParams, initial,
         rho = density_from_configuration(initial)
     else:
         rho = np.array(initial, dtype=complex)
-    schedule = schedule or DetuningSchedule()
     dim = 1 << n
+    if rho.shape != (dim, dim):
+        raise ValueError(f"initial rho must be {dim} x {dim}")
+    skew = np.abs(rho - rho.conj().T).max()
+    if not skew < HERMITICITY:
+        raise IntegrationError(f"initial rho is not Hermitian ({skew:.1e})")
+    schedule = schedule or DetuningSchedule()
 
     def build(t0):
         det = schedule.detunings_at(t0, network.static_detunings)
         ham = build_hamiltonian(network, det, params.omega)
         return liouvillian(ham, params), enclosure(ham, params)
 
-    def observe(x):
-        r = x.reshape(dim, dim)
-        return r.diagonal().real, {"hermiticity": np.abs(r - r.conj().T).max()}
-
-    ts = propagate(rho.ravel(), build, t_end, "quantum", IntegrationError,
-                   output_sites, schedule.breakpoints(), tol, observe)
-    ts.final_state = ts.final_state.reshape(dim, dim)
+    ts = propagate(to_real(rho), build, t_end, "quantum", IntegrationError,
+                   output_sites, schedule.breakpoints(), tol,
+                   slice(None, None, dim + 1))
+    ts.final_state = from_real(ts.final_state)
     return ts

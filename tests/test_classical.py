@@ -132,16 +132,18 @@ class TestEvolveClassicalExact:
             evolve_classical_exact(np.array([0.7, 0.0]), gen, 1.0)
 
     def test_leaking_generator_raises(self):
-        # columns that do not sum to zero lose probability
-        leak = sp.csr_matrix(np.array([[-1.0, 0.0], [0.5, 0.0]]))
-        with pytest.raises(ClassicalEngineError):
-            evolve_classical_exact(np.array([1.0, 0.0]), leak, 1.0)
+        # columns that do not sum to zero lose probability; the column-sum
+        # check also catches a leak far too slow for the norm drift to reveal
+        for loss in (0.5, 1e-6):
+            leak = sp.csr_matrix(np.array([[-1.0, 0.0], [1.0 - loss, 0.0]]))
+            with pytest.raises(ClassicalEngineError, match="trace_leak"):
+                evolve_classical_exact(np.array([1.0, 0.0]), leak, 1.0)
 
     def test_residuals_in_metadata(self):
         gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.1))
         ts = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0)
         assert ts.times.size == 200
-        for key in ("norm_drift", "negativity"):
+        for key in ("norm_drift", "negativity", "trace_leak"):
             assert 0.0 <= ts.metadata[key] < 1e-12
 
 

@@ -11,9 +11,10 @@ import rydsim
 from rydsim import propagate as prop
 from rydsim.devices import DELTA_F, build_switch_chain
 from rydsim.experiments import run_device
-from rydsim.model import AtomNetwork, Configuration, SimParams
+from rydsim.model import Configuration, SimParams
 from rydsim.quantum import (build_hamiltonian, density_from_configuration,
-                            enclosure, evolve_quantum, liouvillian)
+                            enclosure, evolve_quantum)
+from test_quantum import dense_liouvillian, random_network
 
 
 def rate_generator(rng, dim=16, scale=1.0):
@@ -146,20 +147,18 @@ def test_random_lindbladians_match_expm(seed):
     # tall and thin to wide
     rng = np.random.default_rng(seed)
     n = 1 + seed % 3
-    gaps = np.cumsum(rng.uniform(0.8, 1.5, n))
-    net = AtomNetwork(np.outer(gaps, [1.0, 0.0, 0.0]), rng.uniform(-5, 5, n),
-                      rng.uniform(0.5, 5.0))
+    net = random_network(rng, n)
     params = SimParams(rng.uniform(0.2, 3.0), rng.uniform(0.0, 20.0),
                        rng.uniform(0.0, 1.0))
     initial = Configuration(tuple(rng.integers(0, 2, n)))
     t_end = 3.0
     ts = evolve_quantum(net, params, initial, t_end)
     ham = build_hamiltonian(net, net.static_detunings, params.omega)
-    lv = liouvillian(ham, params)
+    lv = dense_liouvillian(ham, params)
     lo, hi, b = enclosure(ham, params)
-    blo, bhi, bb = prop.bendixson(lv)
+    blo, bhi, bb = prop.bendixson(sp.csr_matrix(lv))
     assert lo <= blo + 1e-12 and bhi <= hi + 1e-12 and bb <= b + 1e-12
-    step = expm(lv.toarray() * t_end / (prop.RECORD_POINTS - 1))
+    step = expm(lv * t_end / (prop.RECORD_POINTS - 1))
     x = density_from_configuration(initial).ravel()
     expected = []
     for _ in range(prop.RECORD_POINTS):

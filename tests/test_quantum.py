@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from rydsim import quantum
 from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
 from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
                             density_from_configuration, evolve_quantum,
-                            lindblad_rhs)
+                            from_real, lindblad_rhs, liouvillian, to_real)
 
 
 def single_atom(detuning=0.0):
@@ -20,6 +23,30 @@ def dense(ham):
     for k in range(ham.n_atoms):
         h[idx, idx ^ (1 << k)] += ham.omega
     return h
+
+
+def dense_liouvillian(ham, params):
+    """The complex Liouvillian on row-major vec(rho), from dense matrices:
+    vec(a rho b) = kron(a, b^T) vec(rho)."""
+    h, eye, idx = dense(ham), np.eye(ham.dim), np.arange(ham.dim)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for k in range(ham.n_atoms):
+        up = (idx >> k) & 1
+        lower = np.zeros((ham.dim, ham.dim))
+        lower[idx[up == 0], idx[up == 0] | (1 << k)] = 1.0
+        for c, rate in ((np.diag(up * 1.0), params.gamma),
+                        (lower, params.kappa)):
+            cc = c.T @ c
+            lv += rate * (np.kron(c, c) - 0.5 * np.kron(cc, eye)
+                          - 0.5 * np.kron(eye, cc.T))
+    return lv
+
+
+def random_network(rng, n):
+    """n atoms on a line, 0.8-1.5 apart, with random detunings and C6."""
+    gaps = np.cumsum(rng.uniform(0.8, 1.5, n))
+    return AtomNetwork(np.outer(gaps, [1.0, 0.0, 0.0]), rng.uniform(-5, 5, n),
+                       rng.uniform(0.5, 5.0))
 
 
 def readout(rho, output_sites):
@@ -76,6 +103,28 @@ class TestBuildHamiltonian:
         net = AtomNetwork(pos, np.zeros(n), 10.0)
         with pytest.raises(CapacityError):
             build_hamiltonian(net, net.static_detunings, omega=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       gamma=st.floats(0.0, 20.0), kappa=st.floats(0.0, 1.0))
+def test_real_liouvillian_matches_complex(seed, n, gamma, kappa):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n)
+    params = SimParams(rng.uniform(0.2, 3.0), gamma, kappa)
+    ham = build_hamiltonian(net, net.static_detunings, params.omega)
+    a = rng.normal(size=(ham.dim,) * 2) + 1j * rng.normal(size=(ham.dim,) * 2)
+    rho = a + a.conj().T
+    x = to_real(rho)
+    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(rho), rel=1e-14)
+    np.testing.assert_allclose(from_real(x), rho, atol=1e-15)
+    lv = dense_liouvillian(ham, params)
+    np.testing.assert_allclose(from_real(liouvillian(ham, params) @ x),
+                               (lv @ rho.ravel()).reshape(rho.shape),
+                               atol=1e-12)
+    # lindblad_rhs also takes a non-Hermitian rho
+    np.testing.assert_allclose(lindblad_rhs(a, ham, params),
+                               (lv @ a.ravel()).reshape(a.shape), atol=1e-12)
 
 
 class TestLindbladRhs:
@@ -177,11 +226,30 @@ class TestEvolveQuantum:
         with pytest.raises(IntegrationError):
             evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01), rho, 1.0)
 
+    def test_non_hermitian_initial_state_raises(self):
+        rho = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)
+        with pytest.raises(IntegrationError, match="not Hermitian"):
+            evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01), rho, 1.0)
+
+    def test_leaking_liouvillian_raises(self, monkeypatch):
+        # population column sums of 1e-6: far too slow a loss for the norm
+        # drift to show within t_end
+        def leaky(ham, params):
+            return liouvillian(ham, params) + 1e-6 * sp.eye(ham.dim ** 2)
+        monkeypatch.setattr(quantum, "liouvillian", leaky)
+        with pytest.raises(IntegrationError, match="trace_leak"):
+            evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01),
+                           Configuration((0,)), 1.0)
+
     def test_residuals_in_metadata(self):
-        ts = evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01),
-                            Configuration((0,)), 2.0)
-        for key in ("norm_drift", "hermiticity", "negativity"):
+        net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
+        ts = evolve_quantum(net, SimParams(1.0, 0.5, 0.01),
+                            Configuration((1, 0, 0)), 2.0)
+        for key in ("norm_drift", "trace_leak", "negativity"):
             assert 0.0 <= ts.metadata[key] < 1e-10
+        assert "hermiticity" not in ts.metadata
+        rho = ts.final_state
+        np.testing.assert_array_equal(rho, rho.conj().T)
         assert ts.times.size == 200
 
 
