@@ -20,6 +20,7 @@ from . import __version__
 from .experiments import (EXPERIMENT_DEFAULTS, ExperimentError, make_config,
                           run_experiment)
 from .propagate import TOL
+from .timeseries import write_csv
 
 
 def _load_config(target: str, overrides: dict) -> dict:
@@ -54,11 +55,7 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
             written.append(path)
     if "scan_rows" in result:
         path = out_dir / "scan.csv"
-        with open(path, "w") as fh:
-            fh.write(",".join(result["scan_header"]) + "\n")
-            for row in result["scan_rows"]:
-                fh.write(",".join(
-                    x if isinstance(x, str) else f"{x:.9g}" for x in row) + "\n")
+        write_csv(path, result["scan_header"], result["scan_rows"])
         written.append(path)
     summary = {
         "experiment": config["experiment"],

@@ -20,6 +20,8 @@ record time inside it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -89,6 +91,15 @@ def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
     return (c * (np.sign(c[::2].sum(axis=0)) / norm)).T
 
 
+@functools.cache
+def _reach_table(real: bool) -> np.ndarray:
+    """The Bessel table at every REACH length, DEGREE + 32 terms: it does
+    not depend on the segment, so each process makes it once (read-only)."""
+    table = _bessel(REACH, real, DEGREE + 32)
+    table.setflags(write=False)
+    return table
+
+
 class _Series:
     """The Chebyshev series of exp(tau A) on one segment's rectangle."""
 
@@ -106,32 +117,41 @@ class _Series:
         self.shift = self.c + self.f if self.real else self.c
         self.reach = np.inf
         if self.f:
-            w = self.weights(REACH / self.f, DEGREE + 32)[1]
+            w = self.weights(_reach_table(self.real), REACH / self.f)
             ok = w[:, DEGREE:].sum(axis=1) < tol
             self.reach = REACH[np.argmax(ok) if ok.any() else -1] / self.f
 
-    def weights(self, taus: np.ndarray, terms: int):
-        """The Bessel table at taus, and |c_k| rho^k against the size
-        e^{tau hi} of the result."""
-        table = _bessel(taus * self.f, self.real, terms)
-        return table, (np.abs(table) * self.rho ** np.arange(terms)
-                       * np.exp((self.shift - self.hi) * taus)[:, None])
+    def weights(self, table: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """|c_k| rho^k against the size e^{tau hi} of the result, from the
+        Bessel table at taus."""
+        return (np.abs(table) * self.rho ** np.arange(table.shape[1])
+                * np.exp((self.shift - self.hi) * taus)[:, None])
 
-    def span(self, a, x: np.ndarray, taus: np.ndarray):
-        """exp(tau a) @ x for every tau of `taus` (ascending, the last one
-        at most `reach`), and the number of products.  Each record keeps
-        the terms until the rest of its weights falls below tol; the terms
-        go into the record sums CHUNK at a time, by matrix products."""
-        table, w = self.weights(taus, DEGREE)
-        tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] >= self.tol
-        need = np.maximum.accumulate(np.maximum(tail.sum(axis=1), 1))
+    def coefficients(self, spans: list):
+        """For each span's taus (ascending, the last one at most `reach`),
+        its coefficient rows and the terms each record needs: one Bessel
+        table over every tau of the segment.  Each record keeps the terms
+        until the rest of its weights falls below tol, and needs at least
+        as many as the records before it in its span."""
+        taus = np.concatenate(spans)
+        table = _bessel(taus * self.f, self.real, DEGREE)
+        w = self.weights(table, taus)
+        tail = np.cumsum(w[:, ::-1], axis=1) >= self.tol
+        counts = np.maximum(tail.sum(axis=1), 1)
+        cuts = np.cumsum([len(s) for s in spans])[:-1]
+        return zip(np.split(table * np.exp(self.shift * taus)[:, None], cuts),
+                   map(np.maximum.accumulate, np.split(counts, cuts)))
+
+    def span(self, a, x: np.ndarray, coef: np.ndarray, need: np.ndarray):
+        """exp(tau a) @ x at the span's taus, from their `coefficients`, and
+        the number of products.  The terms go into the record sums CHUNK at
+        a time, by matrix products."""
         terms = int(need[-1])
-        coef = table[:, :terms] * np.exp(self.shift * taus)[:, None]
         rows = max(3, min(CHUNK, SPAN_ELEMENTS // x.size))
         group = max(rows, FLUSH_ELEMENTS // x.size)
         block = np.empty((min(rows, terms), x.size))
-        part = np.empty((min(group, taus.size), x.size))
-        sums = np.zeros((taus.size, x.size))
+        part = np.empty((min(group, need.size), x.size))
+        sums = np.zeros((need.size, x.size))
         block[0] = x
         for k in range(terms):
             if k:
@@ -143,10 +163,10 @@ class _Series:
             if k % rows == rows - 1 or k == terms - 1:
                 start = k - k % rows
                 for i in range(np.searchsorted(need, start, side="right"),
-                               taus.size, group):
+                               need.size, group):
                     sums[i:i + group] += np.matmul(
                         coef[i:i + group, start:k + 1], block[:k + 1 - start],
-                        out=part[:min(group, taus.size - i)])
+                        out=part[:min(group, need.size - i)])
         return sums, terms - 1
 
 
@@ -162,14 +182,17 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     Each segment is walked in spans, each ending at the first of: the
     longest length whose series stays within DEGREE terms, the segment's
     end, and its SPAN_ELEMENTS // x.size-th record time; one
-    series per span gives x at the span's record times and end.  The
-    metadata counts the spans and the products A @ x.
+    series per span gives x at the span's record times and end.  All of a
+    segment's spans are planned before its first product, so one Bessel
+    table serves them all.  The metadata counts the spans and the products
+    A @ x.
 
     x[populations] are the 2^N basis populations.  Each segment's A must
     conserve their sum: its `trace_leak`, the largest column sum of
     A[populations], and the populations' normalisation drift and
     negativity at each record time must stay below their LIMITS entries,
-    or `error` is raised; the largest of each goes to the metadata.
+    or `error` is raised at the first time one does not; the largest of
+    each goes to the metadata.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -182,41 +205,55 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     worst, dens = {}, []
     counted = np.zeros(x.size)
     counted[populations] = 1.0
+    bits = basis_bits(int(counted.sum()).bit_length() - 1)
 
-    def check(t, **residuals):
-        if not all(value < LIMITS[key] for key, value in residuals.items()):
-            raise error(f"at t={t:.3f}: " + ", ".join(
-                f"{key} {value:.1e}" for key, value in residuals.items()))
+    def check(at, **residuals):
+        """Raise `error` at the first of times `at` where a residual (an
+        array over `at`) is not below its limit; else keep the largest."""
+        ok = np.logical_and.reduce(
+            [value < LIMITS[key] for key, value in residuals.items()])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise error(f"at t={at[i]:.3f}: " + ", ".join(
+                f"{key} {value[i]:.1e}" for key, value in residuals.items()))
         for key, value in residuals.items():
-            worst[key] = max(worst.get(key, 0.0), float(value))
+            worst[key] = max(worst.get(key, 0.0), float(value.max()))
 
-    def record(t, y):
-        pop = y[populations]
-        check(t, norm_drift=abs(pop.sum() - 1.0), negativity=-pop.min())
-        dens.append(pop @ basis_bits(pop.size.bit_length() - 1))
+    def record(at, states):
+        pop = states[:, populations]
+        check(at, norm_drift=np.abs(pop.sum(axis=1) - 1.0),
+              negativity=-pop.min(axis=1))
+        dens.append(pop @ bits)
 
-    record(0.0, x)
+    record(times[:1], x[None])
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
         a, rect = build(t)
-        check(t, trace_leak=np.abs(counted @ a).max())
+        check([t], trace_leak=np.abs(counted @ a).max(keepdims=True))
         series = _Series(rect, tol)
+        # a span's end depends only on reach, the segment's end and the
+        # record budget, so the whole segment is planned first
+        plan, taus = [], []
         while t < end:
             stop = min(end, t + series.reach,
                        times[min(rec + most, RECORD_POINTS) - 1])
             inside = np.searchsorted(times, stop, side="right") - rec
-            taus = times[rec:rec + inside] - t
+            plan.append((rec, inside))
+            taus.append(times[rec:rec + inside] - t)
             if not inside or times[rec + inside - 1] != stop:
-                taus = np.append(taus, stop - t)
-            sums, used = series.span(a, x, taus)
+                taus[-1] = np.append(taus[-1], stop - t)
+            rec, t = rec + inside, stop
+        for (first, inside), (coef, need) in zip(plan,
+                                                  series.coefficients(taus)):
+            sums, used = series.span(a, x, coef, need)
             products, spans = products + used, spans + 1
-            for i in range(inside):
-                record(times[rec + i], sums[i])
+            if inside:
+                record(times[first:first + inside], sums[:inside])
             # free the sums, holding no view of them, before the next span
             # allocates its own
-            rec, x, t = rec + inside, sums[-1].copy(), stop
+            x = sums[-1].copy()
             del sums
-    dens = np.array(dens)
+    dens = np.concatenate(dens)
     sites = np.asarray(list(output_sites), dtype=int)
     ts = TimeSeries(times, dens, dens[:, sites].sum(axis=1),
                     metadata={"engine": engine, **worst,

@@ -20,6 +20,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def write_csv(path, header: list, rows: list) -> None:
+    """Write `header` and `rows` as CSV: numbers with 9 significant digits
+    (as f"{x:.9g}"), strings as they are.  One format string, taken from
+    the first row's types, formats every row."""
+    line = ",".join("%s" if isinstance(x, str) else "%.9g"
+                    for x in rows[0]) + "\n" if rows else ""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([line % tuple(row) for row in rows]))
+
+
 @dataclass
 class TimeSeries:
     """Observables on a strictly increasing time grid.
@@ -81,11 +92,7 @@ class TimeSeries:
         if self.output_stderr is not None:
             cols.append(self.output_stderr)
             header.append("N_o_stderr")
-        data = np.column_stack(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        write_csv(path, header, np.column_stack(cols).tolist())
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":

@@ -4,6 +4,7 @@ import pytest
 
 from rydsim.cli import main, run_validation
 from rydsim.experiments import make_config, run_experiment
+from test_timeseries import per_value_csv
 
 
 def tiny_fig4_args(out_dir, seed=11):
@@ -187,6 +188,19 @@ class TestScan:
         assert scan[0] == "delta_g_over_delta_f,N_o_at_t_w,t_w"
         assert len(scan) == 4
         assert not list(out.glob("dg_ratio_*.csv"))
+
+    def test_scan_csv_passes_input_strings_through(self, tmp_path):
+        # fig7's "01"-style inputs go through the shared CSV writer as
+        # they are, and the numbers keep their 9-digit format
+        config = make_config("fig7-and", engine="classical-exact")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["scan", str(cfg_path), "--out", str(tmp_path)]) == 0
+        result = run_experiment(config)
+        scan = (tmp_path / "fig7-and" / "scan.csv").read_bytes()
+        assert scan == per_value_csv(result["scan_header"],
+                                     result["scan_rows"]).encode()
+        assert scan.splitlines()[2].startswith(b"01,")
 
     def test_scan_rejects_non_scan_experiment(self, tmp_path):
         args = ["scan", "appC", "--t-end", "2", "--out", str(tmp_path)]

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 
 import rydsim
 from rydsim import propagate as prop
-from rydsim.devices import DELTA_F, build_switch_chain
+from rydsim.devices import DELTA_F, build_nand_gate, build_switch_chain
 from rydsim.experiments import run_device
 from rydsim.model import Configuration, SimParams
 from rydsim.quantum import (build_hamiltonian, density_from_configuration,
@@ -190,6 +191,81 @@ def test_switch_products_repeat_and_stay_low(engine, most):
               for _ in range(2)]
     assert counts[0] == counts[1]
     assert 0 < counts[0] <= most
+
+
+def negative_rate_generator():
+    """A column-conserving generator in which state 3 drains state 7 at a
+    negative rate, so p_3 falls below zero once p_7 has grown."""
+    g = rate_generator(np.random.default_rng(5), scale=0.2)
+    g[3, 7] = -2.0
+    g[7, 7] -= g[:, 7].sum()
+    return g
+
+
+def record_residuals(states):
+    """Each record time's residuals, one record at a time."""
+    return {"norm_drift": np.array([abs(y.sum() - 1.0) for y in states]),
+            "negativity": np.array([-y.min() for y in states])}
+
+
+def test_error_names_the_first_broken_record_time():
+    g, t_end = negative_rate_generator(), 4.0
+    # the whole run is one span
+    rect = prop.bendixson(sp.csr_matrix(g))
+    assert prop._Series(rect, prop.TOL).reach > t_end
+    res = record_residuals(reference([g], [0.0], t_end, start()))
+    broken = np.logical_or.reduce([res[k] >= prop.LIMITS[k] for k in res])
+    first = int(np.argmax(broken))
+    assert 1 < first < prop.RECORD_POINTS - 1
+    t = np.linspace(0.0, t_end, prop.RECORD_POINTS)[first]
+    with pytest.raises(RuntimeError, match=re.escape(f"at t={t:.3f}: ")):
+        run([g], [0.0], t_end, start())
+
+
+def test_metadata_keeps_each_residuals_largest_value(monkeypatch):
+    # with the limits raised, a leaky variant runs to the end in spans of
+    # 50 record times; its norm drift peaks in the second span
+    for key in prop.LIMITS:
+        monkeypatch.setitem(prop.LIMITS, key, 10.0)
+    monkeypatch.setattr(prop, "SPAN_ELEMENTS", 50 * 16)
+    g, t_end = negative_rate_generator(), 4.0
+    g[5, 5] -= 0.3
+    g[9, 9] += 0.3
+    res = record_residuals(reference([g], [0.0], t_end, start()))
+    assert 50 < res["norm_drift"].argmax() < 100
+    ts = run([g], [0.0], t_end, start())
+    assert ts.metadata["spans"] == 4
+    for key, values in res.items():
+        assert ts.metadata[key] == pytest.approx(values.max(), rel=1e-10)
+
+
+@pytest.mark.parametrize("device, segments", [
+    (build_nand_gate((1, 0)), 3), (build_switch_chain(DELTA_F), 1)])
+def test_one_bessel_table_per_segment(monkeypatch, device, segments):
+    # the reach tables come once per process, and each segment's spans
+    # share one table
+    calls = []
+    bessel = prop._bessel
+
+    def counted(*args):
+        calls.append(args)
+        return bessel(*args)
+
+    monkeypatch.setattr(prop, "_bessel", counted)
+    prop._reach_table.cache_clear()
+    for most in (segments + 2, segments):
+        calls.clear()
+        run_device(device, SimParams(1.0, 1.0, 0.003), 8.0,
+                   engine="classical-exact")
+        assert len(calls) <= most
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_reach_tables_are_read_only(real):
+    table = prop._reach_table(real)
+    assert table is prop._reach_table(real)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
 
 
 # scipy.special: importing it after scipy.sparse takes ~0.14 s and 5.6 MB

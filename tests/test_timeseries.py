@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rydsim.timeseries import TimeSeries, TimeSeriesError, config_hash
+from rydsim.timeseries import (TimeSeries, TimeSeriesError, config_hash,
+                               write_csv)
 
 
 def make_series(with_err=False):
@@ -84,6 +85,61 @@ class TestCsv:
         ts.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,site_0,site_1,N_o,N_o_stderr"
+
+
+# nan, +-inf, -0.0, the smallest subnormal, a 9-digit mantissa at 1e16
+# and integral floats
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+           1.23456789e16, 3.0, -2.0, 1e22, 0.1 + 0.2]
+
+
+def per_value_csv(header, rows):
+    """The per-value CSV format that one format string per file replaced."""
+    return "".join([",".join(header) + "\n"] + [
+        ",".join(x if isinstance(x, str) else f"{x:.9g}" for x in row) + "\n"
+        for row in rows])
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("with_err", [False, True])
+    def test_matches_the_per_value_format(self, tmp_path, with_err):
+        n = len(SPECIAL)
+        dens = np.column_stack([SPECIAL, SPECIAL[::-1]])
+        ts = TimeSeries(np.arange(n) * 0.5, dens, np.roll(SPECIAL, 3),
+                        np.roll(SPECIAL, 5) if with_err else None)
+        path = tmp_path / "series.csv"
+        ts.to_csv(path)
+        header = ["t", "site_0", "site_1", "N_o"] + ["N_o_stderr"] * with_err
+        cols = [ts.times, *dens.T, ts.output_count]
+        if with_err:
+            cols.append(ts.output_stderr)
+        expected = per_value_csv(header, np.column_stack(cols))
+        assert path.read_bytes() == expected.encode()
+        # the round trip gives each value at 9 significant digits
+        nine = np.vectorize(lambda x: float(f"{x:.9g}"))
+        loaded = TimeSeries.from_csv(path)
+        np.testing.assert_array_equal(loaded.site_density,
+                                      nine(ts.site_density))
+        np.testing.assert_array_equal(loaded.output_count,
+                                      nine(ts.output_count))
+        np.testing.assert_array_equal(np.signbit(loaded.site_density),
+                                      np.signbit(ts.site_density))
+        if with_err:
+            np.testing.assert_array_equal(loaded.output_stderr,
+                                          nine(ts.output_stderr))
+
+    def test_strings_pass_through(self, tmp_path):
+        header = ["inputs", "N_o_at_t_w", "output_bit"]
+        rows = [("01", 0.0284586958123, 0), ("11", np.float64(1 / 3), 1)]
+        path = tmp_path / "scan.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == per_value_csv(header, rows).encode()
+        assert path.read_text().splitlines()[1] == "01,0.0284586958,0"
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_text() == "a,b\n"
 
 
 class TestConfigHash:
