@@ -10,8 +10,7 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    blockade_radius, convert_units, facilitation_detuning,
-                    facilitation_radius, local_mismatch, UnitConversion)
+                    facilitation_detuning, facilitation_radius)
 from .quantum import build_hamiltonian, evolve_quantum, lindblad_rhs
 from .classical import (NeighborTable, Trajectory, classical_generator,
                         ensemble_average, evolve_classical,

@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (EXPERIMENT_DEFAULTS, ExperimentError, make_config,
+from .experiments import (EXPERIMENTS, ExperimentError, make_config,
                           run_experiment)
 from .propagate import TOL
 from .timeseries import write_csv
 
 
 def _load_config(target: str, overrides: dict) -> dict:
-    if target in EXPERIMENT_DEFAULTS:
+    if target in EXPERIMENTS:
         return make_config(target, **overrides)
     path = Path(target)
     if not path.exists():

@@ -3,7 +3,7 @@ AND/NAND logic gates, plus readout helpers (threshold logic, work time)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,13 +217,11 @@ def logic_readout(series: TimeSeries, t_w: float, threshold: float = 0.5,
     return LogicResult(tuple(inputs), n_o, int(n_o > threshold), threshold)
 
 
-def find_work_time(series: TimeSeries, criterion=None) -> float:
-    """Time on the recorded grid maximizing the criterion (default: output
-    count), earliest time on ties."""
-    values = series.output_count if criterion is None else criterion(series)
-    if len(values) == 0:
+def find_work_time(series: TimeSeries) -> float:
+    """Earliest time on the recorded grid of the largest output count."""
+    if series.times.size == 0:
         raise DeviceError("empty time series")
-    return float(series.times[int(np.argmax(values))])
+    return float(series.times[int(np.argmax(series.output_count))])
 
 
 def find_gate_work_time(series_by_input: dict, truth_table: dict,

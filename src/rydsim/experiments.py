@@ -19,42 +19,11 @@ from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
                       build_and_gate, build_diode, build_gas_switch,
                       build_nand_gate, build_switch_chain,
                       build_transport_chain, find_gate_work_time,
-                      logic_readout)
+                      find_work_time, logic_readout)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
 from .timeseries import TimeSeries, config_hash
-
-EXPERIMENT_DEFAULTS = {
-    "fig3": {
-        "gamma": 1.0, "kappa": 0.003,
-        "scan": [round(0.1 * i, 2) for i in range(1, 31)],
-        "t_end": 8.0,
-    },
-    "fig4": {
-        "n_atoms": 3000, "instances": 10, "trajectories": 30,
-        "t_end": 100.0, "seed": 7,
-    },
-    "fig5c": {
-        "gammas": [0.0, 0.25, 0.5, 1.0], "delta_g_ratio": 2.0, "t_end": 8.0,
-    },
-    "fig7-and": {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-    "fig7-nand": {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-    "appB": {"gammas": [0.1, 1.0, 10.0], "kappa": 0.003, "t_end": 4.0},
-    "appC": {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
-             "t_end": 8.0},
-    "appD": {"gammas": [0.0, 1.0],
-             "scan": [round(0.1 * i, 2) for i in range(8, 13)], "t_end": 8.0},
-    "appE": {"gammas": [0.0, 1.0],
-             "scan": [round(0.1 * i, 2) for i in range(1, 31)], "t_end": 8.0},
-}
-
-
-# Keys an experiment reads besides those of its defaults.
-OPTIONAL_KEYS = {"fig3": ("engine", "trajectories", "seed"),
-                 "fig5c": ("engine",), "fig7-and": ("engine",),
-                 "fig7-nand": ("engine",), "appC": ("engine",)}
-
 
 class ExperimentError(ValueError):
     pass
@@ -63,14 +32,16 @@ class ExperimentError(ValueError):
 def make_config(name: str, **overrides) -> dict:
     """The experiment's defaults with the given (non-None) overrides, each
     of which the experiment must read; a non-positive t_end, trajectory or
-    instance count is refused before anything runs."""
-    if name not in EXPERIMENT_DEFAULTS:
+    instance count, and a negative or non-finite rate, are refused before
+    anything runs."""
+    if name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
-                              f"{sorted(EXPERIMENT_DEFAULTS)}")
-    config = {"experiment": name, **EXPERIMENT_DEFAULTS[name]}
+                              f"{sorted(EXPERIMENTS)}")
+    _, defaults, optional = EXPERIMENTS[name]
+    config = {"experiment": name, **defaults}
     given = {key: value for key, value in overrides.items()
              if value is not None}
-    unread = set(given) - set(config) - set(OPTIONAL_KEYS.get(name, ()))
+    unread = set(given) - set(config) - set(optional)
     if unread:
         raise ExperimentError(f"{name} does not read {sorted(unread)}")
     config.update(given)
@@ -78,6 +49,12 @@ def make_config(name: str, **overrides) -> dict:
         value = config.get(key, 1)
         if not (isinstance(value, (int, float)) and 0 < value < np.inf):
             raise ExperimentError(f"{key} must be positive, got {value!r}")
+    rates = [(key, config[key]) for key in ("gamma", "kappa") if key in config]
+    rates += [("gammas", value) for value in config.get("gammas", ())]
+    for key, value in rates:
+        if not (isinstance(value, (int, float)) and 0 <= value < np.inf):
+            raise ExperimentError(
+                f"{key} must be non-negative and finite, got {value!r}")
     return config
 
 
@@ -209,12 +186,15 @@ def run_fig4(config: dict) -> dict:
     return out
 
 
+def _noisy_params(gamma: float) -> SimParams:
+    """Unit drive, dephasing gamma and the 0.003 decay only where gamma > 0."""
+    return SimParams(1.0, gamma, 0.003 if gamma > 0 else 0.0)
+
+
 def _diode_point(job):
     gamma, direction, ratio, t_end, engine = job
-    kappa = 0.003 if gamma > 0 else 0.0
-    params = SimParams(1.0, gamma, kappa)
     dev = build_diode(direction, ratio * DELTA_F, gamma=gamma)
-    ts = run_device(dev, params, t_end, engine=engine)
+    ts = run_device(dev, _noisy_params(gamma), t_end, engine=engine)
     return _at_work_time(ts, dev.work_time, t_end), dev.work_time, ts
 
 
@@ -303,15 +283,13 @@ def run_appD(config: dict) -> dict:
     """Work-time study: time of maximal output density near resonance."""
     rows, series = [], {}
     for gamma in config["gammas"]:
-        kappa = 0.003 if gamma > 0 else 0.0
-        params = SimParams(1.0, gamma, kappa)
+        params = _noisy_params(gamma)
         for ratio in config["scan"]:
             dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
             ts = run_device(dev, params, config["t_end"])
             series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
             if np.isclose(ratio, 1.0):
-                t_peak = float(ts.times[int(np.argmax(ts.output_count))])
-                rows.append((gamma, t_peak))
+                rows.append((gamma, find_work_time(ts)))
     return {"scan_rows": rows, "scan_header": ["gamma", "t_w"],
             "series": series}
 
@@ -337,24 +315,52 @@ def run_appE(config: dict) -> dict:
                             "N_o_forward", "N_o_reverse"]}
 
 
-RUNNERS = {
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5c": run_fig5c,
-    "fig7-and": lambda c: run_logic_gate(c, "and"),
-    "fig7-nand": lambda c: run_logic_gate(c, "nand"),
-    "appB": run_appB,
-    "appC": run_appC,
-    "appD": run_appD,
-    "appE": run_appE,
+# name -> (runner, default config, keys it reads besides its defaults)
+EXPERIMENTS = {
+    "fig3": (run_fig3,
+             {"gamma": 1.0, "kappa": 0.003,
+              "scan": [round(0.1 * i, 2) for i in range(1, 31)],
+              "t_end": 8.0},
+             ("engine", "trajectories", "seed")),
+    "fig4": (run_fig4,
+             {"n_atoms": 3000, "instances": 10, "trajectories": 30,
+              "t_end": 100.0, "seed": 7},
+             ()),
+    "fig5c": (run_fig5c,
+              {"gammas": [0.0, 0.25, 0.5, 1.0], "delta_g_ratio": 2.0,
+               "t_end": 8.0},
+              ("engine",)),
+    "fig7-and": (lambda c: run_logic_gate(c, "and"),
+                 {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
+                 ("engine",)),
+    "fig7-nand": (lambda c: run_logic_gate(c, "nand"),
+                  {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
+                  ("engine",)),
+    "appB": (run_appB,
+             {"gammas": [0.1, 1.0, 10.0], "kappa": 0.003, "t_end": 4.0},
+             ()),
+    "appC": (run_appC,
+             {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
+              "t_end": 8.0},
+             ("engine",)),
+    "appD": (run_appD,
+             {"gammas": [0.0, 1.0],
+              "scan": [round(0.1 * i, 2) for i in range(8, 13)],
+              "t_end": 8.0},
+             ()),
+    "appE": (run_appE,
+             {"gammas": [0.0, 1.0],
+              "scan": [round(0.1 * i, 2) for i in range(1, 31)],
+              "t_end": 8.0},
+             ()),
 }
 
 
 def run_experiment(config: dict) -> dict:
     name = config.get("experiment")
-    if name not in RUNNERS:
+    if name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}")
-    result = RUNNERS[name](config)
+    result = EXPERIMENTS[name][0](config)
     result["config"] = config
     result["config_hash"] = config_hash(config)
     return result

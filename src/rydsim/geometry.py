@@ -37,15 +37,6 @@ class CylinderSpec:
             warnings.warn("cylinder packing fraction above 30%; sampling may "
                           "be slow or fail", stacklevel=2)
 
-    @property
-    def volume(self) -> float:
-        return np.pi * self.radius**2 * self.length
-
-    @property
-    def density(self) -> float:
-        """Atoms per cubic micrometer."""
-        return self.n_atoms / self.volume
-
 
 @dataclass(frozen=True)
 class RegionPartition:

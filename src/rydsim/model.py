@@ -1,21 +1,19 @@
 """Shared physical model: atom networks, drive/noise parameters, detuning
-schedules and the facilitation/blockade formulas used by both engines.
+schedules and the facilitation formulas used by both engines.
 
-Frequencies follow the 2pi-factored convention: a value of 0.7e6 in a
-physical-unit parameter set means omega/(2pi) = 0.7 MHz.  Since the
-dimensionless conversion only ever takes ratios of frequencies, the 2pi
-factors cancel and never appear explicitly.
+Frequencies are in units of the drive amplitude.  Lengths are in units of
+the facilitation distance for the chain devices and in micrometers for the
+3D gas, whose rates and C6 `rydsim.devices` converts by hand (`GAS_PARAMS`,
+`GAS_C6`) from 2pi-factored physical values: only their ratios enter, so
+no 2pi appears.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-DIMENSIONLESS = "dimensionless"
-PHYSICAL = "physical"
 
 
 class ModelError(ValueError):
@@ -26,7 +24,7 @@ class ModelError(ValueError):
 class AtomNetwork:
     """Atom positions, per-atom static detunings and the C6 coefficient.
 
-    positions: (N, 3) array, length units (dimensionless or micrometers).
+    positions: (N, 3) array of lengths.
     static_detunings: (N,) array of per-atom detunings.
     c6: van der Waals coefficient, frequency * length^6, positive.
     """
@@ -34,7 +32,6 @@ class AtomNetwork:
     positions: np.ndarray
     static_detunings: np.ndarray
     c6: float
-    unit_system: str = DIMENSIONLESS
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -70,15 +67,16 @@ class AtomNetwork:
 class SimParams:
     """Rabi frequency, dephasing and decay rates.
 
-    omega > 0, gamma >= 0, kappa >= 0.
+    omega > 0, gamma >= 0, kappa >= 0, all finite.
     """
 
     omega: float
     gamma: float
     kappa: float
-    unit_system: str = DIMENSIONLESS
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega, self.gamma, self.kappa])):
+            raise ModelError("omega, gamma and kappa must be finite")
         if self.omega <= 0:
             raise ModelError("omega must be positive")
         if self.gamma < 0 or self.kappa < 0:
@@ -95,10 +93,6 @@ class Configuration:
         if any(b not in (0, 1) for b in self.bits):
             raise ModelError("configuration bits must be 0 or 1")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @classmethod
-    def from_string(cls, s: str) -> "Configuration":
-        return cls(tuple(int(c) for c in s))
 
     @classmethod
     def ground(cls, n: int) -> "Configuration":
@@ -196,74 +190,3 @@ def facilitation_radius(delta_f: float, c6: float) -> float:
     if delta_f >= 0 or c6 <= 0:
         raise ModelError("delta_f must be negative and c6 positive")
     return (-c6 / delta_f) ** (1.0 / 6.0)
-
-
-def blockade_radius(c6: float, omega: float) -> float:
-    """Blockade radius (c6/omega)^(1/6)."""
-    if c6 <= 0 or omega <= 0:
-        raise ModelError("c6 and omega must be positive")
-    return (c6 / omega) ** (1.0 / 6.0)
-
-
-def local_mismatch(k: int, config: Configuration, network: AtomNetwork,
-                   detunings: np.ndarray | None = None) -> float:
-    """Energy mismatch of atom k: Delta_k + sum_q C6 n_q / r_kq^6.
-
-    Zero mismatch means atom k is exactly on resonance (facilitated).
-    """
-    n = network.n_atoms
-    if not 0 <= k < n:
-        raise ModelError(f"atom index {k} out of range")
-    if len(config) != n:
-        raise ModelError("configuration length must match network")
-    det = network.static_detunings if detunings is None else detunings
-    bits = config.as_array().astype(float)
-    return float(det[k] + pair_energies(network, np.array([k]))[0] @ bits)
-
-
-@dataclass(frozen=True)
-class UnitConversion:
-    """Reference scales for the dimensionless unit system.
-
-    ref_omega: drive frequency the dimensionless system measures rates in.
-    ref_length: physical length mapped to 1 (typically the facilitation
-    distance).  Both in the same 2pi-factored physical units as the inputs.
-    """
-
-    ref_omega: float
-    ref_length: float = 1.0
-
-    def __post_init__(self):
-        if self.ref_omega <= 0 or self.ref_length <= 0:
-            raise ModelError("reference scales must be positive")
-
-
-def convert_units(obj, conversion: UnitConversion, to: str):
-    """Convert SimParams or AtomNetwork between unit systems.
-
-    Frequencies scale by ref_omega, lengths by ref_length and C6 by
-    ref_omega * ref_length^6.
-    """
-    if to not in (DIMENSIONLESS, PHYSICAL):
-        raise ModelError(f"unknown unit system {to!r}")
-    if obj.unit_system == to:
-        return obj
-    w = conversion.ref_omega
-    ell = conversion.ref_length
-    if isinstance(obj, SimParams):
-        if to == DIMENSIONLESS:
-            return SimParams(obj.omega / w, obj.gamma / w, obj.kappa / w,
-                             unit_system=to)
-        return SimParams(obj.omega * w, obj.gamma * w, obj.kappa * w,
-                         unit_system=to)
-    if isinstance(obj, AtomNetwork):
-        if to == DIMENSIONLESS:
-            return AtomNetwork(obj.positions / ell,
-                               obj.static_detunings / w,
-                               obj.c6 / (w * ell**6),
-                               unit_system=to)
-        return AtomNetwork(obj.positions * ell,
-                           obj.static_detunings * w,
-                           obj.c6 * (w * ell**6),
-                           unit_system=to)
-    raise ModelError(f"cannot convert object of type {type(obj).__name__}")

@@ -52,6 +52,21 @@ FLUSH_ELEMENTS = 2 ** 15
 REACH = DEGREE * 2.0 ** (-np.arange(320) / 16)
 
 
+def _budget(size: int) -> tuple:
+    """Rows of a span's block of series terms, and the most record times a
+    span holds, at state size `size`."""
+    return (max(3, min(CHUNK, SPAN_ELEMENTS // size)),
+            max(1, SPAN_ELEMENTS // size))
+
+
+def working_bytes(size: int) -> int:
+    """Peak bytes of a span's buffers at state size `size`: three work
+    vectors, its block of series terms, and its record sums (the most
+    record times and the span's end) and their update."""
+    rows, most = _budget(size)
+    return 8 * size * (3 + rows + 2 * (most + 1))
+
+
 def bendixson(a) -> tuple:
     """(lo, hi, b): Gershgorin bounds on the Hermitian and skew-Hermitian
     parts of sparse `a`, which hold its spectrum in Re [lo, hi] x
@@ -147,7 +162,7 @@ class _Series:
         the number of products.  The terms go into the record sums CHUNK at
         a time, by matrix products."""
         terms = int(need[-1])
-        rows = max(3, min(CHUNK, SPAN_ELEMENTS // x.size))
+        rows, _ = _budget(x.size)
         group = max(rows, FLUSH_ELEMENTS // x.size)
         block = np.empty((min(rows, terms), x.size))
         part = np.empty((min(group, need.size), x.size))
@@ -201,7 +216,7 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     times = np.linspace(0.0, t_end, RECORD_POINTS)
     edges = np.union1d([0.0, t_end],
                        [b for b in breakpoints if 0.0 < b < t_end])
-    most = max(1, SPAN_ELEMENTS // x.size)
+    _, most = _budget(x.size)
     worst, dens = {}, []
     counted = np.zeros(x.size)
     counted[populations] = 1.0

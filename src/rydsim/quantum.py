@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits)
-from .propagate import CHUNK, SPAN_ELEMENTS, TOL, propagate
+from .propagate import TOL, propagate, working_bytes
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
@@ -54,12 +54,8 @@ class SparseHamiltonian:
 def _check_cap(n_atoms: int):
     """Raise before allocating if a run's estimated peak bytes exceed the
     N = ATOM_CAP run's: the Liouvillian's (2N + 2 + N/4) 4^N real entries
-    with int32 indices, three 4^N-entry work vectors, a span's block of
-    series terms, and its record-time sums and their update, each at most
-    max(SPAN_ELEMENTS, 4^N) entries plus one vector."""
-    need, cap = ((12 * (2 * n + 2 + n / 4)
-                  + 8 * (3 + min(CHUNK, max(3, SPAN_ELEMENTS // 4**n))))
-                 * 4**n + 16 * (max(SPAN_ELEMENTS, 4**n) + 4**n)
+    with int32 indices, and the propagator's `working_bytes` at 4^N."""
+    need, cap = (12 * (2 * n + 2 + n / 4) * 4**n + working_bytes(4**n)
                  for n in (n_atoms, ATOM_CAP))
     if need > cap:
         raise CapacityError(

@@ -103,11 +103,3 @@ class TimeSeries:
         err = data[:, -1] if header[-1] == "N_o_stderr" else None
         return cls(data[:, 0], data[:, 1:1 + n_sites],
                    data[:, 1 + n_sites], err)
-
-    def summary(self) -> dict:
-        return {
-            "n_times": int(self.times.size),
-            "t_end": float(self.times[-1]),
-            "final_output_count": float(self.output_count[-1]),
-            "metadata": self.metadata,
-        }

@@ -83,7 +83,9 @@ class TestRun:
                                       "no-gas-instances", "negative-t-end",
                                       "nan-t-end", "text-t-end",
                                       "no-gas-trajectories",
-                                      "no-kmc-trajectories"])
+                                      "no-kmc-trajectories", "nan-gamma",
+                                      "inf-kappa", "negative-kappa",
+                                      "negative-gammas"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
@@ -101,6 +103,15 @@ class TestRun:
         elif case == "no-kmc-trajectories":
             target = "fig3"
             flags = ["--engine", "kmc", "--trajectories", "0"]
+        elif case == "nan-gamma":
+            target, flags = "fig7-and", ["--gamma", "nan"]
+        elif case == "inf-kappa":
+            target, flags = "fig7-nand", ["--kappa", "inf"]
+        elif case == "negative-kappa":
+            target, flags = "fig3", ["--kappa", "-1"]
+        elif case == "negative-gammas":
+            cfg_path.write_text(json.dumps({**make_config("appD"),
+                                            "gammas": [-1.0, 1.0]}))
         elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":

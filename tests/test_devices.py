@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from rydsim.devices import (DELTA_F, GAS_DELTA_F, GAS_R_F, R_F, T_WORK_IDEAL,
-                            T_WORK_NOISY, DeviceError, build_and_gate,
-                            build_diode, build_gas_switch, build_nand_gate,
-                            build_switch_chain, build_transport_chain,
-                            find_gate_work_time, find_work_time, logic_readout)
-from rydsim.model import SimParams, local_mismatch
+from rydsim.classical import classical_generator
+from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
+                            R_F, T_WORK_IDEAL, T_WORK_NOISY, DeviceError,
+                            build_and_gate, build_diode, build_gas_switch,
+                            build_nand_gate, build_switch_chain,
+                            build_transport_chain, find_gate_work_time,
+                            find_work_time, logic_readout)
+from rydsim.model import Configuration, SimParams, facilitation_radius
 from rydsim.quantum import evolve_quantum
 from rydsim.timeseries import TimeSeries
 
@@ -51,13 +53,13 @@ class TestTransportChain:
         assert dev.initial.bits == (1, 0, 0, 0)
 
     def test_neighbors_on_resonance(self):
+        # an excited atom puts its neighbour on resonance: the flip rate
+        # is the resonant 4 omega^2 / gamma
         dev = build_transport_chain(5)
+        gen = classical_generator(dev.network, SimParams(1.0, 1.0, 0.0))
         for k in (1, 2, 3):
-            bits = [0] * 5
-            bits[k - 1] = 1
-            from rydsim.model import Configuration
-            assert abs(local_mismatch(k, Configuration(tuple(bits)),
-                                      dev.network)) < 1e-10
+            c = Configuration.single_excitation(5, k - 1).to_index()
+            assert gen[c ^ (1 << k), c] == pytest.approx(4.0, rel=1e-12)
 
 
 class TestDiode:
@@ -177,6 +179,25 @@ class TestGasSwitch:
         x = dev.network.positions[:, 0]
         assert np.all(dev.network.static_detunings[x < 5.0 * scale] == 0.0)
 
+    # the gas's constants are its physical (2pi-factored) values in units
+    # of the 50 kHz drive, with lengths kept in micrometers
+    def test_gamma_in_drive_units(self):
+        assert GAS_PARAMS.omega == 1.0
+        assert GAS_PARAMS.gamma == pytest.approx(700e3 / 50e3)
+
+    def test_kappa_in_drive_units(self):
+        # the 2 kHz decay of the gas study
+        assert GAS_PARAMS.kappa == pytest.approx(2e3 / 50e3)
+
+    def test_c6_in_drive_units(self):
+        # C6 is a frequency times length^6: with lengths left in um it
+        # scales by the drive alone, like the detuning, so the
+        # facilitation radius is the physical one
+        assert GAS_C6 == pytest.approx(869e9 / 50e3, rel=1e-12)
+        assert GAS_DELTA_F == pytest.approx(-69.5e6 / 50e3, rel=1e-12)
+        assert GAS_R_F == pytest.approx(facilitation_radius(-69.5e6, 869e9),
+                                        rel=1e-12)
+
     def test_gate_blocks_direct_facilitation(self):
         # full-scale gate region is wider than two facilitation radii
         assert 10.0 > 2 * GAS_R_F
@@ -227,7 +248,6 @@ class TestReadout:
 
 
 def test_output_sites_must_not_overlap_excited_inputs():
-    from rydsim.model import Configuration
     dev = build_switch_chain(DELTA_F)
     with pytest.raises(DeviceError):
         type(dev)(network=dev.network, schedule=None,
