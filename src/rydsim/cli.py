@@ -85,24 +85,16 @@ def _overrides(args) -> dict:
 
 
 def cmd_run(args) -> int:
+    """`run` writes every output; `scan` only the scan CSV and the summary,
+    and refuses an experiment without one."""
+    scan_only = args.command == "scan"
     config = _load_config(args.target, _overrides(args))
     result = run_experiment(config)
-    out_dir = Path(args.out) / config["experiment"]
-    written = _write_results(result, out_dir)
-    for path in written:
-        print(path)
-    return 0
-
-
-def cmd_scan(args) -> int:
-    config = _load_config(args.target, _overrides(args))
-    result = run_experiment(config)
-    if "scan_rows" not in result:
+    if scan_only and "scan_rows" not in result:
         raise ExperimentError(
             f"experiment {config['experiment']!r} has no scan output")
     out_dir = Path(args.out) / config["experiment"]
-    written = _write_results(result, out_dir, scan_only=True)
-    for path in written:
+    for path in _write_results(result, out_dir, scan_only):
         print(path)
     return 0
 
@@ -228,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", parents=[common],
                             help="run a scan, writing the aggregated CSV only")
     p_scan.add_argument("target")
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="run engine self-checks")
     p_val.add_argument("--tol", type=float, default=TOL,

@@ -15,11 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .classical import evolve_classical, gillespie_ensemble
-from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
-                      build_and_gate, build_diode, build_gas_switch,
-                      build_nand_gate, build_switch_chain,
-                      build_transport_chain, find_gate_work_time,
-                      find_work_time, logic_readout)
+from .devices import (DELTA_F, DeviceError, DeviceInstance, build_and_gate,
+                      build_diode, build_gas_switch, build_nand_gate,
+                      build_switch_chain, build_transport_chain,
+                      find_gate_work_time, find_work_time, logic_readout)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -31,9 +30,7 @@ class ExperimentError(ValueError):
 
 def make_config(name: str, **overrides) -> dict:
     """The experiment's defaults with the given (non-None) overrides, each
-    of which the experiment must read; a non-positive t_end, trajectory or
-    instance count, and a negative or non-finite rate, are refused before
-    anything runs."""
+    of which the experiment must read and `_check_value` accepts."""
     if name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
@@ -44,18 +41,34 @@ def make_config(name: str, **overrides) -> dict:
     unread = set(given) - set(config) - set(optional)
     if unread:
         raise ExperimentError(f"{name} does not read {sorted(unread)}")
+    for key, value in given.items():
+        if key != "engine":
+            _check_value(key, value, isinstance(defaults.get(key), list))
     config.update(given)
-    for key in ("t_end", "trajectories", "instances"):
-        value = config.get(key, 1)
-        if not (isinstance(value, (int, float)) and 0 < value < np.inf):
-            raise ExperimentError(f"{key} must be positive, got {value!r}")
-    rates = [(key, config[key]) for key in ("gamma", "kappa") if key in config]
-    rates += [("gammas", value) for value in config.get("gammas", ())]
-    for key, value in rates:
-        if not (isinstance(value, (int, float)) and 0 <= value < np.inf):
-            raise ExperimentError(
-                f"{key} must be non-negative and finite, got {value!r}")
     return config
+
+
+def _check_value(key: str, value, is_list: bool) -> None:
+    """Refuse a config value before anything runs unless it is a finite
+    number (an integer for counts and seeds), or a list of them where the
+    default is a list, at or above its key's lower bound."""
+    whole = key in ("trajectories", "instances", "n_atoms", "seed")
+    what = ("a list of finite numbers" if is_list else
+            "a finite integer" if whole else "a finite number")
+    items = value if is_list and isinstance(value, list) else [value]
+    for item in items:
+        if (is_list != isinstance(value, list) or isinstance(item, bool)
+                or not isinstance(item, int if whole else (int, float))
+                or not -np.inf < item < np.inf):
+            raise ExperimentError(f"{key} must be {what}, got {value!r}")
+    # lower bound 0: excluded (True) or allowed (False)
+    strict = {"t_end": True, "trajectories": True, "instances": True,
+              "n_atoms": True, "c6_values": True, "delta_g_ratio": True,
+              "gamma": False, "kappa": False, "gammas": False, "seed": False}
+    if key in strict and any(item < 0 or (strict[key] and item == 0)
+                             for item in items):
+        bound = "positive" if strict[key] else "non-negative"
+        raise ExperimentError(f"{key} must be {bound}, got {value!r}")
 
 
 def worker_count() -> int:
@@ -70,12 +83,14 @@ def worker_count() -> int:
 
 
 def _pool_map(fn, jobs):
-    """Map jobs through a process pool; assembly is ordered by index."""
+    """Map jobs through a process pool, yielding results in job order, so
+    that a runner can reduce each result before it holds the next."""
     workers = worker_count()
     if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
+        yield from map(fn, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        yield from pool.map(fn, jobs)
 
 
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
@@ -104,36 +119,37 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     return ts
 
 
-def _at_work_time(ts: TimeSeries, work_time: float, t_end: float) -> float:
+def _run_job(job):
+    """One device run: (builder, its arguments, params, t_end, engine,
+    run_device keywords) -> (device, series)."""
+    build, args, params, t_end, engine, keywords = job
+    device = build(*args)
+    return device, run_device(device, params, t_end, engine, **keywords)
+
+
+def _at_work_time(device: DeviceInstance, ts: TimeSeries,
+                  t_end: float) -> float:
     """Output count at the device work time, which t_end must reach."""
-    if t_end < work_time:
+    if t_end < device.work_time:
         raise ExperimentError(f"t_end {t_end:g} is below the device work "
-                              f"time {work_time:g}")
-    return ts.value_at(work_time)
-
-
-def _switch_point(job):
-    ratio, gamma, kappa, t_end, engine, sampling = job
-    params = SimParams(1.0, gamma, kappa)
-    dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
-    ts = run_device(dev, params, t_end, engine=engine, **sampling)
-    return ratio, _at_work_time(ts, dev.work_time, t_end), dev.work_time, ts
+                              f"time {device.work_time:g}")
+    return ts.value_at(device.work_time)
 
 
 def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
+    gamma, t_end = config["gamma"], config["t_end"]
+    params = SimParams(1.0, gamma, config["kappa"])
     # kmc's trajectory count and seed, where the config sets them
     sampling = {k: config[k] for k in ("trajectories", "seed") if k in config}
-    jobs = [(r, config["gamma"], config["kappa"], config["t_end"],
-             config.get("engine"), sampling)
-            for r in config["scan"]]
-    results = _pool_map(_switch_point, jobs)
+    jobs = [(build_switch_chain, (r * DELTA_F, gamma), params, t_end,
+             config.get("engine"), sampling) for r in config["scan"]]
     rows, series = [], {}
-    for ratio, n_o, t_w, ts in results:
-        rows.append((ratio, n_o, t_w))
-        series[f"dg_ratio_{ratio:g}"] = ts
+    for (dev, ts), r in zip(_pool_map(_run_job, jobs), config["scan"]):
+        rows.append((r, _at_work_time(dev, ts, t_end), dev.work_time))
+        series[f"dg_ratio_{r:g}"] = ts
     return {"scan_rows": rows,
             "scan_header": ["delta_g_over_delta_f", "N_o_at_t_w", "t_w"],
             "series": series}
@@ -141,48 +157,36 @@ def run_fig3(config: dict) -> dict:
 
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
-    t_end = config["t_end"]
-    times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
+    n, seed = config["instances"], config["seed"]
+    # instance i samples its gas from seed + i and its trajectories from
+    # 1000 seed + i; run_device takes the gas's own parameters
+    jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), None,
+             config["t_end"], "kmc",
+             {"seed": 1000 * seed + i, "trajectories": config["trajectories"]})
+            for on in (True, False) for i in range(n)]
+    try:
+        # keep what fig4 writes of each run as it arrives, not the run's
+        # (200, n_atoms) site densities: 4.8 MB a run at 3000 atoms
+        runs = [(ts.times, ts.output_count, ts.output_stderr**2,
+                 ts.plateau_value(), ts.metadata)
+                for _, ts in _pool_map(_run_job, jobs)]
+    except DeviceError as exc:
+        raise ExperimentError(f"n_atoms {config['n_atoms']} is too few for "
+                              f"the gas switch: {exc}") from None
     out = {"series": {}}
-    plateaus = {}
-    for on in (True, False):
-        key = "on" if on else "off"
-        acc_no = np.zeros_like(times)
-        acc_err = np.zeros_like(times)
-        per_instance, counters = [], []
-        for inst in range(config["instances"]):
-            try:
-                dev = build_gas_switch(on, seed=config["seed"] + inst,
-                                       n_atoms=config["n_atoms"])
-            except DeviceError as exc:
-                raise ExperimentError(
-                    f"n_atoms {config['n_atoms']} is too few for the gas "
-                    f"switch: {exc}") from None
-            ts = gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial,
-                                    t_end, config["trajectories"],
-                                    master_seed=1000 * config["seed"] + inst,
-                                    times=times,
-                                    output_sites=dev.output_sites)
-            acc_no += ts.output_count
-            acc_err += ts.output_stderr**2
-            per_instance.append(ts.plateau_value())
-            counters.append([ts.metadata[k] for k in
-                             ("events_mean", "events_max", "blocks")])
-        mean_no = acc_no / config["instances"]
-        stderr = np.sqrt(acc_err) / config["instances"]
-        means, maxes, blocks = zip(*counters)
-        ens = TimeSeries(times, np.zeros((times.size, 1)), mean_no, stderr,
-                         metadata={"engine": "kmc", "switch": key,
-                                   "instances": config["instances"],
-                                   "events_mean": float(np.mean(means)),
-                                   "events_max": max(maxes),
-                                   "blocks": sum(blocks)})
-        out["series"][key] = ens
-        plateaus[key] = float(np.mean(per_instance))
-    out["plateau_on"] = plateaus["on"]
-    out["plateau_off"] = plateaus["off"]
-    out["on_off_ratio"] = (plateaus["on"] / plateaus["off"]
-                           if plateaus["off"] > 0 else float("inf"))
+    for key, part in (("on", runs[:n]), ("off", runs[n:])):
+        times, counts, variances, plateaus, meta = zip(*part)
+        out["series"][key] = TimeSeries(
+            times[0], np.zeros((times[0].size, 1)), sum(counts) / n,
+            np.sqrt(sum(variances)) / n,
+            metadata={"engine": "kmc", "switch": key, "instances": n,
+                      "events_mean": float(np.mean(
+                          [m["events_mean"] for m in meta])),
+                      "events_max": max(m["events_max"] for m in meta),
+                      "blocks": sum(m["blocks"] for m in meta)})
+        out[f"plateau_{key}"] = float(np.mean(plateaus))
+    out["on_off_ratio"] = (out["plateau_on"] / out["plateau_off"]
+                           if out["plateau_off"] > 0 else float("inf"))
     return out
 
 
@@ -191,29 +195,25 @@ def _noisy_params(gamma: float) -> SimParams:
     return SimParams(1.0, gamma, 0.003 if gamma > 0 else 0.0)
 
 
-def _diode_point(job):
-    gamma, direction, ratio, t_end, engine = job
-    dev = build_diode(direction, ratio * DELTA_F, gamma=gamma)
-    ts = run_device(dev, _noisy_params(gamma), t_end, engine=engine)
-    return _at_work_time(ts, dev.work_time, t_end), dev.work_time, ts
+def _diode_jobs(gammas, ratios, t_end, engine) -> list:
+    """Forward then reverse diode runs at each (gamma, dg/df), in order."""
+    return [(build_diode, (direction, ratio * DELTA_F, gamma),
+             _noisy_params(gamma), t_end, engine, {})
+            for gamma in gammas for ratio in ratios
+            for direction in ("forward", "reverse")]
 
 
 def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
-    directions = ("forward", "reverse")
-    jobs = [(gamma, direction, config["delta_g_ratio"], config["t_end"],
-             config.get("engine"))
-            for gamma in config["gammas"] for direction in directions]
-    results = iter(_pool_map(_diode_point, jobs))
+    gammas, t_end = config["gammas"], config["t_end"]
+    runs = list(_pool_map(_run_job, _diode_jobs(
+        gammas, [config["delta_g_ratio"]], t_end, config.get("engine"))))
     rows, series = [], {}
-    for gamma in config["gammas"]:
-        point = {}
-        for direction in directions:
-            n_o, t_w, ts = next(results)
-            point[direction] = (n_o, t_w)
-            series[f"{direction}_gamma_{gamma:g}"] = ts
-        rows.append((gamma, point["forward"][0], point["reverse"][0],
-                     point["forward"][1]))
+    for gamma, forward, reverse in zip(gammas, runs[::2], runs[1::2]):
+        rows.append((gamma, _at_work_time(*forward, t_end),
+                     _at_work_time(*reverse, t_end), forward[0].work_time))
+        series[f"forward_gamma_{gamma:g}"] = forward[1]
+        series[f"reverse_gamma_{gamma:g}"] = reverse[1]
     return {"scan_rows": rows,
             "scan_header": ["gamma", "N_o_forward", "N_o_reverse", "t_w"],
             "series": series}
@@ -228,11 +228,10 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     build = build_and_gate if kind == "and" else build_nand_gate
     table = AND_TABLE if kind == "and" else NAND_TABLE
     params = SimParams(1.0, config["gamma"], config["kappa"])
-    series = {}
-    for bits in sorted(table):
-        dev = build(bits)
-        series[bits] = run_device(dev, params, config["t_end"],
-                                  engine=config.get("engine"))
+    jobs = [(build, (bits,), params, config["t_end"], config.get("engine"), {})
+            for bits in sorted(table)]
+    series = {bits: ts for (_, ts), bits
+              in zip(_pool_map(_run_job, jobs), sorted(table))}
     t_w = find_gate_work_time(series, table)
     rows = []
     truth = {}
@@ -250,12 +249,15 @@ def run_logic_gate(config: dict, kind: str) -> dict:
 
 def run_appB(config: dict) -> dict:
     """Quantum vs classical-exact comparison on the 3-atom chain."""
-    dev = build_transport_chain(3)
+    kappa = config["kappa"]
+    jobs = [(build_transport_chain, (3,), SimParams(1.0, gamma, kappa),
+             config["t_end"], engine, {})
+            for gamma in config["gammas"]
+            for engine in ("quantum", "classical-exact")]
+    runs = list(_pool_map(_run_job, jobs))
     series, rows = {}, []
-    for gamma in config["gammas"]:
-        params = SimParams(1.0, gamma, config["kappa"])
-        tsq = run_device(dev, params, config["t_end"], engine="quantum")
-        tsc = run_device(dev, params, config["t_end"], engine="classical-exact")
+    for gamma, (_, tsq), (_, tsc) in zip(config["gammas"], runs[::2],
+                                         runs[1::2]):
         tsc_on_q = tsc.resample(tsq.times)
         diff = float(np.max(np.abs(tsq.site_density - tsc_on_q.site_density)))
         series[f"quantum_gamma_{gamma:g}"] = tsq
@@ -268,48 +270,46 @@ def run_appB(config: dict) -> dict:
 
 def run_appC(config: dict) -> dict:
     """Excitation transport along a 6-atom chain for several C6 values."""
-    series = {}
+    keys, jobs = [], []
     for c6 in config["c6_values"]:
         for gamma, kappa in ((0.0, 0.0), (config["gamma"], config["kappa"])):
-            dev = build_transport_chain(6, c6=c6)
-            params = SimParams(1.0, gamma, kappa)
-            ts = run_device(dev, params, config["t_end"],
-                            engine=config.get("engine"))
-            series[f"c6_{c6:g}_gamma_{gamma:g}"] = ts
-    return {"series": series}
+            keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
+            jobs.append((build_transport_chain, (6, c6),
+                         SimParams(1.0, gamma, kappa), config["t_end"],
+                         config.get("engine"), {}))
+    return {"series": {key: ts for (_, ts), key
+                       in zip(_pool_map(_run_job, jobs), keys)}}
 
 
 def run_appD(config: dict) -> dict:
     """Work-time study: time of maximal output density near resonance."""
+    points = [(gamma, ratio) for gamma in config["gammas"]
+              for ratio in config["scan"]]
+    jobs = [(build_switch_chain, (ratio * DELTA_F, gamma),
+             _noisy_params(gamma), config["t_end"], None, {})
+            for gamma, ratio in points]
     rows, series = [], {}
-    for gamma in config["gammas"]:
-        params = _noisy_params(gamma)
-        for ratio in config["scan"]:
-            dev = build_switch_chain(ratio * DELTA_F, gamma=gamma)
-            ts = run_device(dev, params, config["t_end"])
-            series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
-            if np.isclose(ratio, 1.0):
-                rows.append((gamma, find_work_time(ts)))
+    for (_, ts), (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
+        series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
+        if np.isclose(ratio, 1.0):
+            rows.append((gamma, find_work_time(ts)))
     return {"scan_rows": rows, "scan_header": ["gamma", "t_w"],
             "series": series}
-
-
-def _appE_point(job):
-    gamma, ratio, t_end = job
-    out = {}
-    for direction in ("forward", "reverse"):
-        n_o, t_w, _ = _diode_point((gamma, direction, ratio, t_end, None))
-        out[direction] = n_o
-    return (gamma, ratio, out["forward"], out["reverse"])
 
 
 def run_appE(config: dict) -> dict:
     """Diode gate-detuning scan in both directions."""
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
-    jobs = [(gamma, ratio, config["t_end"])
-            for gamma in config["gammas"] for ratio in config["scan"]]
-    rows = _pool_map(_appE_point, jobs)
+    t_end = config["t_end"]
+    runs = list(_pool_map(_run_job, _diode_jobs(config["gammas"],
+                                                config["scan"], t_end, None)))
+    points = [(gamma, ratio) for gamma in config["gammas"]
+              for ratio in config["scan"]]
+    rows = [(gamma, ratio, _at_work_time(*forward, t_end),
+             _at_work_time(*reverse, t_end))
+            for (gamma, ratio), forward, reverse
+            in zip(points, runs[::2], runs[1::2])]
     return {"scan_rows": rows,
             "scan_header": ["gamma", "delta_g_over_delta_f",
                             "N_o_forward", "N_o_reverse"]}

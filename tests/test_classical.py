@@ -216,13 +216,10 @@ class TestGillespie:
         # single resonant atom flips between states at equal rates
         params = SimParams(1.0, 1.0, 0.0)
         net = single_atom()
-        occupied = 0
         samples = 2000
-        for i in range(samples):
-            traj = gillespie_run(net, params, Configuration((0,)), 5.0,
-                                 seed=[17, i])
-            occupied += traj.events[-1][2] if traj.events else 0
-        frac = occupied / samples
+        ens = gillespie_ensemble(net, params, Configuration((0,)), 5.0,
+                                 samples, 17, [5.0], output_sites=(0,))
+        frac = ens.output_count[-1]
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / samples)
 
     def test_matches_exact_propagator(self):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rydsim.cli import main, run_validation
@@ -85,7 +86,10 @@ class TestRun:
                                       "no-gas-trajectories",
                                       "no-kmc-trajectories", "nan-gamma",
                                       "inf-kappa", "negative-kappa",
-                                      "negative-gammas"])
+                                      "negative-gammas", "scalar-gammas",
+                                      "nan-scan", "negative-c6",
+                                      "negative-delta-g-ratio",
+                                      "negative-seed"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
@@ -112,6 +116,20 @@ class TestRun:
         elif case == "negative-gammas":
             cfg_path.write_text(json.dumps({**make_config("appD"),
                                             "gammas": [-1.0, 1.0]}))
+        elif case == "scalar-gammas":
+            cfg_path.write_text(json.dumps({**make_config("appD"),
+                                            "gammas": 1.0}))
+        elif case == "nan-scan":
+            cfg_path.write_text(json.dumps({**config,
+                                            "scan": [float("nan")]}))
+        elif case == "negative-c6":
+            cfg_path.write_text(json.dumps({**make_config("appC"),
+                                            "c6_values": [-1.0]}))
+        elif case == "negative-delta-g-ratio":
+            cfg_path.write_text(json.dumps({**make_config("fig5c"),
+                                            "delta_g_ratio": -1.0}))
+        elif case == "negative-seed":
+            target, flags = "fig4", ["--seed", "-3"]
         elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":
@@ -172,18 +190,31 @@ class TestRun:
         assert a.metadata["master_seed"] == 1
         assert not (a.output_count == b.output_count).all()
 
-    def test_fig5c_independent_of_worker_count(self, monkeypatch):
-        config = make_config("fig5c", engine="classical-exact",
-                             gammas=[0.5, 1.0], t_end=5.0)
+    @pytest.mark.parametrize("experiment, trim", [
+        ("fig5c", {"engine": "classical-exact", "gammas": [0.5, 1.0],
+                   "t_end": 5.0}),
+        ("fig4", {"n_atoms": 400, "instances": 2, "trajectories": 4,
+                  "t_end": 10.0}),
+        ("fig7-and", {"engine": "classical-exact"})],
+        ids=["fig5c", "fig4", "fig7-and"])
+    def test_independent_of_worker_count(self, monkeypatch, experiment,
+                                         trim):
+        config = make_config(experiment, **trim)
         results = []
         for workers in ("1", "2"):
             monkeypatch.setenv("RYDSIM_THREADS", workers)
             results.append(run_experiment(config))
-        assert results[0]["scan_rows"] == results[1]["scan_rows"]
-        assert len(results[0]["scan_rows"]) == 2
-        for key, ts in results[0]["series"].items():
-            other = results[1]["series"][key]
-            assert (ts.site_density == other.site_density).all()
+        one, two = results
+        for key in ("scan_rows", "plateau_on", "plateau_off"):
+            assert one.get(key) == two.get(key)
+        assert one["series"] and sorted(one["series"]) == sorted(two["series"])
+        for key, ts in one["series"].items():
+            other = two["series"][key]
+            for name in ("times", "site_density", "output_count",
+                         "output_stderr"):
+                assert np.array_equal(getattr(ts, name),
+                                      getattr(other, name))
+            assert ts.metadata == other.metadata
 
 
 class TestScan:

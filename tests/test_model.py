@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rydsim.classical import (ClassicalEngineError, classical_generator,
-                              gillespie_run)
+from rydsim.classical import ClassicalEngineError, gillespie_run
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
                           ModelError, SimParams, facilitation_detuning,
                           facilitation_radius)
@@ -42,42 +41,6 @@ class TestFacilitationDetuning:
             c6 = rng.uniform(0.1, 1e12)
             assert facilitation_detuning(r, c6) * r**6 == pytest.approx(-c6, rel=1e-12)
             assert facilitation_radius(facilitation_detuning(r, c6), c6) == pytest.approx(r, rel=1e-12)
-
-
-def flip_rate(k, config, network, params=SimParams(1.0, 1.0, 0.0)):
-    """Rate at which atom k flips out of `config`: the classical
-    generator's entry, omega^2 gamma / ((gamma/2)^2 + mismatch_k^2)."""
-    c = config.to_index()
-    return classical_generator(network, params)[c ^ (1 << k), c]
-
-
-class TestLocalMismatch:
-    """The mismatch Delta_k + sum_q C6 n_q / r_kq^6 as the flip rates read
-    it: zero gives the resonant 4 omega^2 / gamma."""
-
-    def test_isolated_atom(self):
-        net = AtomNetwork([[0, 0, 0]], [0.0], 10.0)
-        assert flip_rate(0, Configuration((0,)), net) == 4.0
-
-    def test_facilitated_pair_is_resonant(self):
-        net = two_atom_network()
-        assert flip_rate(1, Configuration((1, 0)), net) == \
-            pytest.approx(4.0, rel=1e-12)
-
-    def test_unfacilitated_pair(self):
-        # mismatch -10
-        net = two_atom_network()
-        assert flip_rate(1, Configuration((0, 0)), net) == \
-            pytest.approx(1.0 / (0.25 + 100), rel=1e-12)
-
-    def test_rejects_length_mismatch(self):
-        # the engines need one bit per atom to start from
-        net = two_atom_network()
-        params = SimParams(1.0, 1.0, 0.0)
-        with pytest.raises(ClassicalEngineError):
-            gillespie_run(net, params, Configuration((0, 0, 0)), 1.0, seed=0)
-        with pytest.raises(ValueError):
-            evolve_quantum(net, params, Configuration((0, 0, 0)), 1.0)
 
 
 class TestAtomNetwork:
@@ -135,6 +98,15 @@ class TestConfiguration:
     def test_rejects_bad_bits(self):
         with pytest.raises(ModelError):
             Configuration((0, 2))
+
+    def test_rejects_length_mismatch(self):
+        # the engines need one bit per atom to start from
+        net = two_atom_network()
+        params = SimParams(1.0, 1.0, 0.0)
+        with pytest.raises(ClassicalEngineError):
+            gillespie_run(net, params, Configuration((0, 0, 0)), 1.0, seed=0)
+        with pytest.raises(ValueError):
+            evolve_quantum(net, params, Configuration((0, 0, 0)), 1.0)
 
 
 class TestDetuningSchedule:
