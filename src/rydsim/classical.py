@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits, pair_energies)
-from .propagate import bendixson, propagate
+from .propagate import propagate
 from .timeseries import TimeSeries
 
 GENERATOR_CAP = 14
@@ -37,6 +37,11 @@ def _rates(mismatch: np.ndarray, bits, params: SimParams):
             / ((params.gamma / 2.0) ** 2 + mismatch**2) + params.kappa * bits)
 
 
+def _flips(n: int) -> np.ndarray:
+    """(2^N, N + 1): row s holds s, then s with each single bit flipped."""
+    return np.arange(1 << n)[:, None] ^ np.append(0, 1 << np.arange(n))
+
+
 def classical_generator(network: AtomNetwork, params: SimParams,
                         detunings: np.ndarray | None = None) -> sp.csr_matrix:
     """Rate matrix G over configurations: dp/dt = G p, columns sum to zero."""
@@ -49,14 +54,44 @@ def classical_generator(network: AtomNetwork, params: SimParams,
     det = network.static_detunings if detunings is None else np.asarray(detunings, float)
     bits = basis_bits(n)
     v = network.interaction_matrix()
-    # column c: outflow -sum_k rate_k(c) on the diagonal, rate_k(c) to c ^ 2^k
     rates = np.column_stack([_rates(det[k] + bits @ v[k], bits[:, k], params)
                              for k in range(n)])
-    rows = np.arange(1 << n)[:, None] ^ np.array([0, *(1 << np.arange(n))])
-    data = np.column_stack([-rates.sum(axis=1), rates])
-    return sp.csc_matrix((data.ravel(), rows.ravel(),
+    # row s: the outflow -sum_k rate_k(s) on the diagonal, then the inflow
+    # rate_k(s ^ 2^k) from each flip of s, straight into CSR arrays
+    cols = _flips(n)
+    data = np.column_stack([-rates.sum(axis=1),
+                            rates[cols[:, 1:], np.arange(n)]])
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
                           np.arange(0, data.size + 1, n + 1)),
-                         shape=(1 << n, 1 << n)).tocsr()
+                         shape=(1 << n, 1 << n))
+
+
+def _rectangle(g) -> tuple:
+    """(lo, hi, b) holding generator g's spectrum in Re [lo, hi] x
+    Im [-b, b], read off its rates: with d_s = g[s, s] and, per atom k,
+    the rates g[s, s ^ 2^k] into s and g[s ^ 2^k, s] out of it, Gershgorin's
+    bounds on g's Hermitian and skew-Hermitian parts are
+    d_s -+ sum_k |in + out| / 2 and sum_k |in - out| / 2."""
+    if getattr(g, "format", None) != "csr" or g.dtype != np.float64:
+        raise ClassicalEngineError(
+            "the generator must be a scipy CSR matrix of float64, got "
+            f"{type(g).__name__} of {getattr(g, 'dtype', None)}")
+    dim = g.shape[0]
+    n = dim.bit_length() - 1
+    rows = np.repeat(np.arange(dim), np.diff(g.indptr))
+    flip = rows ^ g.indices
+    if (flip & (flip - 1)).any():
+        raise ClassicalEngineError("a generator entry flips more than one atom")
+    # row s: g[s, s], then g[s, s ^ 2^k] at k + 1, the exponent of 2^k
+    slot = np.frexp(flip)[1]
+    rated = np.bincount(rows * (n + 1) + slot, g.data,
+                        dim * (n + 1)).reshape(dim, n + 1)
+    inflow = rated[:, 1:]
+    outflow = inflow[_flips(n)[:, 1:], np.arange(n)]
+    herm = np.abs(inflow + outflow).sum(axis=1) / 2
+    skew = np.abs(inflow - outflow).sum(axis=1) / 2
+    return (float((rated[:, 0] - herm).min()),
+            float((rated[:, 0] + herm).max()), float(skew.max()))
 
 
 def probability_from_configuration(config: Configuration) -> np.ndarray:
@@ -70,7 +105,8 @@ def evolve_classical_exact(p0: np.ndarray, generator, t_end: float,
     """Exact propagation of dp/dt = G p onto the record grid, checking
     normalisation and positivity at every record time.  `generator` is G,
     or a function of a segment's start time returning G on that segment
-    when G changes at `breakpoints`."""
+    when G changes at `breakpoints`: a CSR matrix whose entries off the
+    diagonal each flip one atom."""
     p = np.asarray(p0, dtype=float)
     n = p.size.bit_length() - 1
     if 1 << n != p.size:
@@ -81,7 +117,7 @@ def evolve_classical_exact(p0: np.ndarray, generator, t_end: float,
 
     def build(t0):
         g = make(t0)
-        return g, bendixson(g)
+        return g, _rectangle(g)
 
     return propagate(p, build, t_end, "classical-exact", ClassicalEngineError,
                      output_sites, breakpoints)

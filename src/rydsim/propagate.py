@@ -15,7 +15,8 @@ make the series real (Kosloff, Annu. Rev. Phys. Chem. 45:145, 1994):
     U_0 = 1, U_1 = B, U_{k+1} = 2 B U_k + U_{k-1}.
 
 The terms do not depend on tau, so one series per span serves every
-record time inside it.
+record time inside it.  Each term costs one call of scipy's CSR kernel,
+which adds A (2/f) U_k into the row holding -c (2/f) U_k -+ U_{k-1}.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import basis_bits
 from .timeseries import TimeSeries
@@ -60,23 +61,11 @@ def _budget(size: int) -> tuple:
 
 
 def working_bytes(size: int) -> int:
-    """Peak bytes of a span's buffers at state size `size`: three work
-    vectors, its block of series terms, and its record sums (the most
+    """Peak bytes of a span's buffers at state size `size`: one scratch
+    vector, its block of series terms, and its record sums (the most
     record times and the span's end) and their update."""
     rows, most = _budget(size)
-    return 8 * size * (3 + rows + 2 * (most + 1))
-
-
-def bendixson(a) -> tuple:
-    """(lo, hi, b): Gershgorin bounds on the Hermitian and skew-Hermitian
-    parts of sparse `a`, which hold its spectrum in Re [lo, hi] x
-    Im [-b, b].  Forms a's transpose: for small `a` only."""
-    diag = a.diagonal()
-    off = a - sp.diags(diag)
-    herm = np.asarray(abs(off + off.conj().T).sum(axis=1)).ravel() / 2
-    skew = np.asarray(abs(off - off.conj().T).sum(axis=1)).ravel() / 2
-    return (float((diag.real - herm).min()), float((diag.real + herm).max()),
-            float((np.abs(diag.imag) + skew).max()))
+    return 8 * size * (1 + rows + 2 * (most + 1))
 
 
 def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
@@ -167,14 +156,18 @@ class _Series:
         block = np.empty((min(rows, terms), x.size))
         part = np.empty((min(group, need.size), x.size))
         sums = np.zeros((need.size, x.size))
+        scaled = np.empty(x.size)
         block[0] = x
         for k in range(terms):
             if k:
                 cur, new = block[(k - 1) % rows], block[k % rows]
-                np.multiply(a @ cur - self.c * cur, (1 + (k > 1)) / self.f,
-                            out=new)
+                # new = (2 - delta_k1) (a - c) / f U_{k-1} -+ U_{k-2}
+                np.multiply(cur, (1 + (k > 1)) / self.f, out=scaled)
+                np.multiply(scaled, -self.c, out=new)
                 if k > 1:
                     self.step(new, block[(k - 2) % rows], out=new)
+                csr_matvec(x.size, x.size, a.indptr, a.indices, a.data,
+                           scaled, new)
             if k % rows == rows - 1 or k == terms - 1:
                 start = k - k % rows
                 for i in range(np.searchsorted(need, start, side="right"),
@@ -191,8 +184,10 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
     the `engine`'s TimeSeries of per-site densities, with x at t_end as
     `final_state`.  A changes only at `breakpoints`; build(t0) returns it
-    for the segment starting at t0, with its rectangle (lo, hi, b) (see
-    `bendixson`).  `tol` truncates the series.
+    for the segment starting at t0, as a scipy CSR matrix of float64, with
+    a rectangle (lo, hi, b) holding its spectrum in Re [lo, hi] x
+    Im [-b, b] (Bendixson: Gershgorin bounds on A's Hermitian and
+    skew-Hermitian parts).  `tol` truncates the series.
 
     Each segment is walked in spans, each ending at the first of: the
     longest length whose series stays within DEGREE terms, the segment's
@@ -244,6 +239,12 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
         a, rect = build(t)
+        if (getattr(a, "format", None) != "csr" or a.dtype != np.float64
+                or a.shape != (x.size, x.size)):
+            raise ValueError(
+                f"the generator must be a {x.size} x {x.size} scipy CSR "
+                f"matrix of float64, got {type(a).__name__} of "
+                f"{getattr(a, 'dtype', None)}, shape {getattr(a, 'shape', None)}")
         check([t], trace_leak=np.abs(counted @ a).max(keepdims=True))
         series = _Series(rect, tol)
         # a span's end depends only on reach, the segment's end and the

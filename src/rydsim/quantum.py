@@ -160,7 +160,7 @@ def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
 
 
 def enclosure(ham: SparseHamiltonian, params: SimParams) -> tuple:
-    """The Liouvillian's rectangle (lo, hi, b) (see `propagate.bendixson`)
+    """The Liouvillian's rectangle (lo, hi, b) (see `propagate.propagate`)
     without its transpose.  -i[H, .] is skew-Hermitian, its imaginary parts
     at most H's diagonal spread plus 2 N omega (Gershgorin); the damping,
     per atom at most (gamma + kappa) / 2 or kappa, is Hermitian; the decay

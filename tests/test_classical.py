@@ -10,7 +10,8 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               probability_from_configuration)
 from rydsim.devices import build_nand_gate
 from rydsim.geometry import build_chain
-from rydsim.model import AtomNetwork, Configuration, SimParams, pair_energies
+from rydsim.model import (AtomNetwork, Configuration, SimParams, basis_bits,
+                          pair_energies)
 
 
 def single_atom(detuning=0.0):
@@ -95,6 +96,34 @@ class TestClassicalGenerator:
             gen = classical_generator(net, SimParams(1.0, 1.0, 0.003))
             colsums = np.asarray(gen.sum(axis=0)).ravel()
             np.testing.assert_allclose(colsums, 0.0, atol=1e-12)
+
+    def test_rows_match_the_column_construction(self):
+        # filled row by row (diagonal, then the N flips), the generator has
+        # the same entries as when each column c held its outflow and
+        # rate_k(c) at c ^ 2^k, built in CSC and converted
+        rng = np.random.default_rng(10)
+        nets = [build_nand_gate((1, 0)).network, single_atom(-3.0),
+                build_chain(rng.uniform(0.8, 1.5, 4), rng.normal(scale=8, size=5),
+                            10.0)]
+        for net, params in zip(nets, [SimParams(1.0, 1.0, 0.003),
+                                      SimParams(1.0, 1.0, 0.5),
+                                      SimParams(1.3, 0.7, 0.1)]):
+            n = net.n_atoms
+            bits = basis_bits(n)
+            v = net.interaction_matrix()
+            rates = np.column_stack([
+                classical._rates(net.static_detunings[k] + bits @ v[k],
+                                 bits[:, k], params) for k in range(n)])
+            rows = np.arange(1 << n)[:, None] ^ np.array([0, *(1 << np.arange(n))])
+            data = np.column_stack([-rates.sum(axis=1), rates])
+            expected = sp.csc_matrix((data.ravel(), rows.ravel(),
+                                      np.arange(0, data.size + 1, n + 1)),
+                                     shape=(1 << n, 1 << n)).tocsr()
+            gen = classical_generator(net, params)
+            assert gen.format == "csr"
+            np.testing.assert_array_equal(gen.toarray(), expected.toarray())
+            np.testing.assert_array_equal(
+                gen.indices.reshape(1 << n, n + 1), rows)
 
     def test_capacity(self):
         n = 15

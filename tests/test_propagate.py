@@ -7,15 +7,60 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse._compressed import _cs_matrix
 
 import rydsim
-from rydsim import propagate as prop
-from rydsim.devices import DELTA_F, build_nand_gate, build_switch_chain
+from rydsim import classical, propagate as prop
+from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
+                            build_nand_gate, build_switch_chain)
 from rydsim.experiments import run_device
 from rydsim.model import Configuration, SimParams
 from rydsim.quantum import (build_hamiltonian, density_from_configuration,
                             enclosure, evolve_quantum)
 from test_quantum import dense_liouvillian, random_network
+
+
+def bendixson(a) -> tuple:
+    """(lo, hi, b): Gershgorin bounds on the Hermitian and skew-Hermitian
+    parts of sparse `a`, which hold its spectrum in Re [lo, hi] x
+    Im [-b, b].  Forms a's transpose and two sums of it, so it serves as
+    the reference the engines' own rectangles are checked against."""
+    diag = a.diagonal()
+    off = a - sp.diags(diag)
+    herm = np.asarray(abs(off + off.conj().T).sum(axis=1)).ravel() / 2
+    skew = np.asarray(abs(off - off.conj().T).sum(axis=1)).ravel() / 2
+    return (float((diag.real - herm).min()), float((diag.real + herm).max()),
+            float((np.abs(diag.imag) + skew).max()))
+
+
+def flip_generator(rates):
+    """Dense generator of (2^N, N) flip rates, rates[s, k] from s to
+    s ^ 2^k, built one entry at a time."""
+    dim, n = rates.shape
+    g = np.zeros((dim, dim))
+    for s in range(dim):
+        for k in range(n):
+            g[s ^ (1 << k), s] += rates[s, k]
+            g[s, s] -= rates[s, k]
+    return g
+
+
+def classical_generators():
+    """(label, generator): the devices' classical generators, a pulsed
+    segment of the NAND gate, and random rates in scipy's sorted CSR."""
+    params = SimParams(1.0, 1.0, 0.003)
+    nand = build_nand_gate((1, 0))
+    static = nand.network.static_detunings
+    pulse = nand.schedule.detunings_at(nand.schedule.breakpoints()[0], static)
+    assert not np.array_equal(pulse, static)
+    for label, net, det in [
+            ("switch", build_switch_chain(DELTA_F).network, None),
+            ("diode", build_diode("forward").network, None),
+            ("and", build_and_gate((1, 1)).network, None),
+            ("nand", nand.network, None), ("pulsed", nand.network, pulse)]:
+        yield label, classical.classical_generator(net, params, det)
+    rates = np.random.default_rng(8).uniform(0.0, 5.0, (32, 5))
+    yield "random", sp.csr_matrix(flip_generator(rates))
 
 
 def rate_generator(rng, dim=16, scale=1.0):
@@ -38,7 +83,7 @@ def run(generators, edges, t_end, x):
     from edges[i] (edges[0] = 0) to the next edge."""
     def build(t0):
         g = sp.csr_matrix(generators[edges.index(t0)])
-        return g, prop.bendixson(g)
+        return g, bendixson(g)
     return prop.propagate(x, build, t_end, "test", RuntimeError,
                           breakpoints=edges[1:])
 
@@ -117,7 +162,7 @@ def test_one_span_covers_dozens_of_record_times():
     g -= np.diag(g.sum(axis=0))
     g /= -np.linalg.eigvalsh(g).min() / 2
     t_end = 150.0
-    reach = prop._Series(prop.bendixson(sp.csr_matrix(g)), prop.TOL).reach
+    reach = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL).reach
     assert reach * (prop.RECORD_POINTS - 1) / t_end > 48
     ts = run([g], [0.0], t_end, start())
     assert ts.metadata["spans"] == np.ceil(t_end / reach)
@@ -157,7 +202,7 @@ def test_random_lindbladians_match_expm(seed):
     ham = build_hamiltonian(net, net.static_detunings, params.omega)
     lv = dense_liouvillian(ham, params)
     lo, hi, b = enclosure(ham, params)
-    blo, bhi, bb = prop.bendixson(sp.csr_matrix(lv))
+    blo, bhi, bb = bendixson(sp.csr_matrix(lv))
     assert lo <= blo + 1e-12 and bhi <= hi + 1e-12 and bb <= b + 1e-12
     step = expm(lv * t_end / (prop.RECORD_POINTS - 1))
     x = density_from_configuration(initial).ravel()
@@ -193,6 +238,103 @@ def test_switch_products_repeat_and_stay_low(engine, most):
     assert 0 < counts[0] <= most
 
 
+@pytest.mark.parametrize("g", [pytest.param(g, id=label)
+                               for label, g in classical_generators()])
+def test_rates_rectangle_equals_bendixson(g):
+    np.testing.assert_allclose(classical._rectangle(g), bendixson(g),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_rates_rectangle_refuses_a_double_flip():
+    g = flip_generator(np.ones((4, 2)))
+    g[3, 0] = 0.5
+    g[0, 0] -= 0.5
+    with pytest.raises(classical.ClassicalEngineError, match="more than one"):
+        classical.evolve_classical_exact(start(4), sp.csr_matrix(g), 1.0)
+
+
+@pytest.mark.parametrize("convert", [sp.coo_matrix, sp.csc_matrix, np.asarray,
+                                     lambda g: sp.csr_matrix(g, dtype=complex)],
+                         ids=["coo", "csc", "dense", "complex"])
+def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert):
+    g = flip_generator(np.ones((4, 2)))
+    with pytest.raises(classical.ClassicalEngineError,
+                       match="CSR matrix of float64"):
+        classical.evolve_classical_exact(start(4), convert(g), 1.0)
+
+
+@pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
+                                  "zero-width"])
+def test_span_matches_expm(case):
+    # one span straight from its coefficients: the real series (a >= b),
+    # the imaginary one (a < b), a span whose series stops after U_1, and
+    # a rectangle of zero width, where no 1 / f may be taken
+    rng = np.random.default_rng(6)
+    taus = np.array([0.3, 1.1, 2.0])
+    if case == "imaginary":
+        skew = rng.normal(scale=0.3, size=(16, 16))
+        g = skew - skew.T - 0.2 * np.eye(16)
+    elif case == "zero-width":
+        g = -0.7 * np.eye(16)
+    else:
+        g = rate_generator(rng)
+    if case == "one-term":
+        taus = np.array([1e-10])
+    x = rng.uniform(size=16)
+    series = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL)
+    (coef, need), = series.coefficients([taus])
+    with np.errstate(divide="raise", invalid="raise"):
+        sums, used = series.span(sp.csr_matrix(g), x, coef, need)
+    np.testing.assert_allclose(sums, [expm(g * t) @ x for t in taus],
+                               rtol=0.0, atol=1e-12)
+    assert series.real == (case != "imaginary")
+    assert (series.f == 0.0) == (case == "zero-width")
+    if case == "one-term":
+        assert used == 1
+    elif case == "zero-width":
+        assert used == 0
+    else:
+        assert used >= 10
+
+
+@pytest.mark.parametrize("engine", ["quantum", "classical-exact"])
+def test_products_skip_scipy_dispatch(monkeypatch, engine):
+    # the series' products call the CSR kernel directly: scipy's own
+    # matrix-vector product runs only for the trace_leak check, once per
+    # segment (the switch has one)
+    calls = []
+    matvec = _cs_matrix._matmul_vector
+
+    def counted(self, other):
+        calls.append(self.shape)
+        return matvec(self, other)
+
+    monkeypatch.setattr(_cs_matrix, "_matmul_vector", counted)
+    ts = run_device(build_switch_chain(DELTA_F), SimParams(1.0, 1.0, 0.003),
+                    8.0, engine=engine)
+    assert len(calls) <= 1
+    assert ts.metadata["products"] >= 100
+
+
+@pytest.mark.parametrize("convert, problem", [
+    (sp.csc_matrix, "got csc_matrix of float64"),
+    (np.asarray, "got ndarray of float64"),
+    (lambda g: sp.csr_matrix(g, dtype=np.float32),
+     "got csr_matrix of float32"),
+    (lambda g: sp.csr_matrix(g, dtype=complex),
+     "got csr_matrix of complex128"),
+    (lambda g: sp.csr_matrix(g[:, :8]),
+     r"got csr_matrix of float64, shape \(16, 8\)")],
+    ids=["csc", "dense", "float32", "complex", "shape"])
+def test_refuses_an_operator_the_kernel_cannot_take(convert, problem):
+    g = rate_generator(np.random.default_rng(7))
+    rect = bendixson(sp.csr_matrix(g))
+    with pytest.raises(ValueError, match="must be a 16 x 16 scipy CSR matrix "
+                       "of float64, " + problem):
+        prop.propagate(start(), lambda t0: (convert(g), rect), 1.0, "test",
+                       RuntimeError)
+
+
 def negative_rate_generator():
     """A column-conserving generator in which state 3 drains state 7 at a
     negative rate, so p_3 falls below zero once p_7 has grown."""
@@ -211,7 +353,7 @@ def record_residuals(states):
 def test_error_names_the_first_broken_record_time():
     g, t_end = negative_rate_generator(), 4.0
     # the whole run is one span
-    rect = prop.bendixson(sp.csr_matrix(g))
+    rect = bendixson(sp.csr_matrix(g))
     assert prop._Series(rect, prop.TOL).reach > t_end
     res = record_residuals(reference([g], [0.0], t_end, start()))
     broken = np.logical_or.reduce([res[k] >= prop.LIMITS[k] for k in res])
