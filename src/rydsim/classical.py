@@ -43,8 +43,13 @@ def _flips(n: int) -> np.ndarray:
 
 
 def classical_generator(network: AtomNetwork, params: SimParams,
-                        detunings: np.ndarray | None = None) -> sp.csr_matrix:
-    """Rate matrix G over configurations: dp/dt = G p, columns sum to zero."""
+                        detunings: np.ndarray | None = None) -> tuple:
+    """Rate matrix G over configurations, dp/dt = G p with columns summing
+    to zero, and the rectangle (lo, hi, b) holding its spectrum in
+    Re [lo, hi] x Im [-b, b] (see `propagate.propagate`): with d_s = G[s, s]
+    and, per atom k, the rates G[s, s ^ 2^k] into s and G[s ^ 2^k, s] out
+    of it, Gershgorin's bounds on G's Hermitian and skew-Hermitian parts
+    are d_s -+ sum_k |in + out| / 2 and sum_k |in - out| / 2."""
     if params.gamma <= 0:
         raise ClassicalEngineError("classical rates require gamma > 0")
     n = network.n_atoms
@@ -59,39 +64,16 @@ def classical_generator(network: AtomNetwork, params: SimParams,
     # row s: the outflow -sum_k rate_k(s) on the diagonal, then the inflow
     # rate_k(s ^ 2^k) from each flip of s, straight into CSR arrays
     cols = _flips(n)
-    data = np.column_stack([-rates.sum(axis=1),
-                            rates[cols[:, 1:], np.arange(n)]])
-    return sp.csr_matrix((data.ravel(), cols.ravel(),
-                          np.arange(0, data.size + 1, n + 1)),
-                         shape=(1 << n, 1 << n))
-
-
-def _rectangle(g) -> tuple:
-    """(lo, hi, b) holding generator g's spectrum in Re [lo, hi] x
-    Im [-b, b], read off its rates: with d_s = g[s, s] and, per atom k,
-    the rates g[s, s ^ 2^k] into s and g[s ^ 2^k, s] out of it, Gershgorin's
-    bounds on g's Hermitian and skew-Hermitian parts are
-    d_s -+ sum_k |in + out| / 2 and sum_k |in - out| / 2."""
-    if getattr(g, "format", None) != "csr" or g.dtype != np.float64:
-        raise ClassicalEngineError(
-            "the generator must be a scipy CSR matrix of float64, got "
-            f"{type(g).__name__} of {getattr(g, 'dtype', None)}")
-    dim = g.shape[0]
-    n = dim.bit_length() - 1
-    rows = np.repeat(np.arange(dim), np.diff(g.indptr))
-    flip = rows ^ g.indices
-    if (flip & (flip - 1)).any():
-        raise ClassicalEngineError("a generator entry flips more than one atom")
-    # row s: g[s, s], then g[s, s ^ 2^k] at k + 1, the exponent of 2^k
-    slot = np.frexp(flip)[1]
-    rated = np.bincount(rows * (n + 1) + slot, g.data,
-                        dim * (n + 1)).reshape(dim, n + 1)
-    inflow = rated[:, 1:]
-    outflow = inflow[_flips(n)[:, 1:], np.arange(n)]
-    herm = np.abs(inflow + outflow).sum(axis=1) / 2
-    skew = np.abs(inflow - outflow).sum(axis=1) / 2
-    return (float((rated[:, 0] - herm).min()),
-            float((rated[:, 0] + herm).max()), float(skew.max()))
+    diag = -rates.sum(axis=1)
+    inflow = rates[cols[:, 1:], np.arange(n)]
+    data = np.column_stack([diag, inflow])
+    g = sp.csr_matrix((data.ravel(), cols.ravel(),
+                       np.arange(0, data.size + 1, n + 1)),
+                      shape=(1 << n, 1 << n))
+    herm = np.abs(inflow + rates).sum(axis=1) / 2
+    skew = np.abs(inflow - rates).sum(axis=1) / 2
+    return g, (float((diag - herm).min()), float((diag + herm).max()),
+               float(skew.max()))
 
 
 def probability_from_configuration(config: Configuration) -> np.ndarray:
@@ -100,25 +82,18 @@ def probability_from_configuration(config: Configuration) -> np.ndarray:
     return p
 
 
-def evolve_classical_exact(p0: np.ndarray, generator, t_end: float,
+def evolve_classical_exact(p0: np.ndarray, build, t_end: float,
                            output_sites=(), breakpoints=()) -> TimeSeries:
     """Exact propagation of dp/dt = G p onto the record grid, checking
-    normalisation and positivity at every record time.  `generator` is G,
-    or a function of a segment's start time returning G on that segment
-    when G changes at `breakpoints`: a CSR matrix whose entries off the
-    diagonal each flip one atom."""
+    normalisation and positivity at every record time.  G changes only at
+    `breakpoints`; build(t0) returns it for the segment starting at t0,
+    with its rectangle, as `classical_generator` does."""
     p = np.asarray(p0, dtype=float)
     n = p.size.bit_length() - 1
     if 1 << n != p.size:
         raise ClassicalEngineError("probability vector length must be 2^N")
     if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
         raise ClassicalEngineError("p0 must be a normalized probability vector")
-    make = generator if callable(generator) else lambda t0: generator
-
-    def build(t0):
-        g = make(t0)
-        return g, _rectangle(g)
-
     return propagate(p, build, t_end, "classical-exact", ClassicalEngineError,
                      output_sites, breakpoints)
 

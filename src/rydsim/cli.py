@@ -104,7 +104,7 @@ def _check(name: str, ok: bool, detail: str, report: list) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
 
-def run_validation(tol: float = TOL, decay_trajectories: int = 10000) -> bool:
+def run_validation(tol: float = TOL) -> bool:
     """Analytic oracles, cross-engine agreement and conservation checks.
 
     Returns True if everything passed.  `tol` overrides the Rabi check's
@@ -112,7 +112,7 @@ def run_validation(tol: float = TOL, decay_trajectories: int = 10000) -> bool:
     diagnostics).
     """
     from .classical import (classical_generator, evolve_classical,
-                            evolve_classical_exact, gillespie_run)
+                            evolve_classical_exact, gillespie_ensemble)
     from .devices import build_transport_chain
     from .model import AtomNetwork, Configuration, SimParams
     from .quantum import evolve_quantum
@@ -129,24 +129,20 @@ def run_validation(tol: float = TOL, decay_trajectories: int = 10000) -> bool:
     except Exception as exc:
         _check("rabi", False, f"{type(exc).__name__}: {exc}", report)
 
-    # pure decay statistics from the sampler
-    kappa = 1.0
-    params = SimParams(1e-4, 1.0, kappa)
-    flip_times = []
-    for i in range(decay_trajectories):
-        traj = gillespie_run(single, params, Configuration((1,)), 20.0,
-                             seed=[42, i])
-        if traj.events:
-            flip_times.append(traj.events[0][0])
-    mean = float(np.mean(flip_times))
-    tol = 3.0 / (kappa * np.sqrt(len(flip_times)))
-    _check("decay", abs(mean - 1.0 / kappa) < tol,
-           f"mean flip time {mean:.4f} vs 1/kappa = 1 (3-sigma {tol:.4f})",
-           report)
+    # pure decay from the sampler: the excited fraction of 40 000 atoms at
+    # t = 1/kappa against e^-1, within 3 binomial standard errors
+    m, expect = 40000, np.exp(-1.0)
+    frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
+                                    Configuration((1,)), 1.0, m, 42,
+                                    np.array([1.0]), (0,)).output_count[0])
+    bound = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
+    _check("decay", abs(frac - expect) < bound,
+           f"excited fraction at t = 1/kappa {frac:.4f} vs e^-1 = "
+           f"{expect:.4f} (3-sigma {bound:.4f})", report)
 
     # two-state classical relaxation
-    gen = classical_generator(single, SimParams(1.0, 1.0, 0.0))
-    ts = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0,
+    pair = classical_generator(single, SimParams(1.0, 1.0, 0.0))
+    ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair, 2.0,
                                 output_sites=(0,))
     err = float(np.max(np.abs(ts.output_count - 0.5 * (1 - np.exp(-8 * ts.times)))))
     _check("two-state-relaxation", err < 1e-8, f"max error {err:.2e}", report)
@@ -180,7 +176,7 @@ def run_validation(tol: float = TOL, decay_trajectories: int = 10000) -> bool:
 
     # probability conservation of the classical generator
     colsum = float(np.max(np.abs(
-        np.asarray(classical_generator(dev.network, params).sum(axis=0)))))
+        np.asarray(classical_generator(dev.network, params)[0].sum(axis=0)))))
     _check("generator-column-sums", colsum < 1e-12,
            f"max |column sum| = {colsum:.1e}", report)
 

@@ -60,14 +60,6 @@ def _budget(size: int) -> tuple:
             max(1, SPAN_ELEMENTS // size))
 
 
-def working_bytes(size: int) -> int:
-    """Peak bytes of a span's buffers at state size `size`: one scratch
-    vector, its block of series terms, and its record sums (the most
-    record times and the span's end) and their update."""
-    rows, most = _budget(size)
-    return 8 * size * (1 + rows + 2 * (most + 1))
-
-
 def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
     """(x.size, terms): (2 - delta_k0) e^-x I_k(x) if `real`, else
     (2 - delta_k0) J_k(x), by backward recurrence of the ratios c_k / c_{k-1}

@@ -18,12 +18,12 @@ import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits)
-from .propagate import TOL, propagate, working_bytes
+from .propagate import TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
-# 2-CPU machine (transport chain: 164 s, 600 MB resident); larger estimated
-# peaks are refused.
+# 2-CPU machine (transport chain: 164 s, 600 MB resident); more atoms are
+# refused.
 ATOM_CAP = 10
 SQRT2 = np.sqrt(2.0)
 # Largest |rho - rho^H| entry an initial density matrix may have.
@@ -52,15 +52,10 @@ class SparseHamiltonian:
 
 
 def _check_cap(n_atoms: int):
-    """Raise before allocating if a run's estimated peak bytes exceed the
-    N = ATOM_CAP run's: the Liouvillian's (2N + 2 + N/4) 4^N real entries
-    with int32 indices, and the propagator's `working_bytes` at 4^N."""
-    need, cap = (12 * (2 * n + 2 + n / 4) * 4**n + working_bytes(4**n)
-                 for n in (n_atoms, ATOM_CAP))
-    if need > cap:
+    """Raise before allocating for more than ATOM_CAP atoms."""
+    if n_atoms > ATOM_CAP:
         raise CapacityError(
-            f"N={n_atoms} needs ~{need / 2**30:.1f} GiB, over the "
-            f"{cap / 2**30:.1f} GiB of the N={ATOM_CAP} cap")
+            f"N={n_atoms} exceeds quantum-engine cap {ATOM_CAP}")
 
 
 def build_hamiltonian(network: AtomNetwork, detunings: np.ndarray,

@@ -63,36 +63,35 @@ def small_chain_devices():
 
 class TestCriterion1:
     def test_analytic_oracles(self):
-        from rydsim.classical import classical_generator, evolve_classical_exact
-        from rydsim.classical import gillespie_run
+        from rydsim.classical import (classical_generator,
+                                      evolve_classical_exact,
+                                      gillespie_ensemble)
         single = AtomNetwork([[0.0, 0.0, 0.0]], [0.0], 10.0)
 
         ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
                             Configuration((0,)), 5.0, output_sites=(0,))
         rabi_err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
 
-        kappa = 1.0
-        params = SimParams(1e-4, 1.0, kappa)
-        flips = []
-        for i in range(10000):
-            traj = gillespie_run(single, params, Configuration((1,)), 20.0,
-                                 seed=[42, i])
-            if traj.events:
-                flips.append(traj.events[0][0])
-        mean = float(np.mean(flips))
-        decay_tol = 3.0 / (kappa * np.sqrt(len(flips)))
-        decay_err = abs(mean - 1.0 / kappa)
+        # excited fraction of 40 000 decaying atoms at t = 1/kappa against
+        # e^-1, within 3 binomial standard errors
+        m, expect = 40000, np.exp(-1.0)
+        frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
+                                        Configuration((1,)), 1.0, m, 42,
+                                        np.array([1.0]), (0,)).output_count[0])
+        decay_tol = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
+        decay_err = abs(frac - expect)
 
-        gen = classical_generator(single, SimParams(1.0, 1.0, 0.0))
-        tsc = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0,
-                                     output_sites=(0,))
+        pair = classical_generator(single, SimParams(1.0, 1.0, 0.0))
+        tsc = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair,
+                                     2.0, output_sites=(0,))
         relax_err = float(np.max(np.abs(
             tsc.output_count - 0.5 * (1 - np.exp(-8 * tsc.times)))))
 
         ok = rabi_err < 1e-6 and decay_err < decay_tol and relax_err < 1e-8
         report("analytic-oracles", ok,
-               f"rabi {rabi_err:.1e} (<1e-6), decay |mean-1| {decay_err:.4f} "
-               f"(3-sigma {decay_tol:.4f}), relaxation {relax_err:.1e} (<1e-8)")
+               f"rabi {rabi_err:.1e} (<1e-6), decay |fraction-e^-1| "
+               f"{decay_err:.4f} (3-sigma {decay_tol:.4f}), relaxation "
+               f"{relax_err:.1e} (<1e-8)")
 
 
 class TestCriterion2:

@@ -22,7 +22,7 @@ def transition_rate(k, config, network, params):
     """Rate at which atom k flips out of `config`: the generator's entry
     from config to config with bit k flipped."""
     c = config.to_index()
-    return classical_generator(network, params)[c ^ (1 << k), c]
+    return classical_generator(network, params)[0][c ^ (1 << k), c]
 
 
 class TestTransitionRate:
@@ -79,12 +79,12 @@ class TestTransitionRate:
 
 class TestClassicalGenerator:
     def test_single_atom_resonant(self):
-        gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
+        gen, _ = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
         np.testing.assert_allclose(gen.toarray(), [[-4, 4], [4, -4]])
 
     def test_weak_drive_pure_decay(self):
         kappa = 0.5
-        gen = classical_generator(single_atom(), SimParams(1e-9, 1.0, kappa))
+        gen, _ = classical_generator(single_atom(), SimParams(1e-9, 1.0, kappa))
         np.testing.assert_allclose(gen.toarray(), [[0, kappa], [0, -kappa]],
                                    atol=1e-12)
 
@@ -93,7 +93,7 @@ class TestClassicalGenerator:
         for _ in range(5):
             gaps = rng.uniform(0.8, 1.5, size=2)
             net = build_chain(gaps, rng.normal(scale=8, size=3), 10.0)
-            gen = classical_generator(net, SimParams(1.0, 1.0, 0.003))
+            gen, _ = classical_generator(net, SimParams(1.0, 1.0, 0.003))
             colsums = np.asarray(gen.sum(axis=0)).ravel()
             np.testing.assert_allclose(colsums, 0.0, atol=1e-12)
 
@@ -119,7 +119,7 @@ class TestClassicalGenerator:
             expected = sp.csc_matrix((data.ravel(), rows.ravel(),
                                       np.arange(0, data.size + 1, n + 1)),
                                      shape=(1 << n, 1 << n)).tocsr()
-            gen = classical_generator(net, params)
+            gen, _ = classical_generator(net, params)
             assert gen.format == "csr"
             np.testing.assert_array_equal(gen.toarray(), expected.toarray())
             np.testing.assert_array_equal(
@@ -135,31 +135,31 @@ class TestClassicalGenerator:
 
 class TestEvolveClassicalExact:
     def test_two_state_relaxation(self):
-        gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
-        ts = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0,
-                                    output_sites=(0,))
+        pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
+        ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair,
+                                    2.0, output_sites=(0,))
         np.testing.assert_allclose(ts.output_count,
                                    0.5 * (1 - np.exp(-8 * ts.times)),
                                    atol=1e-8)
 
     def test_uniform_is_stationary_without_decay(self):
         net = build_chain([1.0, 1.1], [-10.0, -4.0, 2.0], 10.0)
-        gen = classical_generator(net, SimParams(1.0, 1.0, 0.0))
+        gen, _ = classical_generator(net, SimParams(1.0, 1.0, 0.0))
         p = np.full(8, 1 / 8)
         np.testing.assert_allclose(gen @ p, 0.0, atol=1e-14)
 
     def test_normalization_preserved(self):
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
-        gen = classical_generator(net, SimParams(1.0, 1.0, 0.003))
+        built = classical_generator(net, SimParams(1.0, 1.0, 0.003))
         p0 = probability_from_configuration(Configuration((1, 0, 0)))
-        ts = evolve_classical_exact(p0, gen, 4.0)
+        ts = evolve_classical_exact(p0, lambda t0: built, 4.0)
         assert abs(ts.final_state.sum() - 1.0) < 1e-9
         assert ts.final_state.min() > -1e-10
 
     def test_rejects_unnormalized(self):
-        gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
+        pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
         with pytest.raises(ClassicalEngineError):
-            evolve_classical_exact(np.array([0.7, 0.0]), gen, 1.0)
+            evolve_classical_exact(np.array([0.7, 0.0]), lambda t0: pair, 1.0)
 
     def test_leaking_generator_raises(self):
         # columns that do not sum to zero lose probability; the column-sum
@@ -167,11 +167,12 @@ class TestEvolveClassicalExact:
         for loss in (0.5, 1e-6):
             leak = sp.csr_matrix(np.array([[-1.0, 0.0], [1.0 - loss, 0.0]]))
             with pytest.raises(ClassicalEngineError, match="trace_leak"):
-                evolve_classical_exact(np.array([1.0, 0.0]), leak, 1.0)
+                evolve_classical_exact(np.array([1.0, 0.0]),
+                                       lambda t0: (leak, (-1.5, 0.5, 0.5)), 1.0)
 
     def test_residuals_in_metadata(self):
-        gen = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.1))
-        ts = evolve_classical_exact(np.array([1.0, 0.0]), gen, 2.0)
+        pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.1))
+        ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair, 2.0)
         assert ts.times.size == 200
         for key in ("norm_drift", "negativity", "trace_leak"):
             assert 0.0 <= ts.metadata[key] < 1e-12

@@ -251,13 +251,13 @@ class TestScan:
 
 class TestValidate:
     def test_validation_passes(self, capsys):
-        assert run_validation(decay_trajectories=2000)
+        assert run_validation()
         out = capsys.readouterr().out
         assert "PASS  rabi" in out
         assert "FAIL" not in out
 
     def test_coarse_tol_reported_as_failure(self, capsys):
-        assert not run_validation(tol=0.5, decay_trajectories=200)
+        assert not run_validation(tol=0.5)
         assert "FAIL  rabi" in capsys.readouterr().out
 
 

@@ -56,7 +56,7 @@ class TestTransportChain:
         # an excited atom puts its neighbour on resonance: the flip rate
         # is the resonant 4 omega^2 / gamma
         dev = build_transport_chain(5)
-        gen = classical_generator(dev.network, SimParams(1.0, 1.0, 0.0))
+        gen, _ = classical_generator(dev.network, SimParams(1.0, 1.0, 0.0))
         for k in (1, 2, 3):
             c = Configuration.single_excitation(5, k - 1).to_index()
             assert gen[c ^ (1 << k), c] == pytest.approx(4.0, rel=1e-12)

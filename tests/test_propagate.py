@@ -33,21 +33,9 @@ def bendixson(a) -> tuple:
             float((np.abs(diag.imag) + skew).max()))
 
 
-def flip_generator(rates):
-    """Dense generator of (2^N, N) flip rates, rates[s, k] from s to
-    s ^ 2^k, built one entry at a time."""
-    dim, n = rates.shape
-    g = np.zeros((dim, dim))
-    for s in range(dim):
-        for k in range(n):
-            g[s ^ (1 << k), s] += rates[s, k]
-            g[s, s] -= rates[s, k]
-    return g
-
-
 def classical_generators():
-    """(label, generator): the devices' classical generators, a pulsed
-    segment of the NAND gate, and random rates in scipy's sorted CSR."""
+    """(label, (generator, rectangle)): the devices' classical generators, a
+    pulsed segment of the NAND gate, and a random network and parameters."""
     params = SimParams(1.0, 1.0, 0.003)
     nand = build_nand_gate((1, 0))
     static = nand.network.static_detunings
@@ -59,8 +47,10 @@ def classical_generators():
             ("and", build_and_gate((1, 1)).network, None),
             ("nand", nand.network, None), ("pulsed", nand.network, pulse)]:
         yield label, classical.classical_generator(net, params, det)
-    rates = np.random.default_rng(8).uniform(0.0, 5.0, (32, 5))
-    yield "random", sp.csr_matrix(flip_generator(rates))
+    rng = np.random.default_rng(8)
+    params = SimParams(*rng.uniform(0.2, 3.0, 2), rng.uniform(0.0, 1.0))
+    yield "random", classical.classical_generator(random_network(rng, 5),
+                                                  params)
 
 
 def rate_generator(rng, dim=16, scale=1.0):
@@ -238,29 +228,11 @@ def test_switch_products_repeat_and_stay_low(engine, most):
     assert 0 < counts[0] <= most
 
 
-@pytest.mark.parametrize("g", [pytest.param(g, id=label)
-                               for label, g in classical_generators()])
-def test_rates_rectangle_equals_bendixson(g):
-    np.testing.assert_allclose(classical._rectangle(g), bendixson(g),
-                               rtol=1e-13, atol=0.0)
-
-
-def test_rates_rectangle_refuses_a_double_flip():
-    g = flip_generator(np.ones((4, 2)))
-    g[3, 0] = 0.5
-    g[0, 0] -= 0.5
-    with pytest.raises(classical.ClassicalEngineError, match="more than one"):
-        classical.evolve_classical_exact(start(4), sp.csr_matrix(g), 1.0)
-
-
-@pytest.mark.parametrize("convert", [sp.coo_matrix, sp.csc_matrix, np.asarray,
-                                     lambda g: sp.csr_matrix(g, dtype=complex)],
-                         ids=["coo", "csc", "dense", "complex"])
-def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert):
-    g = flip_generator(np.ones((4, 2)))
-    with pytest.raises(classical.ClassicalEngineError,
-                       match="CSR matrix of float64"):
-        classical.evolve_classical_exact(start(4), convert(g), 1.0)
+@pytest.mark.parametrize("built", [pytest.param(built, id=label)
+                                   for label, built in classical_generators()])
+def test_rates_rectangle_equals_bendixson(built):
+    g, rect = built
+    np.testing.assert_allclose(rect, bendixson(g), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
@@ -317,6 +289,7 @@ def test_products_skip_scipy_dispatch(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("convert, problem", [
+    (sp.coo_matrix, "got coo_matrix of float64"),
     (sp.csc_matrix, "got csc_matrix of float64"),
     (np.asarray, "got ndarray of float64"),
     (lambda g: sp.csr_matrix(g, dtype=np.float32),
@@ -325,7 +298,7 @@ def test_products_skip_scipy_dispatch(monkeypatch, engine):
      "got csr_matrix of complex128"),
     (lambda g: sp.csr_matrix(g[:, :8]),
      r"got csr_matrix of float64, shape \(16, 8\)")],
-    ids=["csc", "dense", "float32", "complex", "shape"])
+    ids=["coo", "csc", "dense", "float32", "complex", "shape"])
 def test_refuses_an_operator_the_kernel_cannot_take(convert, problem):
     g = rate_generator(np.random.default_rng(7))
     rect = bendixson(sp.csr_matrix(g))

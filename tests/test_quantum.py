@@ -98,11 +98,14 @@ class TestBuildHamiltonian:
         assert np.count_nonzero(off) == 3 * 8
 
     def test_capacity_error(self):
-        n = 13
-        pos = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
-        net = AtomNetwork(pos, np.zeros(n), 10.0)
-        with pytest.raises(CapacityError):
-            build_hamiltonian(net, net.static_detunings, omega=1.0)
+        # ATOM_CAP = 10 atoms build; one more is refused
+        def line(n):
+            return AtomNetwork(np.arange(n)[:, None] * [[1.0, 0.0, 0.0]],
+                               np.zeros(n), 10.0)
+
+        assert build_hamiltonian(line(10), np.zeros(10), 1.0).dim == 1 << 10
+        with pytest.raises(CapacityError, match="N=11 exceeds"):
+            build_hamiltonian(line(11), np.zeros(11), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
