@@ -235,6 +235,22 @@ def test_rates_rectangle_equals_bendixson(built):
     np.testing.assert_allclose(rect, bendixson(g), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("convert, got", [
+    (sp.csc_matrix, "csc_matrix of float64"),
+    (lambda g: g.toarray(), "ndarray of float64"),
+    (lambda g: g.astype(complex), "csr_matrix of complex128")],
+    ids=["csc", "dense", "complex"])
+def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
+    # the classical engine hands its generator to propagate unchecked, so
+    # propagate's check is what refuses one the kernel cannot take
+    g, rect = classical.classical_generator(
+        random_network(np.random.default_rng(9), 2), SimParams(1.0, 1.0, 0.1))
+    with pytest.raises(ValueError, match="must be a 4 x 4 scipy CSR matrix "
+                       "of float64, got " + got):
+        classical.evolve_classical_exact(start(4), lambda t0: (convert(g),
+                                                               rect), 1.0)
+
+
 @pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
                                   "zero-width"])
 def test_span_matches_expm(case):
