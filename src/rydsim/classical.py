@@ -30,11 +30,15 @@ class ClassicalEngineError(ValueError):
     pass
 
 
-def _rates(mismatch: np.ndarray, bits, params: SimParams):
+def _rates(mismatch: np.ndarray, bits, params: SimParams, out=None):
     """Flip rates: the Lorentzian omega^2 gamma / ((gamma/2)^2 + mismatch^2)
-    plus kappa for every excited atom (bits = 1)."""
-    return (params.omega**2 * params.gamma
-            / ((params.gamma / 2.0) ** 2 + mismatch**2) + params.kappa * bits)
+    plus kappa for every excited atom (bits = 1), written into `out` if
+    given."""
+    out = np.square(mismatch, out=out)
+    out += (params.gamma / 2.0) ** 2
+    np.divide(params.omega**2 * params.gamma, out, out=out)
+    out += params.kappa * bits
+    return out
 
 
 def _flips(n: int) -> np.ndarray:
@@ -202,20 +206,32 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     events = np.zeros(m, dtype=np.int64)
     dens = np.zeros((times.size, n))
     n_o = np.zeros((2, times.size))
+    # scratch for the event steps, firing rows first: cumulative rates,
+    # then occupations; pair energies, then new rates; mismatches
+    cum, pairs, local = (np.empty((m, n)) for _ in range(3))
     rec = 0
     for stop in np.union1d(times, [*starts, t_end]):
         while (fire := np.flatnonzero(pending < stop)).size:
-            cum = np.cumsum(rates[fire], axis=1)
-            atom = (cum < rng.uniform(0.0, cum[:, -1])[:, None]).sum(axis=1)
+            k = fire.size
+            c = np.cumsum(rates[fire], axis=1, out=cum[:k])
+            # c rises along each row: the atom drawn is the first whose
+            # cumulative rate reaches the uniform draw
+            atom = (c >= rng.uniform(0.0, c[:, -1])[:, None]).argmax(axis=1)
             new = 1.0 - bits[fire, atom]
             bits[fire, atom] = new
-            sign = 2.0 * new - 1.0
-            mism[fire] += sign[:, None] * pair_energies(network, atom)
-            rates[fire] = _rates(mism[fire], bits[fire], params)
+            step = pair_energies(network, atom, out=pairs[:k])
+            step *= (2.0 * new - 1.0)[:, None]
+            # take writes `out` unbuffered in `clip` mode; fire is in range
+            mism_k = np.take(mism, fire, axis=0, out=local[:k], mode="clip")
+            mism_k += step
+            mism[fire] = mism_k
+            bits_k = np.take(bits, fire, axis=0, out=c, mode="clip")
+            rates_k = _rates(mism_k, bits_k, params, out=step)
+            rates[fire] = rates_k
             if log is not None:
                 log += zip(pending[fire].tolist(), atom.tolist(),
                            new.astype(int).tolist())
-            pending[fire] += _waits(rates[fire], rng)
+            pending[fire] += _waits(rates_k, rng)
             events[fire] += 1
         if rec < times.size and stop == times[rec]:
             counts = bits @ out
@@ -226,7 +242,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             new_det = schedule.detunings_at(stop, static)
             mism += new_det - det
             det = new_det
-            rates = _rates(mism, bits, params)
+            _rates(mism, bits, params, out=rates)
             pending = stop + _waits(rates, rng)
     return dens, n_o, events
 

@@ -127,6 +127,15 @@ def _run_job(job):
     return device, run_device(device, params, t_end, engine, **keywords)
 
 
+def _gas_job(job):
+    """One fig4 gas run, reduced where it ran to what fig4 writes of it:
+    (times, N_o, stderr^2, plateau, metadata), without the (200, n_atoms)
+    site densities, 4.8 MB a run at 3000 atoms."""
+    _, ts = _run_job(job)
+    return (ts.times, ts.output_count, ts.output_stderr**2,
+            ts.plateau_value(), ts.metadata)
+
+
 def _at_work_time(device: DeviceInstance, ts: TimeSeries,
                   t_end: float) -> float:
     """Output count at the device work time, which t_end must reach."""
@@ -165,11 +174,7 @@ def run_fig4(config: dict) -> dict:
              {"seed": 1000 * seed + i, "trajectories": config["trajectories"]})
             for on in (True, False) for i in range(n)]
     try:
-        # keep what fig4 writes of each run as it arrives, not the run's
-        # (200, n_atoms) site densities: 4.8 MB a run at 3000 atoms
-        runs = [(ts.times, ts.output_count, ts.output_stderr**2,
-                 ts.plateau_value(), ts.metadata)
-                for _, ts in _pool_map(_run_job, jobs)]
+        runs = list(_pool_map(_gas_job, jobs))
     except DeviceError as exc:
         raise ExperimentError(f"n_atoms {config['n_atoms']} is too few for "
                               f"the gas switch: {exc}") from None

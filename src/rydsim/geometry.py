@@ -68,51 +68,61 @@ class RegionPartition:
         return self.lengths[1] > r_f
 
 
+# candidates drawn per batch: enough that a sparse gas needs few batches
+BATCH = 1024
+
+
+def _candidates(spec: CylinderSpec, rng, count: int):
+    """`count` uniform points in the cylinder, as lists of their x, y and z
+    and of their grid cells (side d_min) along each axis: one x, r, theta
+    draw per point, in the order and with the arithmetic of
+    rng.uniform(0, L), R sqrt(rng.uniform()) and rng.uniform(0, 2 pi),
+    whose 0.0 + scale * d is scale * d."""
+    d = rng.random((count, 3))
+    r = spec.radius * np.sqrt(d[:, 1])
+    theta = 2.0 * np.pi * d[:, 2]
+    p = np.array([spec.length * d[:, 0], r * np.cos(theta),
+                  r * np.sin(theta)])
+    return p.tolist(), (p // spec.d_min).astype(int).tolist()
+
+
 def sample_cylinder(spec: CylinderSpec, seed,
                     max_attempts_per_atom: int = 1000) -> np.ndarray:
     """Uniform positions in the cylinder with hard-core distance d_min.
 
     Rejection sampling backed by a cell grid of side d_min, so each
     candidate is checked against its 27 neighboring cells only.
+    Candidates are drawn in batches and accepted one by one, in order.
     """
     rng = np.random.default_rng(seed)
-    cell = spec.d_min
-    grid: dict = {}
-    positions = np.empty((spec.n_atoms, 3))
+    # cell (i, j, k) has key (i s + j) s + k, one per cell a candidate can
+    # see: |j| and |k| stay within radius / d_min + 2
+    s = int(2 * spec.radius / spec.d_min) + 6
+    near = [(di * s + dj) * s + dk for di in (-1, 0, 1)
+            for dj in (-1, 0, 1) for dk in (-1, 0, 1)]
+    grid: dict = {}  # cell key -> indices of the atoms placed in it
+    xs, ys, zs = [], [], []
     d2_min = spec.d_min**2
     max_attempts = max_attempts_per_atom * spec.n_atoms
     attempts = 0
-    placed = 0
-    while placed < spec.n_atoms:
-        if attempts >= max_attempts:
-            raise PackingError(
-                f"placed {placed}/{spec.n_atoms} atoms after {attempts} attempts")
-        attempts += 1
-        x = rng.uniform(0.0, spec.length)
-        r = spec.radius * np.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        p = np.array([x, r * np.cos(theta), r * np.sin(theta)])
-        key = tuple((p // cell).astype(int))
-        ok = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for q in grid.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        d = p - positions[q]
-                        if d @ d < d2_min:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
+    while len(xs) < spec.n_atoms:
+        coords, cells = _candidates(spec, rng, BATCH)
+        for x, y, z, i, j, k in zip(*coords, *cells):
+            if len(xs) == spec.n_atoms:
                 break
-        if ok:
-            positions[placed] = p
-            grid.setdefault(key, []).append(placed)
-            placed += 1
-    return positions
+            if attempts >= max_attempts:
+                raise PackingError(f"placed {len(xs)}/{spec.n_atoms} atoms "
+                                   f"after {attempts} attempts")
+            attempts += 1
+            key = (i * s + j) * s + k
+            if all((x - xs[q]) * (x - xs[q]) + (y - ys[q]) * (y - ys[q])
+                   + (z - zs[q]) * (z - zs[q]) >= d2_min
+                   for dk in near for q in grid.get(key + dk, ())):
+                grid.setdefault(key, []).append(len(xs))
+                xs.append(x)
+                ys.append(y)
+                zs.append(z)
+    return np.array([xs, ys, zs]).T
 
 
 def assign_regions(positions: np.ndarray, partition: RegionPartition) -> np.ndarray:

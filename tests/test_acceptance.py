@@ -99,8 +99,8 @@ class TestCriterion2:
         diffs = {gamma: diff for gamma, diff in appB_result["scan_rows"]}
         ok = diffs[10.0] < 0.05 and diffs[0.1] > 0.05
         report("strong-dephasing-agreement", ok,
-               f"max density diff at gamma=10: {diffs[10.0]:.4f} (<0.05); "
-               f"at gamma=0.1: {diffs[0.1]:.4f} (>0.05 expected)")
+               f"max density diff at gamma=10: {diffs[10.0]:.6g} (<0.05); "
+               f"at gamma=0.1: {diffs[0.1]:.6g} (>0.05 expected)")
 
 
 class TestCriterion3:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,8 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               evolve_classical, evolve_classical_exact,
                               gillespie_ensemble, gillespie_run,
                               probability_from_configuration)
-from rydsim.devices import build_nand_gate
+from rydsim.devices import (DELTA_F, build_gas_switch, build_nand_gate,
+                            build_switch_chain)
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, SimParams, basis_bits,
                           pair_energies)
@@ -376,3 +379,73 @@ class TestEnsembleAverage:
 def test_trajectory_rejects_decreasing_times():
     with pytest.raises(ClassicalEngineError):
         Trajectory(Configuration((0,)), [(1.0, 0, 1), (0.5, 0, 0)], 2.0)
+
+
+# Taken from the sampler as it was before its event step wrote into
+# preallocated buffers: (digest of site density, N_o and stderr,
+# events_mean, events_max, blocks); the event log's (length, digest).
+SWITCH_PIN = ("1376a86683b937bc8f1a60e9b6404b5b"
+              "3d0c23bc1268b97bf37d59844ff9583c", 83.884, 135, 1)
+NAND_PINS = {
+    (0, 0): ("e10fc3bdefe3c874a0543b7833eb9db9"
+             "1ec6a8d4871263a4eeab175b9f0f3e62", 11.655, 66, 1),
+    (0, 1): ("2409a9704a91f236f6e7864e6b0e3d80"
+             "2badcf48ed132c3c416d732f151c9e73", 40.305, 74, 1),
+    (1, 0): ("075b78fa8c05cf4b953f4716cf1302e2"
+             "9dfa012fb44d1cd924a444d26a4d9437", 38.24, 79, 1),
+    (1, 1): ("687c305f2b24d2510b619e597fee5af6"
+             "60ab63aeb06cbd22b7bce0f5e50e4352", 50.31, 86, 1),
+}
+GAS_PIN = ("239990c29f2392ee6f0c9194d9749a96"
+           "c4d9aa7972d4fa17c401945518cbbc96", 43.0, 65, 3)
+EVENT_LOG_PIN = (72, "65bc675172053946ce92f0e7ca1e65d4"
+                     "d8feb9e02dcb880f630a322716716347")
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestLockstepPinned:
+    """The sampler's output is pinned bit for bit: site density, N_o and
+    its standard error, and the event counters, for a seed."""
+
+    params = SimParams(1.0, 1.0, 0.003)
+    times = np.linspace(8.0 / 200, 8.0, 200)
+
+    @staticmethod
+    def pin(ts):
+        m = ts.metadata
+        return (digest(ts.site_density, ts.output_count, ts.output_stderr),
+                m["events_mean"], m["events_max"], m["blocks"])
+
+    def test_switch_at_resonance(self):
+        dev = build_switch_chain(DELTA_F, 1.0)
+        ts = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
+                                1000, 3, self.times, dev.output_sites)
+        assert self.pin(ts) == SWITCH_PIN
+
+    @pytest.mark.parametrize("bits", sorted(NAND_PINS))
+    def test_nand_breakpoint_redraw(self, bits):
+        dev = build_nand_gate(bits)
+        ts = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
+                                200, 5, self.times, dev.output_sites,
+                                schedule=dev.schedule)
+        assert self.pin(ts) == NAND_PINS[bits]
+
+    def test_gas_over_blocks(self, monkeypatch):
+        dev = build_gas_switch(True, 7, 400)
+        monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 400)
+        times = np.linspace(100.0 / 200, 100.0, 200)
+        ts = gillespie_ensemble(dev.network, dev.params, dev.initial, 100.0,
+                                8, 11, times, dev.output_sites)
+        assert self.pin(ts) == GAS_PIN
+
+    def test_event_log(self):
+        dev = build_nand_gate((1, 0))
+        traj = gillespie_run(dev.network, self.params, dev.initial, 8.0, 9,
+                             dev.schedule)
+        assert (len(traj.events), digest(traj.events)) == EVENT_LOG_PIN

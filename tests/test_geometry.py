@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from rydsim.devices import (GAS_D_MIN, GAS_N_ATOMS, GAS_RADIUS,
+                            GAS_REGION_LENGTHS)
 from rydsim.geometry import (CylinderSpec, GeometryError, PackingError,
                              RegionPartition, assign_regions, build_chain,
                              sample_cylinder)
@@ -107,3 +111,39 @@ class TestBuildChain:
         with pytest.raises(GeometryError):
             build_chain([1.0, 0.0], [0.0, 0.0, 0.0], 10.0)
 
+
+
+def digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestSampleCylinderPinned:
+    """Positions are pinned bit for bit: a change to the sampler's draws or
+    arithmetic moves every gas built from a seed."""
+
+    FULL = {
+        7: "8352b8f5fb3c7d54a1311ca91e02eb562025c82ce743a7967a1c37eb17d58f72",
+        8: "f986aeb62da2cae73437441a506575caaa03af61858e7e36e176873a3cde3b41",
+        42: "0783558b2ad79cc9f96ce01268642b450c60f056a40a7ccd46ddbe7fe59479c5",
+    }
+    SHRUNK = "37d24b367ef37149caa7aa667ca38019675299c24eda95840961c254c63d227d"
+
+    @pytest.mark.parametrize("seed", sorted(FULL))
+    def test_full_scale_gas(self, seed):
+        spec = CylinderSpec(length=30.0, radius=7.0, n_atoms=3000, d_min=0.1)
+        assert digest(sample_cylinder(spec, seed)) == self.FULL[seed]
+
+    def test_shrunk_gas(self):
+        # the 400-atom spec build_gas_switch makes: same density, scaled
+        scale = (400 / GAS_N_ATOMS) ** (1.0 / 3.0)
+        spec = CylinderSpec(length=sum(l * scale for l in GAS_REGION_LENGTHS),
+                            radius=GAS_RADIUS * scale, n_atoms=400,
+                            d_min=GAS_D_MIN)
+        assert digest(sample_cylinder(spec, 7)) == self.SHRUNK
+
+    def test_packing_error_message(self):
+        with pytest.warns(UserWarning):
+            spec = CylinderSpec(length=2.0, radius=1.0, n_atoms=300, d_min=1.0)
+        with pytest.raises(PackingError) as err:
+            sample_cylinder(spec, seed=0, max_attempts_per_atom=50)
+        assert str(err.value) == "placed 9/300 atoms after 15000 attempts"
