@@ -111,8 +111,8 @@ def run_validation(tol: float = TOL) -> bool:
     propagator tolerance (a coarse one demonstrates the failure
     diagnostics).
     """
-    from .classical import (classical_generator, evolve_classical,
-                            evolve_classical_exact, gillespie_ensemble)
+    from .classical import (classical_generator, evolve_classical_exact,
+                            gillespie_ensemble)
     from .devices import build_transport_chain
     from .model import AtomNetwork, Configuration, SimParams
     from .quantum import evolve_quantum
@@ -147,29 +147,21 @@ def run_validation(tol: float = TOL) -> bool:
     err = float(np.max(np.abs(ts.output_count - 0.5 * (1 - np.exp(-8 * ts.times)))))
     _check("two-state-relaxation", err < 1e-8, f"max error {err:.2e}", report)
 
-    # cross-engine agreement on the 3-atom chain
-    dev = build_transport_chain(3)
-    for gamma, expect_close in ((10.0, True), (0.1, False)):
-        params = SimParams(1.0, gamma, 0.003)
-        tsq = evolve_quantum(dev.network, params, dev.initial, 4.0)
-        tsc = evolve_classical(dev.network, params, dev.initial, 4.0)
-        diff = float(np.max(np.abs(
-            tsq.site_density - tsc.resample(tsq.times).site_density)))
-        # six significant digits: the gamma = 10 difference sits within
-        # 2e-5 of the bound, which four decimals round onto
-        if expect_close:
-            _check("cross-engine-gamma-10", diff < 0.05,
-                   f"max density diff {diff:.6g} (< 0.05)", report)
-        else:
-            # strong coherence regime: divergence is the expected outcome
-            _check("cross-engine-gamma-0.1-expected-divergent", diff > 0.05,
-                   f"max density diff {diff:.6g} (> 0.05, divergence "
-                   f"expected)", report)
+    # cross-engine agreement on the 3-atom chain, and conservation on its
+    # noisy quantum run: both read from appB
+    appB = run_experiment(make_config("appB"))
+    diff = dict(appB["scan_rows"])
+    # six significant digits: the gamma = 10 difference sits within 2e-5
+    # of the bound, which four decimals round onto
+    _check("cross-engine-gamma-10", diff[10.0] < 0.05,
+           f"max density diff {diff[10.0]:.6g} (< 0.05)", report)
+    # strong coherence regime: divergence is the expected outcome
+    _check("cross-engine-gamma-0.1-expected-divergent", diff[0.1] > 0.05,
+           f"max density diff {diff[0.1]:.6g} (> 0.05, divergence "
+           f"expected)", report)
 
     # conservation: trace / hermiticity / positivity on a noisy run
-    params = SimParams(1.0, 1.0, 0.003)
-    ts = evolve_quantum(dev.network, params, dev.initial, 4.0)
-    rho = ts.final_state
+    rho = appB["series"]["quantum_gamma_1"].final_state
     tr = abs(np.real(np.trace(rho)) - 1.0)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     pos = float(np.min(np.real(np.diag(rho))))
@@ -178,8 +170,9 @@ def run_validation(tol: float = TOL) -> bool:
            report)
 
     # probability conservation of the classical generator
-    colsum = float(np.max(np.abs(
-        np.asarray(classical_generator(dev.network, params)[0].sum(axis=0)))))
+    dev = build_transport_chain(3)
+    colsum = float(np.max(np.abs(np.asarray(classical_generator(
+        dev.network, SimParams(1.0, 1.0, 0.003))[0].sum(axis=0)))))
     _check("generator-column-sums", colsum < 1e-12,
            f"max |column sum| = {colsum:.1e}", report)
 

@@ -18,6 +18,9 @@ R_F = 1.0
 DELTA_F = facilitation_detuning(R_F, C6)  # -10
 OMEGA = 1.0
 
+# Logic readout: an output count above this reads as bit 1.
+THRESHOLD = 0.5
+
 # Work times: output density peaks here for the reference switch (gate on
 # resonance), with and without dephasing.
 T_WORK_NOISY = 4.60
@@ -41,15 +44,14 @@ class DeviceError(ValueError):
 
 @dataclass(frozen=True)
 class DeviceInstance:
-    """Everything needed to run a device on any engine."""
+    """What the engines and runners read of a device: how to run it (engine,
+    noise, duration) is the caller's choice."""
 
     network: AtomNetwork
-    schedule: DetuningSchedule | None
     initial: Configuration
     output_sites: tuple
-    engine_hint: str
+    schedule: DetuningSchedule | None = None
     work_time: float | None = None
-    params: SimParams | None = None  # devices with fixed noise (3D gas)
     name: str = ""
 
     def __post_init__(self):
@@ -58,14 +60,6 @@ class DeviceInstance:
         excited = {i for i, b in enumerate(self.initial.bits) if b}
         if excited & set(self.output_sites):
             raise DeviceError("output sites overlap initially excited inputs")
-
-
-@dataclass(frozen=True)
-class LogicResult:
-    inputs: tuple
-    n_o_at_work_time: float
-    output_bit: int
-    threshold: float
 
 
 def _work_time(gamma: float) -> float:
@@ -78,10 +72,8 @@ def build_switch_chain(delta_g: float, gamma: float = 1.0) -> DeviceInstance:
     network = geometry.build_chain([R_F] * 5, detunings, C6)
     return DeviceInstance(
         network=network,
-        schedule=None,
         initial=Configuration.single_excitation(6, 0),
         output_sites=(2, 3, 4, 5),
-        engine_hint="quantum",
         work_time=_work_time(gamma),
         name="switch-chain")
 
@@ -93,10 +85,8 @@ def build_transport_chain(n_atoms: int = 6, c6: float = C6) -> DeviceInstance:
                                    [delta_f] * n_atoms, c6)
     return DeviceInstance(
         network=network,
-        schedule=None,
         initial=Configuration.single_excitation(n_atoms, 0),
         output_sites=(n_atoms - 1,),
-        engine_hint="quantum",
         name="transport-chain")
 
 
@@ -111,23 +101,21 @@ def build_gas_switch(on: bool, seed, n_atoms: int = GAS_N_ATOMS) -> DeviceInstan
     spec = geometry.CylinderSpec(length=sum(lengths),
                                  radius=GAS_RADIUS * scale,
                                  n_atoms=n_atoms, d_min=GAS_D_MIN)
+    # the gate must be wide enough to block direct input-to-output
+    # facilitation; refused before a whole gas is sampled
+    if lengths[1] <= GAS_R_F:
+        raise DeviceError("gate region narrower than the facilitation radius")
     positions = geometry.sample_cylinder(spec, seed)
     delta_g = GAS_DELTA_F if on else -GAS_DELTA_F
-    partition = geometry.RegionPartition(lengths,
-                                         (0.0, delta_g, GAS_DELTA_F))
-    if not partition.blocks_transport(GAS_R_F):
-        raise DeviceError("gate region narrower than the facilitation radius")
-    detunings = geometry.assign_regions(positions, partition)
+    detunings = geometry.assign_regions(positions, lengths,
+                                        (0.0, delta_g, GAS_DELTA_F))
     network = AtomNetwork(positions, detunings, GAS_C6)
     output_start = lengths[0] + lengths[1]
     output_sites = tuple(np.nonzero(positions[:, 0] >= output_start)[0])
     return DeviceInstance(
         network=network,
-        schedule=None,
         initial=Configuration.ground(n_atoms),
         output_sites=output_sites,
-        engine_hint="kmc",
-        params=GAS_PARAMS,
         name=f"gas-switch-{'on' if on else 'off'}")
 
 
@@ -149,20 +137,18 @@ def build_diode(direction: str, delta_g: float = 2 * DELTA_F,
     network = geometry.build_chain(gaps, detunings, C6)
     return DeviceInstance(
         network=network,
-        schedule=None,
         initial=Configuration.single_excitation(6, 0),
         output_sites=(3, 4, 5),
-        engine_hint="quantum",
         work_time=_work_time(gamma),
         name=f"diode-{direction}")
 
 
-def _and_positions(r_f: float = R_F) -> np.ndarray:
-    """Output atom at the origin, inputs at distance r_f, opened to 120 deg
+def _and_positions() -> np.ndarray:
+    """Output atom at the origin, inputs at distance R_F, opened to 120 deg
     so the input-input interaction is negligible (~0.04 |Delta_f|)."""
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
-    return np.array([[r_f * c, r_f * s, 0.0],
-                     [r_f * c, -r_f * s, 0.0],
+    return np.array([[R_F * c, R_F * s, 0.0],
+                     [R_F * c, -R_F * s, 0.0],
                      [0.0, 0.0, 0.0]])
 
 
@@ -176,10 +162,8 @@ def build_and_gate(input_bits) -> DeviceInstance:
                           [DELTA_F, DELTA_F, 2 * DELTA_F], C6)
     return DeviceInstance(
         network=network,
-        schedule=None,
         initial=Configuration(bits + (0,)),
         output_sites=(2,),
-        engine_hint="quantum",
         name=f"and-{bits[0]}{bits[1]}")
 
 
@@ -205,16 +189,14 @@ def build_nand_gate(input_bits) -> DeviceInstance:
         schedule=schedule,
         initial=Configuration(bits + (0, 0)),
         output_sites=(3,),
-        engine_hint="quantum",
         name=f"nand-{bits[0]}{bits[1]}")
 
 
-def logic_readout(series: TimeSeries, t_w: float, threshold: float = 0.5,
-                  inputs=()) -> LogicResult:
-    """Threshold decision on the output count at the work time (strict
-    inequality; an exact tie reads as 0)."""
+def logic_readout(series: TimeSeries, t_w: float) -> tuple:
+    """(N_o, bit): the output count at the work time and its threshold
+    decision (strict inequality; an exact tie reads as 0)."""
     n_o = series.value_at(t_w)
-    return LogicResult(tuple(inputs), n_o, int(n_o > threshold), threshold)
+    return n_o, int(n_o > THRESHOLD)
 
 
 def find_work_time(series: TimeSeries) -> float:
@@ -224,12 +206,11 @@ def find_work_time(series: TimeSeries) -> float:
     return float(series.times[int(np.argmax(series.output_count))])
 
 
-def find_gate_work_time(series_by_input: dict, truth_table: dict,
-                        threshold: float = 0.5) -> float:
+def find_gate_work_time(series_by_input: dict, truth_table: dict) -> float:
     """Work time maximizing the worst-case margin of a logic gate.
 
-    For inputs expected to read 1 the margin is N_o - threshold, for 0 it
-    is threshold - N_o; the returned time maximizes the minimum margin over
+    For inputs expected to read 1 the margin is N_o - THRESHOLD, for 0 it
+    is THRESHOLD - N_o; the returned time maximizes the minimum margin over
     all inputs.  All series must share a time grid.
     """
     times = None
@@ -240,6 +221,6 @@ def find_gate_work_time(series_by_input: dict, truth_table: dict,
         elif series.times.shape != times.shape or not np.allclose(series.times, times):
             raise DeviceError("gate series must share a time grid")
         sign = 1.0 if truth_table[key] else -1.0
-        margins.append(sign * (series.output_count - threshold))
+        margins.append(sign * (series.output_count - THRESHOLD))
     worst = np.min(margins, axis=0)
     return float(times[int(np.argmax(worst))])

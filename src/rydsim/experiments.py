@@ -15,10 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .classical import evolve_classical, gillespie_ensemble
-from .devices import (DELTA_F, DeviceError, DeviceInstance, build_and_gate,
-                      build_diode, build_gas_switch, build_nand_gate,
-                      build_switch_chain, build_transport_chain,
-                      find_gate_work_time, find_work_time, logic_readout)
+from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
+                      build_and_gate, build_diode, build_gas_switch,
+                      build_nand_gate, build_switch_chain,
+                      build_transport_chain, find_gate_work_time,
+                      find_work_time, logic_readout)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -96,9 +97,8 @@ def _pool_map(fn, jobs):
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                engine: str | None = None, seed: int = 0,
                trajectories: int = 1000) -> TimeSeries:
-    """Run one device on the requested engine (default: its hint)."""
-    engine = engine or device.engine_hint
-    params = device.params or params
+    """Run one device on the requested engine (default: quantum)."""
+    engine = engine or "quantum"
     if engine == "quantum":
         ts = evolve_quantum(device.network, params, device.initial, t_end,
                             schedule=device.schedule,
@@ -168,8 +168,8 @@ def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
     n, seed = config["instances"], config["seed"]
     # instance i samples its gas from seed + i and its trajectories from
-    # 1000 seed + i; run_device takes the gas's own parameters
-    jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), None,
+    # 1000 seed + i
+    jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
              config["t_end"], "kmc",
              {"seed": 1000 * seed + i, "trajectories": config["trajectories"]})
             for on in (True, False) for i in range(n)]
@@ -181,8 +181,9 @@ def run_fig4(config: dict) -> dict:
     out = {"series": {}}
     for key, part in (("on", runs[:n]), ("off", runs[n:])):
         times, counts, variances, plateaus, meta = zip(*part)
+        # no per-site columns: the workers hand back no site densities
         out["series"][key] = TimeSeries(
-            times[0], np.zeros((times[0].size, 1)), sum(counts) / n,
+            times[0], np.zeros((times[0].size, 0)), sum(counts) / n,
             np.sqrt(sum(variances)) / n,
             metadata={"engine": "kmc", "switch": key, "instances": n,
                       "events_mean": float(np.mean(
@@ -241,10 +242,8 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     rows = []
     truth = {}
     for bits in sorted(table):
-        result = logic_readout(series[bits], t_w, inputs=bits)
-        rows.append((f"{bits[0]}{bits[1]}", result.n_o_at_work_time,
-                     result.output_bit, table[bits]))
-        truth[bits] = result.output_bit
+        n_o, truth[bits] = logic_readout(series[bits], t_w)
+        rows.append((f"{bits[0]}{bits[1]}", n_o, truth[bits], table[bits]))
     return {"scan_rows": rows,
             "scan_header": ["inputs", "N_o_at_t_w", "output_bit", "expected"],
             "series": {f"input_{b[0]}{b[1]}": s for b, s in series.items()},

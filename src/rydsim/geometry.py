@@ -38,36 +38,6 @@ class CylinderSpec:
                           "be slow or fail", stacklevel=2)
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """Input/gate/output split of [0, L_x] with per-region detunings.
-
-    Positions exactly on a cut belong to the region on the right.
-    """
-
-    lengths: tuple  # (L_input, L_gate, L_output)
-    detunings: tuple  # (delta_input, delta_gate, delta_output)
-
-    def __post_init__(self):
-        if len(self.lengths) != 3 or len(self.detunings) != 3:
-            raise GeometryError("need three regions")
-        if any(l <= 0 for l in self.lengths):
-            raise GeometryError("region lengths must be positive")
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(self.lengths))
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return np.cumsum(self.lengths)[:2]
-
-    def blocks_transport(self, r_f: float) -> bool:
-        """Whether the gate region is wide enough to block direct
-        input-to-output facilitation."""
-        return self.lengths[1] > r_f
-
-
 # candidates drawn per batch: enough that a sparse gas needs few batches
 BATCH = 1024
 
@@ -125,13 +95,15 @@ def sample_cylinder(spec: CylinderSpec, seed,
     return np.array([xs, ys, zs]).T
 
 
-def assign_regions(positions: np.ndarray, partition: RegionPartition) -> np.ndarray:
-    """Per-atom detuning from each atom's x coordinate."""
+def assign_regions(positions: np.ndarray, lengths, detunings) -> np.ndarray:
+    """Per-atom detuning from each atom's x coordinate, for the regions of
+    the given lengths laid end to end from x = 0, each with its detuning.
+    An atom exactly on a cut belongs to the region on the right."""
     x = np.asarray(positions)[:, 0]
-    if np.any(x < 0) or np.any(x > partition.total_length):
+    if np.any(x < 0) or np.any(x > float(sum(lengths))):
         raise GeometryError("position outside [0, L_x]")
-    region = np.searchsorted(partition.boundaries, x, side="right")
-    return np.array(partition.detunings, dtype=float)[region]
+    region = np.searchsorted(np.cumsum(lengths)[:-1], x, side="right")
+    return np.array(detunings, dtype=float)[region]
 
 
 def build_chain(spacings, detunings, c6: float) -> AtomNetwork:

@@ -54,10 +54,8 @@ def small_chain_devices():
                       10.0)
     from rydsim.devices import DeviceInstance
     devices.append(DeviceInstance(
-        network=net, schedule=None,
-        initial=Configuration.single_excitation(4, 0),
-        output_sites=(2, 3), engine_hint="classical-exact",
-        name="gated-chain-4"))
+        network=net, initial=Configuration.single_excitation(4, 0),
+        output_sites=(2, 3), name="gated-chain-4"))
     return devices
 
 

@@ -10,8 +10,8 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               evolve_classical, evolve_classical_exact,
                               gillespie_ensemble, gillespie_run,
                               probability_from_configuration)
-from rydsim.devices import (DELTA_F, build_gas_switch, build_nand_gate,
-                            build_switch_chain)
+from rydsim.devices import (DELTA_F, GAS_PARAMS, build_gas_switch,
+                            build_nand_gate, build_switch_chain)
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, SimParams, basis_bits,
                           pair_energies)
@@ -440,7 +440,7 @@ class TestLockstepPinned:
         dev = build_gas_switch(True, 7, 400)
         monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 400)
         times = np.linspace(100.0 / 200, 100.0, 200)
-        ts = gillespie_ensemble(dev.network, dev.params, dev.initial, 100.0,
+        ts = gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial, 100.0,
                                 8, 11, times, dev.output_sites)
         assert self.pin(ts) == GAS_PIN
 

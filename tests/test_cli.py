@@ -18,8 +18,9 @@ class TestRun:
     def test_tiny_gas_run_writes_outputs(self, tmp_path):
         assert main(tiny_fig4_args(tmp_path)) == 0
         out = tmp_path / "fig4"
-        assert (out / "on.csv").exists()
-        assert (out / "off.csv").exists()
+        for key in ("on", "off"):
+            with open(out / f"{key}.csv") as fh:
+                assert fh.readline() == "t,N_o,N_o_stderr\n"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["experiment"] == "fig4"
         assert summary["plateau_on"] > 0
@@ -253,7 +254,11 @@ class TestValidate:
     def test_validation_passes(self, capsys):
         assert run_validation()
         out = capsys.readouterr().out
-        assert "PASS  rabi" in out
+        for name in ("rabi", "decay", "two-state-relaxation",
+                     "cross-engine-gamma-10",
+                     "cross-engine-gamma-0.1-expected-divergent",
+                     "conservation", "generator-column-sums"):
+            assert f"PASS  {name}: " in out
         assert "FAIL" not in out
 
     def test_coarse_tol_reported_as_failure(self, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydsim import geometry
 from rydsim.classical import classical_generator
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
                             R_F, T_WORK_IDEAL, T_WORK_NOISY, DeviceError,
@@ -202,9 +203,13 @@ class TestGasSwitch:
         # full-scale gate region is wider than two facilitation radii
         assert 10.0 > 2 * GAS_R_F
 
-    def test_rejects_undersized_gate(self):
-        # shrinking far enough makes the gate thinner than r_f
-        with pytest.raises(DeviceError):
+    def test_rejects_undersized_gate(self, monkeypatch):
+        # shrinking far enough makes the gate thinner than r_f, which is
+        # refused before any gas is sampled
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled a gas for a refused gate")
+        monkeypatch.setattr(geometry, "sample_cylinder", sample)
+        with pytest.raises(DeviceError, match="narrower than the facilitation"):
             build_gas_switch(on=True, seed=0, n_atoms=2)
 
 
@@ -216,12 +221,12 @@ class TestReadout:
 
     def test_logic_readout(self):
         ts = self.make_series([0.0, 0.9])
-        assert logic_readout(ts, 1.0).output_bit == 1
-        assert logic_readout(ts, 0.0).output_bit == 0
+        assert logic_readout(ts, 1.0) == (0.9, 1)
+        assert logic_readout(ts, 0.0) == (0.0, 0)
 
     def test_tie_reads_zero(self):
         ts = self.make_series([0.5, 0.5])
-        assert logic_readout(ts, 0.5).output_bit == 0
+        assert logic_readout(ts, 0.5) == (0.5, 0)
 
     def test_find_work_time_monotone(self):
         ts = self.make_series([0.0, 0.2, 0.4, 0.8])
@@ -250,6 +255,6 @@ class TestReadout:
 def test_output_sites_must_not_overlap_excited_inputs():
     dev = build_switch_chain(DELTA_F)
     with pytest.raises(DeviceError):
-        type(dev)(network=dev.network, schedule=None,
+        type(dev)(network=dev.network,
                   initial=Configuration((1, 0, 0, 0, 0, 0)),
-                  output_sites=(0, 1), engine_hint="quantum")
+                  output_sites=(0, 1))

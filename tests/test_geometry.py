@@ -7,8 +7,7 @@ from scipy.spatial import cKDTree
 from rydsim.devices import (GAS_D_MIN, GAS_N_ATOMS, GAS_RADIUS,
                             GAS_REGION_LENGTHS)
 from rydsim.geometry import (CylinderSpec, GeometryError, PackingError,
-                             RegionPartition, assign_regions, build_chain,
-                             sample_cylinder)
+                             assign_regions, build_chain, sample_cylinder)
 
 
 class TestSampleCylinder:
@@ -49,46 +48,39 @@ class TestSampleCylinder:
             CylinderSpec(length=0.0, radius=1.0, n_atoms=1, d_min=0.1)
 
 
-class TestAssignRegions:
-    def setup_method(self):
-        self.partition = RegionPartition((5.0, 10.0, 15.0), (0.0, -10.0, -10.0))
+LENGTHS = (5.0, 10.0, 15.0)
+DETUNINGS = (0.0, -10.0, -10.0)
 
+
+class TestAssignRegions:
     def test_region_values(self):
         pos = np.array([[2.0, 0, 0], [8.0, 0, 0], [20.0, 0, 0]])
-        np.testing.assert_allclose(assign_regions(pos, self.partition),
+        np.testing.assert_allclose(assign_regions(pos, LENGTHS, DETUNINGS),
                                    [0.0, -10.0, -10.0])
 
     def test_switch_off_gate_value(self):
-        part = RegionPartition((5.0, 10.0, 15.0), (0.0, 10.0, -10.0))
         pos = np.array([[8.0, 0, 0]])
-        assert assign_regions(pos, part)[0] == 10.0
+        assert assign_regions(pos, LENGTHS, (0.0, 10.0, -10.0))[0] == 10.0
 
     def test_boundary_belongs_to_right_region(self):
         pos = np.array([[5.0, 0, 0], [15.0, 0, 0]])
-        np.testing.assert_allclose(assign_regions(pos, self.partition),
+        np.testing.assert_allclose(assign_regions(pos, LENGTHS, DETUNINGS),
                                    [-10.0, -10.0])
 
     def test_empty_region_is_fine(self):
         pos = np.array([[20.0, 0, 0]])
-        np.testing.assert_allclose(assign_regions(pos, self.partition), [-10.0])
+        np.testing.assert_allclose(assign_regions(pos, LENGTHS, DETUNINGS),
+                                   [-10.0])
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(GeometryError):
-            assign_regions(np.array([[31.0, 0, 0]]), self.partition)
+            assign_regions(np.array([[31.0, 0, 0]]), LENGTHS, DETUNINGS)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         pos = np.column_stack([rng.uniform(0, 30, 100), np.zeros(100), np.zeros(100)])
-        first = assign_regions(pos, self.partition)
-        np.testing.assert_array_equal(first, assign_regions(pos, self.partition))
-
-    def test_blocking_condition(self):
-        assert self.partition.blocks_transport(4.8)
-        assert not self.partition.blocks_transport(10.5)
-
-    def test_rejects_bad_lengths(self):
-        with pytest.raises(GeometryError):
-            RegionPartition((5.0, -1.0, 15.0), (0.0, 0.0, 0.0))
+        first = assign_regions(pos, LENGTHS, DETUNINGS)
+        np.testing.assert_array_equal(first, assign_regions(pos, LENGTHS, DETUNINGS))
 
 
 class TestBuildChain:
