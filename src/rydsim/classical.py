@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.random import default_rng
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits, pair_energies)
-from .propagate import propagate
+                    basis_bits, pair_energies, sorted_union)
+from .propagate import CSR, propagate
 from .timeseries import TimeSeries
 
 GENERATOR_CAP = 14
@@ -48,12 +48,13 @@ def _flips(n: int) -> np.ndarray:
 
 def classical_generator(network: AtomNetwork, params: SimParams,
                         detunings: np.ndarray | None = None) -> tuple:
-    """Rate matrix G over configurations, dp/dt = G p with columns summing
-    to zero, and the rectangle (lo, hi, b) holding its spectrum in
-    Re [lo, hi] x Im [-b, b] (see `propagate.propagate`): with d_s = G[s, s]
-    and, per atom k, the rates G[s, s ^ 2^k] into s and G[s ^ 2^k, s] out
-    of it, Gershgorin's bounds on G's Hermitian and skew-Hermitian parts
-    are d_s -+ sum_k |in + out| / 2 and sum_k |in - out| / 2."""
+    """Rate matrix G over configurations as a `CSR` record, dp/dt = G p
+    with columns summing to zero, and the rectangle (lo, hi, b) holding its
+    spectrum in Re [lo, hi] x Im [-b, b] (see `propagate.propagate`): with
+    d_s = G[s, s] and, per atom k, the rates G[s, s ^ 2^k] into s and
+    G[s ^ 2^k, s] out of it, Gershgorin's bounds on G's Hermitian and
+    skew-Hermitian parts are d_s -+ sum_k |in + out| / 2 and
+    sum_k |in - out| / 2."""
     if params.gamma <= 0:
         raise ClassicalEngineError("classical rates require gamma > 0")
     n = network.n_atoms
@@ -71,9 +72,8 @@ def classical_generator(network: AtomNetwork, params: SimParams,
     diag = -rates.sum(axis=1)
     inflow = rates[cols[:, 1:], np.arange(n)]
     data = np.column_stack([diag, inflow])
-    g = sp.csr_matrix((data.ravel(), cols.ravel(),
-                       np.arange(0, data.size + 1, n + 1)),
-                      shape=(1 << n, 1 << n))
+    g = CSR(np.arange(0, data.size + 1, n + 1, dtype=np.int32),
+            cols.astype(np.int32).ravel(), data.ravel())
     herm = np.abs(inflow + rates).sum(axis=1) / 2
     skew = np.abs(inflow - rates).sum(axis=1) / 2
     return g, (float((diag - herm).min()), float((diag + herm).max()),
@@ -210,7 +210,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     # then occupations; pair energies, then new rates; mismatches
     cum, pairs, local = (np.empty((m, n)) for _ in range(3))
     rec = 0
-    for stop in np.union1d(times, [*starts, t_end]):
+    for stop in sorted_union(times, [*starts, t_end]):
         while (fire := np.flatnonzero(pending < stop)).size:
             k = fire.size
             c = np.cumsum(rates[fire], axis=1, out=cum[:k])
@@ -261,7 +261,7 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
     events = []
     _lockstep_block(network, params, config0, t_end,
                     schedule or DetuningSchedule(), 1,
-                    np.random.default_rng(seed), np.empty(0),
+                    default_rng(seed), np.empty(0),
                     np.zeros(network.n_atoms), log=events)
     return Trajectory(config0, events, float(t_end))
 
@@ -347,7 +347,7 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
     for b, start in enumerate(offsets):
         part = _lockstep_block(network, params, config0, t_end, schedule,
                                min(block, n_trajectories - start),
-                               np.random.default_rng([master_seed, b]),
+                               default_rng([master_seed, b]),
                                times, out)
         dens, n_o = dens + part[0], n_o + part[1]
         events.append(part[2])

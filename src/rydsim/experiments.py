@@ -10,7 +10,6 @@ results; the CLI layer handles files.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -90,6 +89,8 @@ def _pool_map(fn, jobs):
     if workers == 1 or len(jobs) <= 1:
         yield from map(fn, jobs)
         return
+    # imported here: a serial run never pays for it (~18 ms)
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, jobs)
 

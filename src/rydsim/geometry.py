@@ -7,6 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .model import AtomNetwork
 
@@ -64,7 +65,7 @@ def sample_cylinder(spec: CylinderSpec, seed,
     candidate is checked against its 27 neighboring cells only.
     Candidates are drawn in batches and accepted one by one, in order.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     # cell (i, j, k) has key (i s + j) s + k, one per cell a candidate can
     # see: |j| and |k| stay within radius / d_min + 2
     s = int(2 * spec.radius / spec.d_min) + 6

@@ -46,8 +46,10 @@ class AtomNetwork:
             raise ModelError("c6 must be positive")
         if not np.all(np.isfinite(pos)):
             raise ModelError("positions must be finite")
-        # a zero pairwise distance is a repeated row
-        if np.unique(pos, axis=0).shape[0] < pos.shape[0]:
+        # a zero pairwise distance is a repeated row, which sorting puts
+        # next to its copy
+        rows = pos[np.lexsort(pos.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ModelError("all pairwise distances must be positive")
         # column-major, so that positions.T, the (3, N) coordinate rows
         # pair_energies reads, is contiguous
@@ -158,6 +160,13 @@ class DetuningSchedule:
             if t0 <= t < t1:
                 det[atom] = value
         return det
+
+
+def sorted_union(*groups) -> np.ndarray:
+    """The sorted distinct values of the groups, as np.union1d gives them;
+    np.unique imports numpy.ma on its first call (~12 ms a process)."""
+    values = np.sort(np.concatenate(groups, axis=None))
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 @lru_cache(maxsize=8)

@@ -1,7 +1,7 @@
 """Shared propagator of both exact engines: x' = A x with a real A constant
 between schedule breakpoints, sampled on the record grid by Chebyshev
 series of exp(tau A) x (Tal-Ezer & Kosloff, J. Chem. Phys. 81:3967, 1984)
-that need only products A @ x with a real scipy.sparse A.  Let the
+that need only products A @ x with a real CSR A.  Let the
 rectangle Re [lo, hi] x Im [-b, b] hold A's spectrum, with centre
 c = (lo + hi) / 2 and half-widths a = (hi - lo) / 2 and b.  If a >= b,
 with W = (A - c) / a,
@@ -17,17 +17,100 @@ make the series real (Kosloff, Annu. Rev. Phys. Chem. 45:145, 1994):
 The terms do not depend on tau, so one series per span serves every
 record time inside it.  Each term costs one call of scipy's CSR kernel,
 which adds A (2/f) U_k into the row holding -c (2/f) U_k -+ U_{k-1}.
+
+scipy is used only for that compiled kernel, its extension
+scipy/sparse/_sparsetools loaded on its own: no Python module of scipy is
+imported, since `import scipy.sparse` also loads scipy's array-API layer
+(~210 ms against ~0.3 ms for the extension).  Operators are `CSR` records
+of three arrays, checked by `check_operator` before the kernel reads them.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
-from .model import basis_bits
+from .model import basis_bits, sorted_union
 from .timeseries import TimeSeries
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, found through scipy's package spec
+    (which imports nothing) and loaded without scipy's Python modules."""
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "sparse"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"cannot find scipy's compiled extension {name}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+# y += A x for A in CSR (csr_matvec) or CSC (csc_matvec) arrays; no bounds
+# checks, so every operator passes `check_operator` first
+csr_matvec, csc_matvec = _sparsetools.csr_matvec, _sparsetools.csc_matvec
+
+
+class CSR(NamedTuple):
+    """A square real operator in compressed sparse rows: row i holds
+    data[indptr[i]:indptr[i + 1]] at columns indices[indptr[i]:indptr[i + 1]],
+    with float64 data and int32 indices."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A @ x for a real vector x."""
+        x = np.asarray(x, dtype=float)
+        check_operator(self, x.size)
+        y = np.zeros(x.size)
+        csr_matvec(x.size, x.size, *self, x, y)
+        return y
+
+
+def check_operator(a, size: int) -> None:
+    """Refuse, with a ValueError, what the CSR kernel cannot read safely as
+    a size x size operator: anything but a `CSR` record of 1-D arrays,
+    data other than float64, indices other than int32, size + 1 row
+    pointers other than a rise from 0 to len(indices) == len(data), and a
+    column index outside [0, size).  The kernel checks no bounds, so this
+    is what stops it reading past an array's end."""
+    if not isinstance(a, CSR):
+        problem = type(a).__name__
+    elif not all(isinstance(v, np.ndarray) and v.ndim == 1 for v in a):
+        problem = "fields other than 1-D arrays"
+    elif a.data.dtype != np.float64:
+        problem = f"data of {a.data.dtype}"
+    elif a.indptr.dtype != np.int32 or a.indices.dtype != np.int32:
+        problem = (f"indptr of {a.indptr.dtype} and indices of "
+                   f"{a.indices.dtype}")
+    elif a.indptr.size != size + 1:
+        problem = f"{a.indptr.size} row pointers"
+    elif (a.indptr[0] != 0 or a.indptr[-1] != a.indices.size
+          or a.indices.size != a.data.size or (np.diff(a.indptr) < 0).any()):
+        problem = (f"row pointers {a.indptr[0]}..{a.indptr[-1]} for "
+                   f"{a.indices.size} indices and {a.data.size} values")
+    elif a.indices.size and not (0 <= a.indices.min()
+                                 and a.indices.max() < size):
+        problem = f"column indices {a.indices.min()}..{a.indices.max()}"
+    else:
+        return
+    raise ValueError(f"the generator must be a CSR record of a {size} x "
+                     f"{size} float64 matrix with int32 indices, got "
+                     + problem)
+
 
 RECORD_POINTS = 200
 TOL = 2.0 ** -53
@@ -176,10 +259,11 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
     the `engine`'s TimeSeries of per-site densities, with x at t_end as
     `final_state`.  A changes only at `breakpoints`; build(t0) returns it
-    for the segment starting at t0, as a scipy CSR matrix of float64, with
-    a rectangle (lo, hi, b) holding its spectrum in Re [lo, hi] x
-    Im [-b, b] (Bendixson: Gershgorin bounds on A's Hermitian and
-    skew-Hermitian parts).  `tol` truncates the series.
+    for the segment starting at t0, as a `CSR` record, with a rectangle
+    (lo, hi, b) holding its spectrum in Re [lo, hi] x Im [-b, b]
+    (Bendixson: Gershgorin bounds on A's Hermitian and skew-Hermitian
+    parts); `check_operator` refuses one the kernel cannot read.  `tol`
+    truncates the series.
 
     Each segment is walked in spans, each ending at the first of: the
     longest length whose series stays within DEGREE terms, the segment's
@@ -201,8 +285,8 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, RECORD_POINTS)
-    edges = np.union1d([0.0, t_end],
-                       [b for b in breakpoints if 0.0 < b < t_end])
+    edges = sorted_union([0.0, t_end],
+                         [b for b in breakpoints if 0.0 < b < t_end])
     _, most = _budget(x.size)
     worst, dens = {}, []
     counted = np.zeros(x.size)
@@ -231,13 +315,11 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
         a, rect = build(t)
-        if (getattr(a, "format", None) != "csr" or a.dtype != np.float64
-                or a.shape != (x.size, x.size)):
-            raise ValueError(
-                f"the generator must be a {x.size} x {x.size} scipy CSR "
-                f"matrix of float64, got {type(a).__name__} of "
-                f"{getattr(a, 'dtype', None)}, shape {getattr(a, 'shape', None)}")
-        check([t], trace_leak=np.abs(counted @ a).max(keepdims=True))
+        check_operator(a, x.size)
+        # counted @ a: a's CSR arrays read as CSC are a^T
+        leak = np.zeros(x.size)
+        csc_matvec(x.size, x.size, *a, counted, leak)
+        check([t], trace_leak=np.abs(leak).max(keepdims=True))
         series = _Series(rect, tol)
         # a span's end depends only on reach, the segment's end and the
         # record budget, so the whole segment is planned first

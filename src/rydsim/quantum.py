@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     basis_bits)
-from .propagate import TOL, propagate
+from .propagate import CSR, TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
@@ -87,7 +86,7 @@ def from_real(x: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T + np.diag(x.diagonal())
 
 
-def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
+def liouvillian(ham: SparseHamiltonian, params: SimParams) -> CSR:
     """Real generator R of dx/dt, x = to_real(rho), for
 
     -i[H, rho] + gamma sum_k D[n_k] rho + kappa sum_k D[sigma_k] rho.
@@ -151,7 +150,7 @@ def liouvillian(ham: SparseHamiltonian, params: SimParams) -> sp.csr_matrix:
         indices[slot[feed]] = idx[feed] | both
         data[slot[feed]] = params.kappa
         slot += feed
-    return sp.csr_matrix((data, indices, indptr), shape=(idx.size, idx.size))
+    return CSR(indptr, indices, data)
 
 
 def enclosure(ham: SparseHamiltonian, params: SimParams) -> tuple:

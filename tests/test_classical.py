@@ -15,6 +15,8 @@ from rydsim.devices import (DELTA_F, GAS_PARAMS, build_gas_switch,
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, SimParams, basis_bits,
                           pair_energies)
+from rydsim.propagate import CSR
+from records import to_record, to_scipy
 
 
 def single_atom(detuning=0.0):
@@ -25,7 +27,7 @@ def transition_rate(k, config, network, params):
     """Rate at which atom k flips out of `config`: the generator's entry
     from config to config with bit k flipped."""
     c = config.to_index()
-    return classical_generator(network, params)[0][c ^ (1 << k), c]
+    return to_scipy(classical_generator(network, params)[0])[c ^ (1 << k), c]
 
 
 class TestTransitionRate:
@@ -83,12 +85,13 @@ class TestTransitionRate:
 class TestClassicalGenerator:
     def test_single_atom_resonant(self):
         gen, _ = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
-        np.testing.assert_allclose(gen.toarray(), [[-4, 4], [4, -4]])
+        np.testing.assert_allclose(to_scipy(gen).toarray(), [[-4, 4], [4, -4]])
 
     def test_weak_drive_pure_decay(self):
         kappa = 0.5
         gen, _ = classical_generator(single_atom(), SimParams(1e-9, 1.0, kappa))
-        np.testing.assert_allclose(gen.toarray(), [[0, kappa], [0, -kappa]],
+        np.testing.assert_allclose(to_scipy(gen).toarray(),
+                                   [[0, kappa], [0, -kappa]],
                                    atol=1e-12)
 
     def test_columns_sum_to_zero(self):
@@ -97,7 +100,7 @@ class TestClassicalGenerator:
             gaps = rng.uniform(0.8, 1.5, size=2)
             net = build_chain(gaps, rng.normal(scale=8, size=3), 10.0)
             gen, _ = classical_generator(net, SimParams(1.0, 1.0, 0.003))
-            colsums = np.asarray(gen.sum(axis=0)).ravel()
+            colsums = np.asarray(to_scipy(gen).sum(axis=0)).ravel()
             np.testing.assert_allclose(colsums, 0.0, atol=1e-12)
 
     def test_rows_match_the_column_construction(self):
@@ -123,8 +126,10 @@ class TestClassicalGenerator:
                                       np.arange(0, data.size + 1, n + 1)),
                                      shape=(1 << n, 1 << n)).tocsr()
             gen, _ = classical_generator(net, params)
-            assert gen.format == "csr"
-            np.testing.assert_array_equal(gen.toarray(), expected.toarray())
+            assert isinstance(gen, CSR)
+            assert gen.indptr.dtype == gen.indices.dtype == np.int32
+            np.testing.assert_array_equal(to_scipy(gen).toarray(),
+                                          expected.toarray())
             np.testing.assert_array_equal(
                 gen.indices.reshape(1 << n, n + 1), rows)
 
@@ -168,7 +173,7 @@ class TestEvolveClassicalExact:
         # columns that do not sum to zero lose probability; the column-sum
         # check also catches a leak far too slow for the norm drift to reveal
         for loss in (0.5, 1e-6):
-            leak = sp.csr_matrix(np.array([[-1.0, 0.0], [1.0 - loss, 0.0]]))
+            leak = to_record([[-1.0, 0.0], [1.0 - loss, 0.0]])
             with pytest.raises(ClassicalEngineError, match="trace_leak"):
                 evolve_classical_exact(np.array([1.0, 0.0]),
                                        lambda t0: (leak, (-1.5, 0.5, 0.5)), 1.0)

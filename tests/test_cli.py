@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rydsim
 
 from rydsim.cli import main, run_validation
 from rydsim.experiments import make_config, run_experiment
@@ -277,3 +282,35 @@ def test_config_hash_embedded(tmp_path):
     summary = json.loads((tmp_path / "fig4" / "summary.json").read_text())
     from rydsim.timeseries import config_hash
     assert summary["config_hash"] == config_hash(summary["config"])
+
+
+# Serial runs on each engine and a small fig4, after `from rydsim import
+# cli`: the modules each run imports inside `cli.main`, and the scipy
+# modules loaded at the end.
+MODULE_CHECK = """
+import json, sys
+from rydsim import cli
+before = set(sys.modules)
+new = []
+for args in (["--engine", "quantum"], ["--engine", "classical-exact"],
+             ["--engine", "kmc", "--trajectories", "20"]):
+    assert cli.main(["run", "fig3.json", "--out", "out", *args]) == 0
+    new.append(sorted(set(sys.modules) - before))
+assert cli.main(["run", "fig4", "--n-atoms", "400", "--instances", "1",
+                 "--trajectories", "5", "--t-end", "20", "--out", "out"]) == 0
+new.append(sorted(set(sys.modules) - before))
+print(json.dumps([new, sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_serial_runs_import_nothing_and_no_scipy_module(tmp_path):
+    (tmp_path / "fig3.json").write_text(json.dumps(
+        {"experiment": "fig3", "scan": [1.0], "t_end": 5.0}))
+    src = str(Path(rydsim.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", MODULE_CHECK], cwd=tmp_path,
+                          env={"PYTHONPATH": src, "RYDSIM_THREADS": "1"},
+                          capture_output=True, text=True, check=True)
+    new, scipy = json.loads(done.stdout.splitlines()[-1])
+    assert new == [[]] * 4
+    assert scipy == ["scipy.sparse._sparsetools"]

@@ -12,6 +12,7 @@ from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
 from rydsim.model import Configuration, SimParams, facilitation_radius
 from rydsim.quantum import evolve_quantum
 from rydsim.timeseries import TimeSeries
+from records import to_scipy
 
 
 class TestSwitchChain:
@@ -57,7 +58,8 @@ class TestTransportChain:
         # an excited atom puts its neighbour on resonance: the flip rate
         # is the resonant 4 omega^2 / gamma
         dev = build_transport_chain(5)
-        gen, _ = classical_generator(dev.network, SimParams(1.0, 1.0, 0.0))
+        gen = to_scipy(classical_generator(dev.network,
+                                           SimParams(1.0, 1.0, 0.0))[0])
         for k in (1, 2, 3):
             c = Configuration.single_excitation(5, k - 1).to_index()
             assert gen[c ^ (1 << k), c] == pytest.approx(4.0, rel=1e-12)

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse._compressed import _cs_matrix
 
 import rydsim
 from rydsim import classical, propagate as prop
@@ -17,6 +18,7 @@ from rydsim.experiments import run_device
 from rydsim.model import Configuration, SimParams
 from rydsim.quantum import (build_hamiltonian, density_from_configuration,
                             enclosure, evolve_quantum)
+from records import to_record, to_scipy
 from test_quantum import dense_liouvillian, random_network
 
 
@@ -73,7 +75,7 @@ def run(generators, edges, t_end, x):
     from edges[i] (edges[0] = 0) to the next edge."""
     def build(t0):
         g = sp.csr_matrix(generators[edges.index(t0)])
-        return g, bendixson(g)
+        return to_record(g), bendixson(g)
     return prop.propagate(x, build, t_end, "test", RuntimeError,
                           breakpoints=edges[1:])
 
@@ -232,21 +234,23 @@ def test_switch_products_repeat_and_stay_low(engine, most):
                                    for label, built in classical_generators()])
 def test_rates_rectangle_equals_bendixson(built):
     g, rect = built
-    np.testing.assert_allclose(rect, bendixson(g), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rect, bendixson(to_scipy(g)), rtol=1e-13,
+                               atol=0.0)
 
 
 @pytest.mark.parametrize("convert, got", [
-    (sp.csc_matrix, "csc_matrix of float64"),
-    (lambda g: g.toarray(), "ndarray of float64"),
-    (lambda g: g.astype(complex), "csr_matrix of complex128")],
+    (lambda g: to_scipy(g).tocsc(), "csc_matrix"),
+    (lambda g: to_scipy(g).toarray(), "ndarray"),
+    (lambda g: g._replace(data=g.data.astype(complex)),
+     "data of complex128")],
     ids=["csc", "dense", "complex"])
 def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
     # the classical engine hands its generator to propagate unchecked, so
     # propagate's check is what refuses one the kernel cannot take
     g, rect = classical.classical_generator(
         random_network(np.random.default_rng(9), 2), SimParams(1.0, 1.0, 0.1))
-    with pytest.raises(ValueError, match="must be a 4 x 4 scipy CSR matrix "
-                       "of float64, got " + got):
+    with pytest.raises(ValueError, match="CSR record of a 4 x 4 float64 "
+                       "matrix with int32 indices, got " + got):
         classical.evolve_classical_exact(start(4), lambda t0: (convert(g),
                                                                rect), 1.0)
 
@@ -272,7 +276,7 @@ def test_span_matches_expm(case):
     series = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL)
     (coef, need), = series.coefficients([taus])
     with np.errstate(divide="raise", invalid="raise"):
-        sums, used = series.span(sp.csr_matrix(g), x, coef, need)
+        sums, used = series.span(to_record(g), x, coef, need)
     np.testing.assert_allclose(sums, [expm(g * t) @ x for t in taus],
                                rtol=0.0, atol=1e-12)
     assert series.real == (case != "imaginary")
@@ -286,42 +290,68 @@ def test_span_matches_expm(case):
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical-exact"])
-def test_products_skip_scipy_dispatch(monkeypatch, engine):
-    # the series' products call the CSR kernel directly: scipy's own
-    # matrix-vector product runs only for the trace_leak check, once per
-    # segment (the switch has one)
+def test_one_kernel_call_per_product(monkeypatch, engine):
+    # each counted product of the series is one call of the CSR kernel
     calls = []
-    matvec = _cs_matrix._matmul_vector
+    matvec = prop.csr_matvec
 
-    def counted(self, other):
-        calls.append(self.shape)
-        return matvec(self, other)
+    def counted(*args):
+        calls.append(args[0])
+        return matvec(*args)
 
-    monkeypatch.setattr(_cs_matrix, "_matmul_vector", counted)
+    monkeypatch.setattr(prop, "csr_matvec", counted)
     ts = run_device(build_switch_chain(DELTA_F), SimParams(1.0, 1.0, 0.003),
                     8.0, engine=engine)
-    assert len(calls) <= 1
-    assert ts.metadata["products"] >= 100
+    assert len(calls) == ts.metadata["products"] >= 100
+
+
+def _falling_pointers(r):
+    ptr = r.indptr.copy()
+    ptr[[3, 4]] = ptr[[4, 3]]
+    return r._replace(indptr=ptr)
+
+
+def _column(r, value):
+    cols = r.indices.copy()
+    cols[5] = value
+    return r._replace(indices=cols)
 
 
 @pytest.mark.parametrize("convert, problem", [
-    (sp.coo_matrix, "got coo_matrix of float64"),
-    (sp.csc_matrix, "got csc_matrix of float64"),
-    (np.asarray, "got ndarray of float64"),
-    (lambda g: sp.csr_matrix(g, dtype=np.float32),
-     "got csr_matrix of float32"),
-    (lambda g: sp.csr_matrix(g, dtype=complex),
-     "got csr_matrix of complex128"),
-    (lambda g: sp.csr_matrix(g[:, :8]),
-     r"got csr_matrix of float64, shape \(16, 8\)")],
-    ids=["coo", "csc", "dense", "float32", "complex", "shape"])
+    (lambda r: to_scipy(r).tocoo(), "coo_matrix"),
+    (lambda r: to_scipy(r).tocsc(), "csc_matrix"),
+    (to_scipy, "csr_matrix"),
+    (lambda r: to_scipy(r).toarray(), "ndarray"),
+    (tuple, "tuple"),
+    (lambda r: r._replace(data=r.data[:, None]),
+     "fields other than 1-D arrays"),
+    (lambda r: r._replace(data=r.data.astype(np.float32)), "data of float32"),
+    (lambda r: r._replace(data=r.data.astype(complex)), "data of complex128"),
+    (lambda r: r._replace(indices=r.indices.astype(np.int64)),
+     "indptr of int32 and indices of int64"),
+    (lambda r: to_record(to_scipy(r)[:8]), "9 row pointers"),
+    (lambda r: r._replace(indices=r.indices[:-1]),
+     "row pointers 0..256 for 255 indices and 256 values"),
+    (_falling_pointers, "row pointers 0..256 for 256"),
+    (lambda r: _column(r, 16), "column indices 0..16"),
+    (lambda r: _column(r, -1), "column indices -1..15")],
+    ids=["coo", "csc", "scipy-csr", "dense", "tuple", "2d-data", "float32",
+         "complex", "index-dtype", "shape", "indptr-end", "indptr-falls",
+         "index-past-size", "negative-index"])
 def test_refuses_an_operator_the_kernel_cannot_take(convert, problem):
+    # the kernel checks no bounds: every way an operator could make it read
+    # past an array's end is refused before the first product, by
+    # propagate and by a record's own product
     g = rate_generator(np.random.default_rng(7))
-    rect = bendixson(sp.csr_matrix(g))
-    with pytest.raises(ValueError, match="must be a 16 x 16 scipy CSR matrix "
-                       "of float64, " + problem):
-        prop.propagate(start(), lambda t0: (convert(g), rect), 1.0, "test",
-                       RuntimeError)
+    bad = convert(to_record(g))
+    message = ("CSR record of a 16 x 16 float64 matrix with int32 indices, "
+               "got " + problem)
+    with pytest.raises(ValueError, match=message):
+        prop.propagate(start(), lambda t0: (bad, bendixson(sp.csr_matrix(g))),
+                       1.0, "test", RuntimeError)
+    if isinstance(bad, prop.CSR):
+        with pytest.raises(ValueError, match=message):
+            bad @ start()
 
 
 def negative_rate_generator():
@@ -399,11 +429,11 @@ def test_reach_tables_are_read_only(real):
         table[0, 0] = 0.0
 
 
-# scipy.special: importing it after scipy.sparse takes ~0.14 s and 5.6 MB
-# of resident memory on a 2-CPU x86 machine; the Bessel coefficients come
-# from a numpy recurrence instead.
-BANNED = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial",
-          "scipy.special")
+# Any scipy import: `import scipy.sparse` alone takes ~210 ms, most of it
+# scipy's array-API layer.  Of scipy, the package loads only scipy.sparse's
+# compiled CSR kernel (`propagate._load_sparsetools`), and the Bessel
+# coefficients come from a numpy recurrence.
+BANNED = ("scipy",)
 
 
 def test_package_imports_only_scipy_sparse():
@@ -421,3 +451,33 @@ def test_package_imports_only_scipy_sparse():
                           if any(name == b or name.startswith(b + ".")
                                  for b in BANNED)]
     assert not offenders
+
+
+# Products of the loaded kernel against scipy.sparse's own, with the
+# kernel loaded before or after `import scipy.sparse`: the two loads
+# share one extension module.
+KERNEL_CHECK = """
+import sys
+import numpy as np
+import {0}
+import {1}
+import scipy.sparse as sp
+from rydsim import propagate as prop
+m = sp.random(40, 40, density=0.2, format="csr", random_state=3)
+x = np.random.default_rng(4).normal(size=40)
+xa = np.zeros(40)
+prop.csc_matvec(40, 40, m.indptr, m.indices, m.data, x, xa)
+assert np.array_equal(prop.CSR(m.indptr, m.indices, m.data) @ x, m @ x)
+assert np.array_equal(xa, x @ m)
+assert sys.modules["scipy.sparse._sparsetools"].csr_matvec is prop.csr_matvec
+"""
+
+
+@pytest.mark.parametrize("first, second", [
+    ("rydsim.propagate", "scipy.sparse"),
+    ("scipy.sparse", "rydsim.propagate")],
+    ids=["kernel-first", "scipy-first"])
+def test_kernel_matches_scipy_products(first, second):
+    src = str(Path(rydsim.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", KERNEL_CHECK.format(first, second)],
+                   check=True, env={"PYTHONPATH": src})

@@ -9,6 +9,7 @@ from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
 from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
                             density_from_configuration, evolve_quantum,
                             from_real, lindblad_rhs, liouvillian, to_real)
+from records import to_record, to_scipy
 
 
 def single_atom(detuning=0.0):
@@ -238,7 +239,8 @@ class TestEvolveQuantum:
         # population column sums of 1e-6: far too slow a loss for the norm
         # drift to show within t_end
         def leaky(ham, params):
-            return liouvillian(ham, params) + 1e-6 * sp.eye(ham.dim ** 2)
+            return to_record(to_scipy(liouvillian(ham, params))
+                             + 1e-6 * sp.eye(ham.dim ** 2))
         monkeypatch.setattr(quantum, "liouvillian", leaky)
         with pytest.raises(IntegrationError, match="trace_leak"):
             evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01),
