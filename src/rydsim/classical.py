@@ -20,6 +20,8 @@ from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
 from .propagate import CSR, propagate
 from .timeseries import TimeSeries
 
+# Most atoms of the exact engine.  A span's record sums take
+# RECORD_POINTS x 2^N doubles.
 GENERATOR_CAP = 14
 # Trajectories x atoms in one lockstep block: bounds the sampler's memory
 # at O(BLOCK_ELEMENTS) for any ensemble size.

@@ -15,7 +15,9 @@ make the series real (Kosloff, Annu. Rev. Phys. Chem. 45:145, 1994):
     U_0 = 1, U_1 = B, U_{k+1} = 2 B U_k + U_{k-1}.
 
 The terms do not depend on tau, so one series per span serves every
-record time inside it.  Each term costs one call of scipy's CSR kernel,
+record time inside it; a record reads only the basis populations, so only
+those are summed at each record time, and the whole state only at the
+span's end.  Each term costs one call of scipy's CSR kernel,
 which adds A (2/f) U_k into the row holding -c (2/f) U_k -+ U_{k-1}.
 
 scipy is used only for that compiled kernel, its extension
@@ -119,28 +121,15 @@ TOL = 2.0 ** -53
 # change the norm at most that fast.  The default runs' largest column sum
 # is 3.5e-15 (classical generator; 3.5e-18 for the quantum one).
 LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "trace_leak": 1e-10}
-# Entries of the record-time sums one span keeps (64 MB): bounds the
-# accumulators' memory at O(SPAN_ELEMENTS) plus one vector, whatever the
-# record spacing.
-SPAN_ELEMENTS = 2 ** 23
 # Most terms of one span's series: on the imaginary axis a series needs ~30
 # terms beyond tau max(a, b), so longer spans save few products, while each
 # record sum takes more of them.
 DEGREE = 80
-# Terms built between two flushes into the record sums, and the entries of
-# the buffer a flush goes through (at least CHUNK rows).
+# Terms built between two additions into the record sums.
 CHUNK = 8
-FLUSH_ELEMENTS = 2 ** 15
 # Candidate span lengths tau max(a, b) when a segment starts, longest
 # first.
 REACH = DEGREE * 2.0 ** (-np.arange(320) / 16)
-
-
-def _budget(size: int) -> tuple:
-    """Rows of a span's block of series terms, and the most record times a
-    span holds, at state size `size`."""
-    return (max(3, min(CHUNK, SPAN_ELEMENTS // size)),
-            max(1, SPAN_ELEMENTS // size))
 
 
 def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
@@ -221,36 +210,36 @@ class _Series:
         return zip(np.split(table * np.exp(self.shift * taus)[:, None], cuts),
                    map(np.maximum.accumulate, np.split(counts, cuts)))
 
-    def span(self, a, x: np.ndarray, coef: np.ndarray, need: np.ndarray):
-        """exp(tau a) @ x at the span's taus, from their `coefficients`, and
-        the number of products.  The terms go into the record sums CHUNK at
-        a time, by matrix products."""
+    def span(self, a, x: np.ndarray, coef: np.ndarray, need: np.ndarray,
+             populations):
+        """exp(tau a) @ x at the span's taus, from their `coefficients`: its
+        entries [populations] at every tau, the whole vector at the last
+        tau, and the number of products.  The terms go into these sums
+        CHUNK at a time, by matrix products."""
         terms = int(need[-1])
-        rows, _ = _budget(x.size)
-        group = max(rows, FLUSH_ELEMENTS // x.size)
-        block = np.empty((min(rows, terms), x.size))
-        part = np.empty((min(group, need.size), x.size))
-        sums = np.zeros((need.size, x.size))
+        block = np.empty((min(CHUNK, terms), x.size))
+        pops = np.zeros((need.size, x[populations].size))
+        end = np.zeros(x.size)
         scaled = np.empty(x.size)
         block[0] = x
         for k in range(terms):
             if k:
-                cur, new = block[(k - 1) % rows], block[k % rows]
+                cur, new = block[(k - 1) % CHUNK], block[k % CHUNK]
                 # new = (2 - delta_k1) (a - c) / f U_{k-1} -+ U_{k-2}
                 np.multiply(cur, (1 + (k > 1)) / self.f, out=scaled)
                 np.multiply(scaled, -self.c, out=new)
                 if k > 1:
-                    self.step(new, block[(k - 2) % rows], out=new)
+                    self.step(new, block[(k - 2) % CHUNK], out=new)
                 csr_matvec(x.size, x.size, a.indptr, a.indices, a.data,
                            scaled, new)
-            if k % rows == rows - 1 or k == terms - 1:
-                start = k - k % rows
-                for i in range(np.searchsorted(need, start, side="right"),
-                               need.size, group):
-                    sums[i:i + group] += np.matmul(
-                        coef[i:i + group, start:k + 1], block[:k + 1 - start],
-                        out=part[:min(group, need.size - i)])
-        return sums, terms - 1
+            if k % CHUNK == CHUNK - 1 or k == terms - 1:
+                start = k - k % CHUNK
+                built = block[:k + 1 - start]
+                i = np.searchsorted(need, start, side="right")
+                pops[i:] += coef[i:, start:k + 1] @ built[:, populations]
+                # scaled is free until the next term is built
+                end += np.matmul(coef[-1, start:k + 1], built, out=scaled)
+        return pops, end, terms - 1
 
 
 def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
@@ -266,12 +255,11 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     truncates the series.
 
     Each segment is walked in spans, each ending at the first of: the
-    longest length whose series stays within DEGREE terms, the segment's
-    end, and its SPAN_ELEMENTS // x.size-th record time; one
-    series per span gives x at the span's record times and end.  All of a
-    segment's spans are planned before its first product, so one Bessel
-    table serves them all.  The metadata counts the spans and the products
-    A @ x.
+    longest length whose series stays within DEGREE terms, and the
+    segment's end; one series per span gives x[populations] at the span's
+    record times and the whole x at its end.  All of a segment's spans are
+    planned before its first product, so one Bessel table serves them all.
+    The metadata counts the spans and the products A @ x.
 
     x[populations] are the 2^N basis populations.  Each segment's A must
     conserve their sum: its `trace_leak`, the largest column sum of
@@ -287,7 +275,6 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     times = np.linspace(0.0, t_end, RECORD_POINTS)
     edges = sorted_union([0.0, t_end],
                          [b for b in breakpoints if 0.0 < b < t_end])
-    _, most = _budget(x.size)
     worst, dens = {}, []
     counted = np.zeros(x.size)
     counted[populations] = 1.0
@@ -305,13 +292,12 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
         for key, value in residuals.items():
             worst[key] = max(worst.get(key, 0.0), float(value.max()))
 
-    def record(at, states):
-        pop = states[:, populations]
-        check(at, norm_drift=np.abs(pop.sum(axis=1) - 1.0),
-              negativity=-pop.min(axis=1))
-        dens.append(pop @ bits)
+    def record(at, pops):
+        check(at, norm_drift=np.abs(pops.sum(axis=1) - 1.0),
+              negativity=-pops.min(axis=1))
+        dens.append(pops @ bits)
 
-    record(times[:1], x[None])
+    record(times[:1], x[None, populations])
     rec, products, spans = 1, 0, 0
     for t, end in zip(edges[:-1], edges[1:]):
         a, rect = build(t)
@@ -321,12 +307,11 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
         csc_matvec(x.size, x.size, *a, counted, leak)
         check([t], trace_leak=np.abs(leak).max(keepdims=True))
         series = _Series(rect, tol)
-        # a span's end depends only on reach, the segment's end and the
-        # record budget, so the whole segment is planned first
+        # a span's end depends only on reach and the segment's end, so the
+        # whole segment is planned first
         plan, taus = [], []
         while t < end:
-            stop = min(end, t + series.reach,
-                       times[min(rec + most, RECORD_POINTS) - 1])
+            stop = min(end, t + series.reach)
             inside = np.searchsorted(times, stop, side="right") - rec
             plan.append((rec, inside))
             taus.append(times[rec:rec + inside] - t)
@@ -335,14 +320,10 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
             rec, t = rec + inside, stop
         for (first, inside), (coef, need) in zip(plan,
                                                   series.coefficients(taus)):
-            sums, used = series.span(a, x, coef, need)
+            pops, x, used = series.span(a, x, coef, need, populations)
             products, spans = products + used, spans + 1
             if inside:
-                record(times[first:first + inside], sums[:inside])
-            # free the sums, holding no view of them, before the next span
-            # allocates its own
-            x = sums[-1].copy()
-            del sums
+                record(times[first:first + inside], pops[:inside])
     dens = np.concatenate(dens)
     sites = np.asarray(list(output_sites), dtype=int)
     ts = TimeSeries(times, dens, dens[:, sites].sum(axis=1),

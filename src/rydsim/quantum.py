@@ -21,8 +21,8 @@ from .propagate import CSR, TOL, propagate
 from .timeseries import TimeSeries
 
 # Largest N whose fig3-length run (t_end = 8) was completed on an 8 GB,
-# 2-CPU machine (transport chain: 164 s, 600 MB resident); more atoms are
-# refused.
+# 2-CPU machine (transport chain: 132 s, 458 MB resident); more atoms are
+# refused.  A span's record sums take RECORD_POINTS x 2^N doubles.
 ATOM_CAP = 10
 SQRT2 = np.sqrt(2.0)
 # Largest |rho - rho^H| entry an initial density matrix may have.

@@ -93,13 +93,3 @@ class TimeSeries:
             cols.append(self.output_stderr)
             header.append("N_o_stderr")
         write_csv(path, header, np.column_stack(cols).tolist())
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        n_sites = sum(1 for h in header if h.startswith("site_"))
-        err = data[:, -1] if header[-1] == "N_o_stderr" else None
-        return cls(data[:, 0], data[:, 1:1 + n_sites],
-                   data[:, 1 + n_sites], err)

@@ -16,8 +16,9 @@ from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
                             build_nand_gate, build_switch_chain)
 from rydsim.experiments import run_device
 from rydsim.model import Configuration, SimParams
-from rydsim.quantum import (build_hamiltonian, density_from_configuration,
-                            enclosure, evolve_quantum)
+from rydsim.quantum import (ATOM_CAP, build_hamiltonian,
+                            density_from_configuration, enclosure,
+                            evolve_quantum)
 from records import to_record, to_scipy
 from test_quantum import dense_liouvillian, random_network
 
@@ -207,16 +208,11 @@ def test_random_lindbladians_match_expm(seed):
                                atol=1e-12)
 
 
-def test_span_ends_at_its_last_allowed_record(monkeypatch):
-    # room for the sums of 5 record times of a 16-state vector
-    monkeypatch.setattr(prop, "SPAN_ELEMENTS", 5 * 16)
-    rng = np.random.default_rng(4)
-    g = rate_generator(rng, scale=0.01)
-    ts = run([g], [0.0], 2.0, start())
-    assert ts.metadata["spans"] == 40  # 199 record intervals / 5
-    np.testing.assert_allclose(ts.site_density,
-                               densities(reference([g], [0.0], 2.0, start())),
-                               atol=1e-12)
+def test_record_sums_stay_within_64_mb_at_the_caps():
+    # a span sums the populations of up to every record time, with no
+    # budget of its own: RECORD_POINTS x 2^N doubles at each engine's cap
+    for cap in (classical.GENERATOR_CAP, ATOM_CAP):
+        assert prop.RECORD_POINTS * 2 ** cap * 8 <= 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("engine, most", [("quantum", 700),
@@ -260,7 +256,8 @@ def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
 def test_span_matches_expm(case):
     # one span straight from its coefficients: the real series (a >= b),
     # the imaginary one (a < b), a span whose series stops after U_1, and
-    # a rectangle of zero width, where no 1 / f may be taken
+    # a rectangle of zero width, where no 1 / f may be taken; every fifth
+    # entry is summed at each tau, the whole vector at the last one
     rng = np.random.default_rng(6)
     taus = np.array([0.3, 1.1, 2.0])
     if case == "imaginary":
@@ -276,9 +273,12 @@ def test_span_matches_expm(case):
     series = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL)
     (coef, need), = series.coefficients([taus])
     with np.errstate(divide="raise", invalid="raise"):
-        sums, used = series.span(to_record(g), x, coef, need)
-    np.testing.assert_allclose(sums, [expm(g * t) @ x for t in taus],
-                               rtol=0.0, atol=1e-12)
+        pops, end, used = series.span(to_record(g), x, coef, need,
+                                      slice(None, None, 5))
+    exact = np.array([expm(g * t) @ x for t in taus])
+    assert pops.shape == (taus.size, 4)
+    np.testing.assert_allclose(pops, exact[:, ::5], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(end, exact[-1], rtol=0.0, atol=1e-12)
     assert series.real == (case != "imaginary")
     assert (series.f == 0.0) == (case == "zero-width")
     if case == "one-term":
@@ -384,17 +384,17 @@ def test_error_names_the_first_broken_record_time():
 
 
 def test_metadata_keeps_each_residuals_largest_value(monkeypatch):
-    # with the limits raised, a leaky variant runs to the end in spans of
-    # 50 record times; its norm drift peaks in the second span
+    # with the limits raised, a leaky variant runs to the end in four
+    # segments of the same generator, one span each; its norm drift peaks
+    # in the second span
     for key in prop.LIMITS:
         monkeypatch.setitem(prop.LIMITS, key, 10.0)
-    monkeypatch.setattr(prop, "SPAN_ELEMENTS", 50 * 16)
     g, t_end = negative_rate_generator(), 4.0
     g[5, 5] -= 0.3
     g[9, 9] += 0.3
     res = record_residuals(reference([g], [0.0], t_end, start()))
     assert 50 < res["norm_drift"].argmax() < 100
-    ts = run([g], [0.0], t_end, start())
+    ts = run([g] * 4, [0.0, 1.0, 2.0, 3.0], t_end, start())
     assert ts.metadata["spans"] == 4
     for key, values in res.items():
         assert ts.metadata[key] == pytest.approx(values.max(), rel=1e-10)
