@@ -35,11 +35,11 @@ class ClassicalEngineError(ValueError):
 def _rates(mismatch: np.ndarray, bits, params: SimParams, out=None):
     """Flip rates: the Lorentzian omega^2 gamma / ((gamma/2)^2 + mismatch^2)
     plus kappa for every excited atom (bits = 1), written into `out` if
-    given."""
+    given.  Boolean `bits` are read as they are, with no temporary."""
     out = np.square(mismatch, out=out)
     out += (params.gamma / 2.0) ** 2
     np.divide(params.omega**2 * params.gamma, out, out=out)
-    out += params.kappa * bits
+    np.add(out, params.kappa, out=out, where=np.asarray(bits, dtype=bool))
     return out
 
 
@@ -181,16 +181,25 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     """Advance m trajectories from config0 to t_end in lockstep.
 
     Each trajectory holds its occupations, mismatches and the time of its
-    pending event.  Before each stop (record times, schedule breakpoints,
-    t_end) every trajectory whose event comes earlier fires it in one
-    vectorised step: the atom is drawn in proportion to its rate, the
-    mismatches move by its pair energies and a new wait is drawn.  At a
-    breakpoint the mismatches shift with the detunings and every pending
-    event is redrawn, which is exact for a memoryless process.
+    pending event.  The trajectories synchronise only at segment ends
+    (schedule breakpoints and t_end).  Before each, every trajectory whose
+    event comes earlier fires it in one vectorised step: the atom is drawn
+    in proportion to its rate, the mismatches move by its pair energies and
+    a new wait is drawn.  At a breakpoint the mismatches shift with the
+    detunings and every pending event is redrawn, which is exact for a
+    memoryless process.
+
+    Each event writes its own record: an event at time tau counts from the
+    first record time after tau, so the state at times[r] is the state
+    after every event before it.  A step adds its +-1 occupation changes,
+    and the changes of the output count (weights `out`) and of its square,
+    at that record; one cumulative sum at the end turns them into states.
+    Every recorded value is an integer-valued float sum, so the order of
+    the events does not round it.
 
     Returns, per record time, the summed occupations, the summed output
-    counts (weights `out`) and their squares, and the events of each
-    trajectory.  `log` collects (time, atom, new_bit) of every event.
+    counts and their squares; the events of each trajectory; and the number
+    of event steps.  `log` collects (time, atom, new_bit) of every event.
     """
     if params.gamma <= 0:
         raise ClassicalEngineError("Gillespie sampling requires gamma > 0")
@@ -202,51 +211,69 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     det = schedule.detunings_at(0.0, static)
     bits0 = config0.as_array().astype(float)
     mism0 = det + pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
-    bits, mism = np.tile(bits0, (m, 1)), np.tile(mism0, (m, 1))
+    bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(mism0, (m, 1))
     rates = _rates(mism, bits, params)
     pending = _waits(rates, rng)
     events = np.zeros(m, dtype=np.int64)
-    dens = np.zeros((times.size, n))
-    n_o = np.zeros((2, times.size))
+    count0 = float(bits0 @ out)
+    counts = np.full(m, count0)
+    # changes filed at the record they first reach; the last row takes the
+    # events after the last record time
+    flips = np.zeros((times.size + 1, n))
+    n_o = np.zeros((2, times.size + 1))
     # scratch for the event steps, firing rows first: cumulative rates,
-    # then occupations; pair energies, then new rates; mismatches
+    # then the pair energies' workspace; pair energies, then new rates;
+    # mismatches; the draw's comparison, then occupations
     cum, pairs, local = (np.empty((m, n)) for _ in range(3))
-    rec = 0
-    for stop in sorted_union(times, [*starts, t_end]):
+    hit = np.empty((m, n), dtype=bool)
+    steps = 0
+    for stop in sorted_union([*starts, t_end]):
         while (fire := np.flatnonzero(pending < stop)).size:
             k = fire.size
-            c = np.cumsum(rates[fire], axis=1, out=cum[:k])
+            # take writes `out` unbuffered in `clip` mode; fire is in range
+            c = np.take(rates, fire, axis=0, out=cum[:k], mode="clip")
+            np.cumsum(c, axis=1, out=c)
             # c rises along each row: the atom drawn is the first whose
             # cumulative rate reaches the uniform draw
-            atom = (c >= rng.uniform(0.0, c[:, -1])[:, None]).argmax(axis=1)
-            new = 1.0 - bits[fire, atom]
+            u = rng.uniform(0.0, c[:, -1])[:, None]
+            atom = np.greater_equal(c, u, out=hit[:k]).argmax(axis=1)
+            new = ~bits[fire, atom]
             bits[fire, atom] = new
-            step = pair_energies(network, atom, out=pairs[:k])
-            step *= (2.0 * new - 1.0)[:, None]
-            # take writes `out` unbuffered in `clip` mode; fire is in range
+            sign = 2.0 * new - 1.0
+            step = pair_energies(network, atom, out=pairs[:k], work=c)
+            step *= sign[:, None]
             mism_k = np.take(mism, fire, axis=0, out=local[:k], mode="clip")
             mism_k += step
             mism[fire] = mism_k
-            bits_k = np.take(bits, fire, axis=0, out=c, mode="clip")
+            bits_k = np.take(bits, fire, axis=0, out=hit[:k], mode="clip")
             rates_k = _rates(mism_k, bits_k, params, out=step)
             rates[fire] = rates_k
+            tau = pending[fire]
+            at = np.searchsorted(times, tau, side="right")
+            # ufunc.at's fast path takes one flat index
+            np.add.at(flips.reshape(-1), at * n + atom, sign)
+            delta = sign * out[atom]
+            before = counts[fire]
+            np.add.at(n_o[0], at, delta)
+            np.add.at(n_o[1], at, delta * (2.0 * before + delta))
+            counts[fire] = before + delta
             if log is not None:
-                log += zip(pending[fire].tolist(), atom.tolist(),
+                log += zip(tau.tolist(), atom.tolist(),
                            new.astype(int).tolist())
-            pending[fire] += _waits(rates_k, rng)
+            pending[fire] = tau + _waits(rates_k, rng)
             events[fire] += 1
-        if rec < times.size and stop == times[rec]:
-            counts = bits @ out
-            dens[rec] = bits.sum(axis=0)
-            n_o[:, rec] = counts.sum(), counts @ counts
-            rec += 1
+            steps += 1
         if stop in starts:
             new_det = schedule.detunings_at(stop, static)
             mism += new_det - det
             det = new_det
             _rates(mism, bits, params, out=rates)
             pending = stop + _waits(rates, rng)
-    return dens, n_o, events
+    flips[0] += m * bits0
+    n_o[:, 0] += m * count0, m * count0**2
+    np.cumsum(flips, axis=0, out=flips)
+    np.cumsum(n_o, axis=1, out=n_o)
+    return flips[:-1], n_o[:, :-1], events, steps
 
 
 def gillespie_run(network: AtomNetwork, params: SimParams,
@@ -332,11 +359,17 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
     Trajectories advance in lockstep blocks of at most BLOCK_ELEMENTS // N;
     block b draws from stream (master_seed, b), so a seed, ensemble size
     and atom count always give the same result.  The metadata counts the
-    blocks and the events per trajectory (mean and max).
+    blocks, the event steps and the events per trajectory (mean and max).
     """
     if n_trajectories < 1:
         raise ClassicalEngineError("empty trajectory ensemble")
     times = np.asarray(times, dtype=float)
+    # an event is filed at the first record time after it, which only an
+    # increasing grid from t >= 0 on gives
+    if (times.ndim != 1 or not times.size or not times[0] >= 0
+            or not np.all(times[1:] > times[:-1])):
+        raise ClassicalEngineError(
+            "record times must be strictly increasing from t >= 0")
     if times[-1] > t_end:
         raise ClassicalEngineError("trajectory shorter than time grid")
     schedule = schedule or DetuningSchedule()
@@ -345,7 +378,7 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
     out[sites] = 1.0
     block = max(1, BLOCK_ELEMENTS // network.n_atoms)
     offsets = range(0, n_trajectories, block)
-    dens, n_o, events = 0.0, 0.0, []
+    dens, n_o, events, steps = 0.0, 0.0, [], 0
     for b, start in enumerate(offsets):
         part = _lockstep_block(network, params, config0, t_end, schedule,
                                min(block, n_trajectories - start),
@@ -353,9 +386,11 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
                                times, out)
         dens, n_o = dens + part[0], n_o + part[1]
         events.append(part[2])
+        steps += part[3]
     events = np.concatenate(events)
     ts = _ensemble_series(times, dens, *n_o, n_trajectories, sites)
     ts.metadata.update(master_seed=master_seed,
                        events_mean=float(events.mean()),
-                       events_max=int(events.max()), blocks=len(offsets))
+                       events_max=int(events.max()), blocks=len(offsets),
+                       steps=steps)
     return ts

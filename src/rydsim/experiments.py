@@ -146,16 +146,20 @@ def _at_work_time(device: DeviceInstance, ts: TimeSeries,
     return ts.value_at(device.work_time)
 
 
+def _sampling(config: dict) -> dict:
+    """kmc's trajectory count and seed, where the config sets them, as
+    run_device keywords."""
+    return {k: config[k] for k in ("trajectories", "seed") if k in config}
+
+
 def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
     gamma, t_end = config["gamma"], config["t_end"]
     params = SimParams(1.0, gamma, config["kappa"])
-    # kmc's trajectory count and seed, where the config sets them
-    sampling = {k: config[k] for k in ("trajectories", "seed") if k in config}
     jobs = [(build_switch_chain, (r * DELTA_F, gamma), params, t_end,
-             config.get("engine"), sampling) for r in config["scan"]]
+             config.get("engine"), _sampling(config)) for r in config["scan"]]
     rows, series = [], {}
     for (dev, ts), r in zip(_pool_map(_run_job, jobs), config["scan"]):
         rows.append((r, _at_work_time(dev, ts, t_end), dev.work_time))
@@ -190,7 +194,8 @@ def run_fig4(config: dict) -> dict:
                       "events_mean": float(np.mean(
                           [m["events_mean"] for m in meta])),
                       "events_max": max(m["events_max"] for m in meta),
-                      "blocks": sum(m["blocks"] for m in meta)})
+                      "blocks": sum(m["blocks"] for m in meta),
+                      "steps": sum(m["steps"] for m in meta)})
         out[f"plateau_{key}"] = float(np.mean(plateaus))
     out["on_off_ratio"] = (out["plateau_on"] / out["plateau_off"]
                            if out["plateau_off"] > 0 else float("inf"))
@@ -202,10 +207,10 @@ def _noisy_params(gamma: float) -> SimParams:
     return SimParams(1.0, gamma, 0.003 if gamma > 0 else 0.0)
 
 
-def _diode_jobs(gammas, ratios, t_end, engine) -> list:
+def _diode_jobs(gammas, ratios, t_end, engine, sampling) -> list:
     """Forward then reverse diode runs at each (gamma, dg/df), in order."""
     return [(build_diode, (direction, ratio * DELTA_F, gamma),
-             _noisy_params(gamma), t_end, engine, {})
+             _noisy_params(gamma), t_end, engine, sampling)
             for gamma in gammas for ratio in ratios
             for direction in ("forward", "reverse")]
 
@@ -214,7 +219,8 @@ def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
     gammas, t_end = config["gammas"], config["t_end"]
     runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, [config["delta_g_ratio"]], t_end, config.get("engine"))))
+        gammas, [config["delta_g_ratio"]], t_end, config.get("engine"),
+        _sampling(config))))
     rows, series = [], {}
     for gamma, forward, reverse in zip(gammas, runs[::2], runs[1::2]):
         rows.append((gamma, _at_work_time(*forward, t_end),
@@ -235,8 +241,8 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     build = build_and_gate if kind == "and" else build_nand_gate
     table = AND_TABLE if kind == "and" else NAND_TABLE
     params = SimParams(1.0, config["gamma"], config["kappa"])
-    jobs = [(build, (bits,), params, config["t_end"], config.get("engine"), {})
-            for bits in sorted(table)]
+    jobs = [(build, (bits,), params, config["t_end"], config.get("engine"),
+             _sampling(config)) for bits in sorted(table)]
     series = {bits: ts for (_, ts), bits
               in zip(_pool_map(_run_job, jobs), sorted(table))}
     t_w = find_gate_work_time(series, table)
@@ -281,7 +287,7 @@ def run_appC(config: dict) -> dict:
             keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
             jobs.append((build_transport_chain, (6, c6),
                          SimParams(1.0, gamma, kappa), config["t_end"],
-                         config.get("engine"), {}))
+                         config.get("engine"), _sampling(config)))
     return {"series": {key: ts for (_, ts), key
                        in zip(_pool_map(_run_job, jobs), keys)}}
 
@@ -307,8 +313,8 @@ def run_appE(config: dict) -> dict:
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
     t_end = config["t_end"]
-    runs = list(_pool_map(_run_job, _diode_jobs(config["gammas"],
-                                                config["scan"], t_end, None)))
+    runs = list(_pool_map(_run_job, _diode_jobs(
+        config["gammas"], config["scan"], t_end, None, {})))
     points = [(gamma, ratio) for gamma in config["gammas"]
               for ratio in config["scan"]]
     rows = [(gamma, ratio, _at_work_time(*forward, t_end),
@@ -334,20 +340,20 @@ EXPERIMENTS = {
     "fig5c": (run_fig5c,
               {"gammas": [0.0, 0.25, 0.5, 1.0], "delta_g_ratio": 2.0,
                "t_end": 8.0},
-              ("engine",)),
+              ("engine", "trajectories", "seed")),
     "fig7-and": (lambda c: run_logic_gate(c, "and"),
                  {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                 ("engine",)),
+                 ("engine", "trajectories", "seed")),
     "fig7-nand": (lambda c: run_logic_gate(c, "nand"),
                   {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                  ("engine",)),
+                  ("engine", "trajectories", "seed")),
     "appB": (run_appB,
              {"gammas": [0.1, 1.0, 10.0], "kappa": 0.003, "t_end": 4.0},
              ()),
     "appC": (run_appC,
              {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
               "t_end": 8.0},
-             ("engine",)),
+             ("engine", "trajectories", "seed")),
     "appD": (run_appD,
              {"gammas": [0.0, 1.0],
               "scan": [round(0.1 * i, 2) for i in range(8, 13)],

@@ -180,10 +180,11 @@ def basis_bits(n_atoms: int) -> np.ndarray:
 
 
 def pair_energies(network: AtomNetwork, atoms: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """C6 / r^6 from each of `atoms` to every atom, zero for an atom and
     itself: shape (len(atoms), N), taken from the positions and written
-    into `out` if given.
+    into `out` if given, with `work` (same shape) as its workspace.
 
     r^2 is summed coordinate by coordinate in place.  r^6 stays `r2**3`
     (the power ufunc): `r2 * r2 * r2` is three times faster but rounds
@@ -192,7 +193,7 @@ def pair_energies(network: AtomNetwork, atoms: np.ndarray,
     coords = network.positions.T
     r2 = np.subtract(coords[0], coords[0, atoms][:, None], out=out)
     np.square(r2, out=r2)
-    d = np.empty_like(r2)
+    d = np.empty_like(r2) if work is None else work
     for c in (1, 2):
         np.subtract(coords[c], coords[c, atoms][:, None], out=d)
         np.square(d, out=d)

@@ -10,11 +10,12 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               evolve_classical, evolve_classical_exact,
                               gillespie_ensemble, gillespie_run,
                               probability_from_configuration)
-from rydsim.devices import (DELTA_F, GAS_PARAMS, build_gas_switch,
-                            build_nand_gate, build_switch_chain)
+from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS,
+                            GAS_R_F, build_gas_switch, build_nand_gate,
+                            build_switch_chain)
 from rydsim.geometry import build_chain
-from rydsim.model import (AtomNetwork, Configuration, SimParams, basis_bits,
-                          pair_energies)
+from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
+                          SimParams, basis_bits, pair_energies)
 from rydsim.propagate import CSR
 from records import to_record, to_scipy
 
@@ -338,14 +339,46 @@ class TestGillespieEnsemble:
         assert np.max(np.abs(a.site_density - self.exact().site_density)) < 0.03
 
     def test_work_counters(self):
-        # an excited atom under a negligible drive decays once, and only once
+        # an excited atom under a negligible drive decays once, and only
+        # once: every trajectory fires in the one event step
         ens = gillespie_ensemble(single_atom(), SimParams(1e-4, 1.0, 2.0),
                                  Configuration((1,)), 20.0, 50, 3,
                                  np.array([10.0, 20.0]), output_sites=(0,))
         assert ens.metadata["events_mean"] == 1.0
         assert ens.metadata["events_max"] == 1
         assert ens.metadata["blocks"] == 1
+        assert ens.metadata["steps"] == 1
         np.testing.assert_array_equal(ens.output_count, 0.0)
+
+    @pytest.mark.parametrize("device", ["switch", "nand"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_one_trajectory_records_its_event_log(self, device, seed):
+        # a one-trajectory ensemble draws the stream of gillespie_run, and
+        # its records must be what the event log gives on the same grid
+        dev = (build_switch_chain(DELTA_F, 1.0) if device == "switch"
+               else build_nand_gate((1, 0)))
+        times = np.linspace(8.0 / 200, 8.0, 200)
+        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
+                                 1, seed, times, dev.output_sites,
+                                 schedule=dev.schedule)
+        traj = gillespie_run(dev.network, self.params, dev.initial, 8.0,
+                             [seed, 0], dev.schedule)
+        ref = ensemble_average([traj], times, dev.output_sites,
+                               dev.network.n_atoms)
+        assert ens.metadata["events_max"] == len(traj.events) > 10
+        for name in ("site_density", "output_count", "output_stderr"):
+            assert np.array_equal(getattr(ens, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("times", [[1.0, 1.0], [2.0, 1.0], [-0.5, 1.0],
+                                       [np.nan], [], [[1.0]]],
+                             ids=["repeated", "decreasing", "negative",
+                                  "nan", "empty", "2d"])
+    def test_refuses_bad_record_times(self, times):
+        # each event is filed at the first record time after it, which
+        # only an increasing grid from t >= 0 gives
+        with pytest.raises(ClassicalEngineError, match="strictly increasing"):
+            gillespie_ensemble(self.net, self.params, self.config0, 4.0, 10,
+                               0, np.array(times), output_sites=(2,))
 
 
 class TestEnsembleAverage:
@@ -386,23 +419,24 @@ def test_trajectory_rejects_decreasing_times():
         Trajectory(Configuration((0,)), [(1.0, 0, 1), (0.5, 0, 0)], 2.0)
 
 
-# Taken from the sampler as it was before its event step wrote into
-# preallocated buffers: (digest of site density, N_o and stderr,
-# events_mean, events_max, blocks); the event log's (length, digest).
-SWITCH_PIN = ("1376a86683b937bc8f1a60e9b6404b5b"
-              "3d0c23bc1268b97bf37d59844ff9583c", 83.884, 135, 1)
+# Taken from the sampler when its lockstep first synchronised only at
+# segment ends, each event filing its own record: (digest of site density,
+# N_o and stderr, events_mean, events_max, blocks, steps).  The event log's
+# (length, digest) is older: one trajectory's stream did not change.
+SWITCH_PIN = ("bfb27ec71a68abfba53825d506717c03"
+              "42dc71b801a41c8dbcf0b2688cf710a9", 82.732, 134, 1, 134)
 NAND_PINS = {
-    (0, 0): ("e10fc3bdefe3c874a0543b7833eb9db9"
-             "1ec6a8d4871263a4eeab175b9f0f3e62", 11.655, 66, 1),
-    (0, 1): ("2409a9704a91f236f6e7864e6b0e3d80"
-             "2badcf48ed132c3c416d732f151c9e73", 40.305, 74, 1),
-    (1, 0): ("075b78fa8c05cf4b953f4716cf1302e2"
-             "9dfa012fb44d1cd924a444d26a4d9437", 38.24, 79, 1),
-    (1, 1): ("687c305f2b24d2510b619e597fee5af6"
-             "60ab63aeb06cbd22b7bce0f5e50e4352", 50.31, 86, 1),
+    (0, 0): ("a3c90162f1a31dbba4183aa0bff991af"
+             "33e1294fe0330c4bec9484ccf9a3969f", 11.435, 70, 1, 74),
+    (0, 1): ("92d770efa6cff125e851b96b86d735a0"
+             "9ba5c46059668ab7790145c9df5ca409", 40.505, 72, 1, 90),
+    (1, 0): ("adfb2e3ed514519e21aad2ced7b623bc"
+             "2c127811a53268759ab28b45e6737285", 40.465, 71, 1, 93),
+    (1, 1): ("09b48eb8f203f673ebf9464e00470ede"
+             "0fdeb30bf8b8dae40d3ddbc2a7e8f8e8", 53.405, 83, 1, 99),
 }
-GAS_PIN = ("239990c29f2392ee6f0c9194d9749a96"
-           "c4d9aa7972d4fa17c401945518cbbc96", 43.0, 65, 3)
+GAS_PIN = ("8060d07af8cc18b716ed4ce34b597bcd"
+           "70707f243c9d62c5f7f793eb6d4d62c1", 45.75, 79, 3, 176)
 EVENT_LOG_PIN = (72, "65bc675172053946ce92f0e7ca1e65d4"
                      "d8feb9e02dcb880f630a322716716347")
 
@@ -425,7 +459,7 @@ class TestLockstepPinned:
     def pin(ts):
         m = ts.metadata
         return (digest(ts.site_density, ts.output_count, ts.output_stderr),
-                m["events_mean"], m["events_max"], m["blocks"])
+                m["events_mean"], m["events_max"], m["blocks"], m["steps"])
 
     def test_switch_at_resonance(self):
         dev = build_switch_chain(DELTA_F, 1.0)
@@ -454,3 +488,41 @@ class TestLockstepPinned:
         traj = gillespie_run(dev.network, self.params, dev.initial, 8.0, 9,
                              dev.schedule)
         assert (len(traj.events), digest(traj.events)) == EVENT_LOG_PIN
+
+
+class TestGasClusterOracle:
+    """The sampler against the exact engine in 3D, with the gas constants:
+    a 2 x 2 x 3 cubic lattice at the facilitation distance, so that an atom
+    with one excited nearest neighbour and no other excited atom is
+    resonant, one corner excited, and that corner pulsed onto resonance
+    mid-run, which the breakpoint redraw must follow."""
+
+    M = 20000
+    # |kmc - exact| in standard errors, over all 7 x 12 site densities and
+    # 7 output counts: the benchmark's bound, fixed before any mutation
+    # run.  A correct sampler read 2.6 at this seed; the sampler's rates
+    # scaled by 1.1 or 0.9 read 8.0 and 8.8, the pair term of atoms 0 and 1
+    # dropped from its event step 51, and no redraw at the breakpoint 23.
+    Z_MAX = 5.0
+
+    def test_matches_exact_engine(self):
+        pos = GAS_R_F * np.array([(i, j, k) for k in range(3)
+                                  for j in range(2) for i in range(2)], float)
+        net = AtomNetwork(pos, np.full(12, GAS_DELTA_F), GAS_C6)
+        config0 = Configuration((1,) + (0,) * 11)
+        schedule = DetuningSchedule(((6.0, 12.0, 0, 0.0),))
+        out, t_end = (8, 9, 10, 11), 20.0
+        exact = evolve_classical(net, GAS_PARAMS, config0, t_end, schedule,
+                                 out)
+        rows = np.arange(25, 200, 25)
+        ens = gillespie_ensemble(net, GAS_PARAMS, config0, t_end, self.M, 1,
+                                 exact.times[rows], out, schedule=schedule)
+        assert ens.metadata["events_mean"] >= 5
+        p = exact.site_density[rows]
+        # binomial standard errors, and at least 1/M where p is near 0
+        se = np.sqrt(np.maximum(p * (1 - p), 1.0 / self.M) / self.M)
+        z_sites = (ens.site_density - p) / se
+        z_out = ((ens.output_count - exact.output_count[rows])
+                 / np.maximum(ens.output_stderr, 1.0 / self.M))
+        assert np.abs(z_sites).max() <= self.Z_MAX
+        assert np.abs(z_out).max() <= self.Z_MAX

@@ -35,6 +35,8 @@ class TestRun:
             assert counters["events_mean"] > 0
             assert counters["events_max"] >= counters["events_mean"]
             assert counters["blocks"] == 1
+            # the lockstep steps once per event of its busiest trajectory
+            assert counters["steps"] >= counters["events_max"]
 
     def test_summary_holds_exact_engine_counters(self, tmp_path):
         config = make_config("fig7-and", engine="classical-exact")
@@ -185,16 +187,51 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: t_end 2 is below the device work time 4.6")
 
-    def test_fig3_kmc_honours_trajectories_and_seed(self):
+    @pytest.mark.parametrize("experiment, trim, key", [
+        ("fig3", {"scan": [1.0]}, "dg_ratio_1"),
+        ("fig5c", {"gammas": [1.0]}, "forward_gamma_1"),
+        ("fig7-and", {}, "input_11"),
+        ("fig7-nand", {}, "input_10")],
+        ids=["fig3", "fig5c", "fig7-and", "fig7-nand"])
+    def test_kmc_honours_trajectories_and_seed(self, monkeypatch, experiment,
+                                               trim, key):
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+
         def kmc_series(seed):
-            config = make_config("fig3", engine="kmc", trajectories=20,
+            config = make_config(experiment, engine="kmc", trajectories=20,
                                  seed=seed)
-            config["scan"] = [1.0]
-            return run_experiment(config)["series"]["dg_ratio_1"]
+            config.update(trim)
+            return run_experiment(config)["series"][key]
         a, b = kmc_series(1), kmc_series(2)
         assert a.metadata["n_trajectories"] == 20
         assert a.metadata["master_seed"] == 1
         assert not (a.output_count == b.output_count).all()
+
+    def test_appC_reads_sampling_flags(self):
+        # appC's coherent (gamma = 0) runs are no rate equation, so its kmc
+        # runs stop there; the flags are read all the same
+        config = make_config("appC", engine="kmc", trajectories=5, seed=1)
+        assert (config["trajectories"], config["seed"]) == (5, 1)
+
+    def test_fig5c_kmc_replays_from_summary(self, tmp_path, monkeypatch):
+        # the default grid's gamma = 0 runs are no rate equation, so the
+        # grid starts above it
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config("fig5c",
+                                                   gammas=[0.5, 1.0])))
+        flags = ["--engine", "kmc", "--trajectories", "50", "--seed", "3"]
+        assert main(["run", str(cfg_path), *flags,
+                     "--out", str(tmp_path / "a")]) == 0
+        summary = tmp_path / "a" / "fig5c" / "summary.json"
+        assert main(["run", str(summary), "--out", str(tmp_path / "b")]) == 0
+        meta = json.loads(summary.read_text())["series"]["forward_gamma_1"]
+        assert (meta["n_trajectories"], meta["master_seed"]) == (50, 3)
+        files = sorted(p.name for p in (tmp_path / "a" / "fig5c").iterdir())
+        assert len(files) == 6
+        for name in files:
+            assert ((tmp_path / "a" / "fig5c" / name).read_bytes()
+                    == (tmp_path / "b" / "fig5c" / name).read_bytes())
 
     @pytest.mark.parametrize("experiment, trim", [
         ("fig5c", {"engine": "classical-exact", "gammas": [0.5, 1.0],
