@@ -192,8 +192,8 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     Each event writes its own record: an event at time tau counts from the
     first record time after tau, so the state at times[r] is the state
     after every event before it.  A step adds its +-1 occupation changes,
-    and the changes of the output count (weights `out`) and of its square,
-    at that record; one cumulative sum at the end turns them into states.
+    and the change of the square of the output count (weights `out`), at
+    that record; one cumulative sum at the end turns them into states.
     Every recorded value is an integer-valued float sum, so the order of
     the events does not round it.
 
@@ -220,7 +220,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     # changes filed at the record they first reach; the last row takes the
     # events after the last record time
     flips = np.zeros((times.size + 1, n))
-    n_o = np.zeros((2, times.size + 1))
+    sq = np.zeros(times.size + 1)
     # scratch for the event steps, firing rows first: cumulative rates,
     # then the pair energies' workspace; pair energies, then new rates;
     # mismatches; the draw's comparison, then occupations
@@ -254,8 +254,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             np.add.at(flips.reshape(-1), at * n + atom, sign)
             delta = sign * out[atom]
             before = counts[fire]
-            np.add.at(n_o[0], at, delta)
-            np.add.at(n_o[1], at, delta * (2.0 * before + delta))
+            np.add.at(sq, at, delta * (2.0 * before + delta))
             counts[fire] = before + delta
             if log is not None:
                 log += zip(tau.tolist(), atom.tolist(),
@@ -270,10 +269,13 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             _rates(mism, bits, params, out=rates)
             pending = stop + _waits(rates, rng)
     flips[0] += m * bits0
-    n_o[:, 0] += m * count0, m * count0**2
+    sq[0] += m * count0**2
     np.cumsum(flips, axis=0, out=flips)
-    np.cumsum(n_o, axis=1, out=n_o)
-    return flips[:-1], n_o[:, :-1], events, steps
+    np.cumsum(sq, out=sq)
+    dens = flips[:-1]
+    # the summed output counts are the summed occupations at the output
+    # sites, an exact integer-valued sum
+    return dens, np.stack([dens @ out, sq[:-1]]), events, steps
 
 
 def gillespie_run(network: AtomNetwork, params: SimParams,

@@ -287,7 +287,7 @@ def run_appC(config: dict) -> dict:
             keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
             jobs.append((build_transport_chain, (6, c6),
                          SimParams(1.0, gamma, kappa), config["t_end"],
-                         config.get("engine"), _sampling(config)))
+                         config.get("engine"), {}))
     return {"series": {key: ts for (_, ts), key
                        in zip(_pool_map(_run_job, jobs), keys)}}
 
@@ -353,7 +353,7 @@ EXPERIMENTS = {
     "appC": (run_appC,
              {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
               "t_end": 8.0},
-             ("engine", "trajectories", "seed")),
+             ("engine",)),
     "appD": (run_appD,
              {"gammas": [0.0, 1.0],
               "scan": [round(0.1 * i, 2) for i in range(8, 13)],

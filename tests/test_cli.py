@@ -207,12 +207,6 @@ class TestRun:
         assert a.metadata["master_seed"] == 1
         assert not (a.output_count == b.output_count).all()
 
-    def test_appC_reads_sampling_flags(self):
-        # appC's coherent (gamma = 0) runs are no rate equation, so its kmc
-        # runs stop there; the flags are read all the same
-        config = make_config("appC", engine="kmc", trajectories=5, seed=1)
-        assert (config["trajectories"], config["seed"]) == (5, 1)
-
     def test_fig5c_kmc_replays_from_summary(self, tmp_path, monkeypatch):
         # the default grid's gamma = 0 runs are no rate equation, so the
         # grid starts above it
