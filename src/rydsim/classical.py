@@ -82,41 +82,26 @@ def classical_generator(network: AtomNetwork, params: SimParams,
                float(skew.max()))
 
 
-def probability_from_configuration(config: Configuration) -> np.ndarray:
-    p = np.zeros(1 << len(config))
-    p[config.to_index()] = 1.0
-    return p
-
-
-def evolve_classical_exact(p0: np.ndarray, build, t_end: float,
-                           output_sites=(), breakpoints=()) -> TimeSeries:
-    """Exact propagation of dp/dt = G p onto the record grid, checking
-    normalisation and positivity at every record time.  G changes only at
-    `breakpoints`; build(t0) returns it for the segment starting at t0,
-    with its rectangle, as `classical_generator` does."""
-    p = np.asarray(p0, dtype=float)
-    n = p.size.bit_length() - 1
-    if 1 << n != p.size:
-        raise ClassicalEngineError("probability vector length must be 2^N")
-    if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
-        raise ClassicalEngineError("p0 must be a normalized probability vector")
-    return propagate(p, build, t_end, "classical-exact", ClassicalEngineError,
-                     output_sites, breakpoints)
-
-
-def evolve_classical(network: AtomNetwork, params: SimParams,
-                     initial: Configuration, t_end: float,
-                     schedule: DetuningSchedule | None = None,
-                     output_sites=()) -> TimeSeries:
-    """Exact classical evolution of a device, rebuilding the generator at
-    schedule breakpoints."""
+def evolve_classical_exact(network: AtomNetwork, params: SimParams,
+                           initial: Configuration, t_end: float,
+                           schedule: DetuningSchedule | None = None,
+                           output_sites=()) -> TimeSeries:
+    """Exact propagation of dp/dt = G p from the configuration `initial`
+    onto the record grid, rebuilding the generator at schedule
+    breakpoints; normalisation and positivity are checked at every record
+    time."""
+    n = network.n_atoms
+    if len(initial) != n:
+        raise ClassicalEngineError("initial configuration length mismatch")
     schedule = schedule or DetuningSchedule()
     static = network.static_detunings
-    return evolve_classical_exact(
-        probability_from_configuration(initial),
-        lambda t0: classical_generator(network, params,
-                                       schedule.detunings_at(t0, static)),
-        t_end, output_sites, schedule.breakpoints())
+    p = np.zeros(1 << n)
+    p[initial.to_index()] = 1.0
+    return propagate(
+        p, lambda t0: classical_generator(network, params,
+                                          schedule.detunings_at(t0, static)),
+        t_end, "classical-exact", ClassicalEngineError, output_sites,
+        schedule.breakpoints())
 
 
 class NeighborTable:

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .experiments import (EXPERIMENTS, ExperimentError, make_config,
                           run_experiment)
-from .propagate import TOL
 from .timeseries import write_csv
 
 
@@ -107,12 +106,10 @@ def _check(name: str, ok: bool, detail: str, report: list) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
 
-def run_validation(tol: float = TOL) -> bool:
+def run_validation() -> bool:
     """Analytic oracles, cross-engine agreement and conservation checks.
 
-    Returns True if everything passed.  `tol` overrides the Rabi check's
-    propagator tolerance (a coarse one demonstrates the failure
-    diagnostics).
+    Returns True if everything passed.
     """
     from .classical import (classical_generator, evolve_classical_exact,
                             gillespie_ensemble)
@@ -126,7 +123,7 @@ def run_validation(tol: float = TOL) -> bool:
     # analytic Rabi oscillation
     try:
         ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
-                            Configuration((0,)), 5.0, tol=tol, output_sites=(0,))
+                            Configuration((0,)), 5.0, output_sites=(0,))
         err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
         _check("rabi", err < 1e-6, f"max |<n> - sin^2(t)| = {err:.2e}", report)
     except Exception as exc:
@@ -144,9 +141,8 @@ def run_validation(tol: float = TOL) -> bool:
            f"{expect:.4f} (3-sigma {bound:.4f})", report)
 
     # two-state classical relaxation
-    pair = classical_generator(single, SimParams(1.0, 1.0, 0.0))
-    ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair, 2.0,
-                                output_sites=(0,))
+    ts = evolve_classical_exact(single, SimParams(1.0, 1.0, 0.0),
+                                Configuration((0,)), 2.0, output_sites=(0,))
     err = float(np.max(np.abs(ts.output_count - 0.5 * (1 - np.exp(-8 * ts.times)))))
     _check("two-state-relaxation", err < 1e-8, f"max error {err:.2e}", report)
 
@@ -183,7 +179,7 @@ def run_validation(tol: float = TOL) -> bool:
 
 
 def cmd_validate(args) -> int:
-    ok = run_validation(tol=args.tol)
+    ok = run_validation()
     print("validation " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -218,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="run engine self-checks")
-    p_val.add_argument("--tol", type=float, default=TOL,
-                       help="propagator tolerance of the Rabi check "
-                            "(diagnostics)")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -13,7 +13,9 @@ import os
 
 import numpy as np
 
-from .classical import evolve_classical, gillespie_ensemble
+# the classical engines are looked up on the module at call time, so that
+# a wrapper installed there after import is the one that runs
+from . import classical
 from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
                       build_and_gate, build_diode, build_gas_switch,
                       build_nand_gate, build_switch_chain,
@@ -30,7 +32,8 @@ class ExperimentError(ValueError):
 
 def make_config(name: str, **overrides) -> dict:
     """The experiment's defaults with the given (non-None) overrides, each
-    of which the experiment must read and `_check_value` accepts."""
+    of which the experiment must read and `_check_value` accepts; a
+    classical engine is refused where any gamma is 0."""
     if name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
@@ -45,6 +48,13 @@ def make_config(name: str, **overrides) -> dict:
         if key != "engine":
             _check_value(key, value, isinstance(defaults.get(key), list))
     config.update(given)
+    # the classical rates are Lorentzians of width gamma: no classical
+    # engine runs at gamma = 0
+    engine = config.get("engine")
+    if (engine in ("classical-exact", "kmc")
+            and 0 in config.get("gammas", [config.get("gamma")])):
+        raise ExperimentError(f"{name} runs gamma = 0, which the {engine} "
+                              "engine does not take (it needs gamma > 0)")
     return config
 
 
@@ -105,15 +115,14 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                             schedule=device.schedule,
                             output_sites=device.output_sites)
     elif engine == "classical-exact":
-        ts = evolve_classical(device.network, params, device.initial, t_end,
-                              schedule=device.schedule,
-                              output_sites=device.output_sites)
+        ts = classical.evolve_classical_exact(
+            device.network, params, device.initial, t_end,
+            schedule=device.schedule, output_sites=device.output_sites)
     elif engine == "kmc":
         times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
-        ts = gillespie_ensemble(device.network, params, device.initial, t_end,
-                                trajectories, seed, times,
-                                device.output_sites,
-                                schedule=device.schedule)
+        ts = classical.gillespie_ensemble(
+            device.network, params, device.initial, t_end, trajectories,
+            seed, times, device.output_sites, schedule=device.schedule)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
     ts.metadata["device"] = device.name
@@ -287,7 +296,7 @@ def run_appC(config: dict) -> dict:
             keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
             jobs.append((build_transport_chain, (6, c6),
                          SimParams(1.0, gamma, kappa), config["t_end"],
-                         config.get("engine"), {}))
+                         None, {}))
     return {"series": {key: ts for (_, ts), key
                        in zip(_pool_map(_run_job, jobs), keys)}}
 
@@ -353,7 +362,7 @@ EXPERIMENTS = {
     "appC": (run_appC,
              {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
               "t_end": 8.0},
-             ("engine",)),
+             ()),
     "appD": (run_appD,
              {"gammas": [0.0, 1.0],
               "scan": [round(0.1 * i, 2) for i in range(8, 13)],

@@ -115,6 +115,8 @@ def check_operator(a, size: int) -> None:
 
 
 RECORD_POINTS = 200
+# A series stops where the rest of its weights, against the size of the
+# result, falls below the unit roundoff.
 TOL = 2.0 ** -53
 # Largest residuals allowed: at a record time (the thresholds of
 # `validate`), and of a segment's generator, whose population column sums
@@ -171,10 +173,10 @@ def _reach_table(real: bool) -> np.ndarray:
 class _Series:
     """The Chebyshev series of exp(tau A) on one segment's rectangle."""
 
-    def __init__(self, rect, tol: float):
+    def __init__(self, rect):
         lo, self.hi, b = rect
         self.c, a = (lo + self.hi) / 2, (self.hi - lo) / 2
-        self.real, self.tol = a >= b, tol
+        self.real = a >= b
         # f: the long half-width; U_{k+1} = 2 (A - c) / f U_k -+ U_{k-1}
         self.f, short = (a, b) if self.real else (b, a)
         self.step = np.subtract if self.real else np.add
@@ -186,7 +188,7 @@ class _Series:
         self.reach = np.inf
         if self.f:
             w = self.weights(_reach_table(self.real), REACH / self.f)
-            ok = w[:, DEGREE:].sum(axis=1) < tol
+            ok = w[:, DEGREE:].sum(axis=1) < TOL
             self.reach = REACH[np.argmax(ok) if ok.any() else -1] / self.f
 
     def weights(self, table: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -199,12 +201,12 @@ class _Series:
         """For each span's taus (ascending, the last one at most `reach`),
         its coefficient rows and the terms each record needs: one Bessel
         table over every tau of the segment.  Each record keeps the terms
-        until the rest of its weights falls below tol, and needs at least
+        until the rest of its weights falls below TOL, and needs at least
         as many as the records before it in its span."""
         taus = np.concatenate(spans)
         table = _bessel(taus * self.f, self.real, DEGREE)
         w = self.weights(table, taus)
-        tail = np.cumsum(w[:, ::-1], axis=1) >= self.tol
+        tail = np.cumsum(w[:, ::-1], axis=1) >= TOL
         counts = np.maximum(tail.sum(axis=1), 1)
         cuts = np.cumsum([len(s) for s in spans])[:-1]
         return zip(np.split(table * np.exp(self.shift * taus)[:, None], cuts),
@@ -243,7 +245,7 @@ class _Series:
 
 
 def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
-              output_sites=(), breakpoints=(), tol: float = TOL,
+              output_sites=(), breakpoints=(),
               populations=slice(None)) -> TimeSeries:
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
     the `engine`'s TimeSeries of per-site densities, with x at t_end as
@@ -251,8 +253,7 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     for the segment starting at t0, as a `CSR` record, with a rectangle
     (lo, hi, b) holding its spectrum in Re [lo, hi] x Im [-b, b]
     (Bendixson: Gershgorin bounds on A's Hermitian and skew-Hermitian
-    parts); `check_operator` refuses one the kernel cannot read.  `tol`
-    truncates the series.
+    parts); `check_operator` refuses one the kernel cannot read.
 
     Each segment is walked in spans, each ending at the first of: the
     longest length whose series stays within DEGREE terms, and the
@@ -268,8 +269,6 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     or `error` is raised at the first time one does not; the largest of
     each goes to the metadata.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, RECORD_POINTS)
@@ -306,7 +305,7 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
         leak = np.zeros(x.size)
         csc_matvec(x.size, x.size, *a, counted, leak)
         check([t], trace_leak=np.abs(leak).max(keepdims=True))
-        series = _Series(rect, tol)
+        series = _Series(rect)
         # a span's end depends only on reach and the segment's end, so the
         # whole segment is planned first
         plan, taus = [], []

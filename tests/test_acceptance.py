@@ -7,7 +7,7 @@ run report via the -rP summary configured in pyproject.toml).
 import numpy as np
 import pytest
 
-from rydsim.classical import evolve_classical, gillespie_ensemble
+from rydsim.classical import evolve_classical_exact, gillespie_ensemble
 from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
                             build_switch_chain, build_transport_chain)
 from rydsim.experiments import make_config, run_experiment, run_logic_gate
@@ -61,9 +61,6 @@ def small_chain_devices():
 
 class TestCriterion1:
     def test_analytic_oracles(self):
-        from rydsim.classical import (classical_generator,
-                                      evolve_classical_exact,
-                                      gillespie_ensemble)
         single = AtomNetwork([[0.0, 0.0, 0.0]], [0.0], 10.0)
 
         ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
@@ -79,9 +76,9 @@ class TestCriterion1:
         decay_tol = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
         decay_err = abs(frac - expect)
 
-        pair = classical_generator(single, SimParams(1.0, 1.0, 0.0))
-        tsc = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair,
-                                     2.0, output_sites=(0,))
+        tsc = evolve_classical_exact(single, SimParams(1.0, 1.0, 0.0),
+                                     Configuration((0,)), 2.0,
+                                     output_sites=(0,))
         relax_err = float(np.max(np.abs(
             tsc.output_count - 0.5 * (1 - np.exp(-8 * tsc.times)))))
 
@@ -170,8 +167,8 @@ class TestCriterion7:
         worst = 0.0
         names = []
         for dev in small_chain_devices():
-            exact = evolve_classical(dev.network, params, dev.initial, 4.0,
-                                     output_sites=dev.output_sites)
+            exact = evolve_classical_exact(dev.network, params, dev.initial,
+                                           4.0, output_sites=dev.output_sites)
             ens = gillespie_ensemble(dev.network, params, dev.initial, 4.0,
                                      10000, 123, times,
                                      output_sites=dev.output_sites)
@@ -207,9 +204,10 @@ class TestCriterion8:
 
         # probability normalization and nonnegativity on the exact propagator
         for dev in small_chain_devices():
-            ts = evolve_classical(dev.network, SimParams(1.0, 1.0, 0.003),
-                                  dev.initial, 4.0,
-                                  output_sites=dev.output_sites)
+            ts = evolve_classical_exact(dev.network,
+                                        SimParams(1.0, 1.0, 0.003),
+                                        dev.initial, 4.0,
+                                        output_sites=dev.output_sites)
             checks.append(abs(float(ts.final_state.sum()) - 1.0) < 1e-6)
             checks.append(float(ts.final_state.min()) > -1e-9)
 

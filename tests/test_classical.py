@@ -7,16 +7,15 @@ import scipy.sparse as sp
 from rydsim import classical
 from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               classical_generator, ensemble_average,
-                              evolve_classical, evolve_classical_exact,
-                              gillespie_ensemble, gillespie_run,
-                              probability_from_configuration)
+                              evolve_classical_exact, gillespie_ensemble,
+                              gillespie_run)
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS,
                             GAS_R_F, build_gas_switch, build_nand_gate,
                             build_switch_chain)
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
                           SimParams, basis_bits, pair_energies)
-from rydsim.propagate import CSR
+from rydsim.propagate import CSR, propagate
 from records import to_record, to_scipy
 
 
@@ -144,9 +143,9 @@ class TestClassicalGenerator:
 
 class TestEvolveClassicalExact:
     def test_two_state_relaxation(self):
-        pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
-        ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair,
-                                    2.0, output_sites=(0,))
+        ts = evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.0),
+                                    Configuration((0,)), 2.0,
+                                    output_sites=(0,))
         np.testing.assert_allclose(ts.output_count,
                                    0.5 * (1 - np.exp(-8 * ts.times)),
                                    atol=1e-8)
@@ -159,16 +158,25 @@ class TestEvolveClassicalExact:
 
     def test_normalization_preserved(self):
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
-        built = classical_generator(net, SimParams(1.0, 1.0, 0.003))
-        p0 = probability_from_configuration(Configuration((1, 0, 0)))
-        ts = evolve_classical_exact(p0, lambda t0: built, 4.0)
+        ts = evolve_classical_exact(net, SimParams(1.0, 1.0, 0.003),
+                                    Configuration((1, 0, 0)), 4.0)
         assert abs(ts.final_state.sum() - 1.0) < 1e-9
         assert ts.final_state.min() > -1e-10
 
     def test_rejects_unnormalized(self):
+        # the t = 0 record refuses a start that is no probability vector
         pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
-        with pytest.raises(ClassicalEngineError):
-            evolve_classical_exact(np.array([0.7, 0.0]), lambda t0: pair, 1.0)
+        for p0, residual in (([0.7, 0.0], "norm_drift"),
+                             ([1.2, -0.2], "negativity")):
+            with pytest.raises(ClassicalEngineError,
+                               match=f"at t=0.000: .*{residual}"):
+                propagate(np.array(p0), lambda t0: pair, 1.0,
+                          "classical-exact", ClassicalEngineError)
+
+    def test_rejects_configuration_of_other_length(self):
+        with pytest.raises(ClassicalEngineError, match="length mismatch"):
+            evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.0),
+                                   Configuration((0, 0)), 1.0)
 
     def test_leaking_generator_raises(self):
         # columns that do not sum to zero lose probability; the column-sum
@@ -176,12 +184,13 @@ class TestEvolveClassicalExact:
         for loss in (0.5, 1e-6):
             leak = to_record([[-1.0, 0.0], [1.0 - loss, 0.0]])
             with pytest.raises(ClassicalEngineError, match="trace_leak"):
-                evolve_classical_exact(np.array([1.0, 0.0]),
-                                       lambda t0: (leak, (-1.5, 0.5, 0.5)), 1.0)
+                propagate(np.array([1.0, 0.0]),
+                          lambda t0: (leak, (-1.5, 0.5, 0.5)), 1.0,
+                          "classical-exact", ClassicalEngineError)
 
     def test_residuals_in_metadata(self):
-        pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.1))
-        ts = evolve_classical_exact(np.array([1.0, 0.0]), lambda t0: pair, 2.0)
+        ts = evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.1),
+                                    Configuration((0,)), 2.0)
         assert ts.times.size == 200
         for key in ("norm_drift", "negativity", "trace_leak"):
             assert 0.0 <= ts.metadata[key] < 1e-12
@@ -268,8 +277,8 @@ class TestGillespie:
         times = np.linspace(0.1, 4.0, 40)
         ens = gillespie_ensemble(net, params, config0, 4.0, 4000, 99,
                                  times, output_sites=(2,))
-        exact = evolve_classical(net, params, config0, 4.0,
-                                 output_sites=(2,)).resample(times)
+        exact = evolve_classical_exact(net, params, config0, 4.0,
+                                       output_sites=(2,)).resample(times)
         assert np.max(np.abs(ens.site_density - exact.site_density)) < 0.03
 
     def test_reproducible_per_seed(self):
@@ -309,8 +318,9 @@ class TestGillespieEnsemble:
                                   m, seed, self.times, output_sites=(2,))
 
     def exact(self):
-        return evolve_classical(self.net, self.params, self.config0, 4.0,
-                                output_sites=(2,)).resample(self.times)
+        return evolve_classical_exact(self.net, self.params, self.config0,
+                                      4.0, output_sites=(2,)
+                                      ).resample(self.times)
 
     def test_seed_replays_bit_identically(self):
         a, b, c = self.sample(300, 5), self.sample(300, 5), self.sample(300, 6)
@@ -324,9 +334,9 @@ class TestGillespieEnsemble:
         ens = gillespie_ensemble(dev.network, self.params, dev.initial, 4.0,
                                  4000, 99, self.times, dev.output_sites,
                                  schedule=dev.schedule)
-        exact = evolve_classical(dev.network, self.params, dev.initial, 4.0,
-                                 schedule=dev.schedule,
-                                 output_sites=dev.output_sites)
+        exact = evolve_classical_exact(dev.network, self.params, dev.initial,
+                                       4.0, schedule=dev.schedule,
+                                       output_sites=dev.output_sites)
         diff = ens.site_density - exact.resample(self.times).site_density
         assert np.max(np.abs(diff)) < 0.03
 
@@ -512,8 +522,8 @@ class TestGasClusterOracle:
         config0 = Configuration((1,) + (0,) * 11)
         schedule = DetuningSchedule(((6.0, 12.0, 0, 0.0),))
         out, t_end = (8, 9, 10, 11), 20.0
-        exact = evolve_classical(net, GAS_PARAMS, config0, t_end, schedule,
-                                 out)
+        exact = evolve_classical_exact(net, GAS_PARAMS, config0, t_end,
+                                       schedule, out)
         rows = np.arange(25, 200, 25)
         ens = gillespie_ensemble(net, GAS_PARAMS, config0, t_end, self.M, 1,
                                  exact.times[rows], out, schedule=schedule)

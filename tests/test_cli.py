@@ -8,6 +8,7 @@ import pytest
 
 import rydsim
 
+from rydsim import classical, quantum
 from rydsim.cli import main, run_validation
 from rydsim.experiments import make_config, run_experiment
 from test_timeseries import per_value_csv
@@ -76,10 +77,20 @@ class TestRun:
         assert main(["run", "fig99", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_engine_failure_exits_1(self, tmp_path, capsys):
-        # the sampler needs dephasing; requesting it at gamma=0 is an
-        # engine error, not a usage one
-        config = make_config("fig3", gamma=0.0, t_end=2.0, engine="kmc")
+    def test_engine_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a generator whose columns lose probability fails the engine's
+        # trace_leak check: an engine error, not a usage one
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        generator = classical.classical_generator
+
+        def leaking(*args):
+            g, rect = generator(*args)
+            data = g.data.copy()
+            data[g.indptr[:-1]] -= 1e-3  # each row's diagonal comes first
+            return g._replace(data=data), rect
+
+        monkeypatch.setattr(classical, "classical_generator", leaking)
+        config = make_config("fig3", t_end=2.0, engine="classical-exact")
         config["scan"] = [1.0]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -97,7 +108,9 @@ class TestRun:
                                       "negative-gammas", "scalar-gammas",
                                       "nan-scan", "negative-c6",
                                       "negative-delta-g-ratio",
-                                      "negative-seed"])
+                                      "negative-seed", "zero-gammas-kmc",
+                                      "zero-gamma-classical-exact",
+                                      "zero-gamma-kmc"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
@@ -138,6 +151,14 @@ class TestRun:
                                             "delta_g_ratio": -1.0}))
         elif case == "negative-seed":
             target, flags = "fig4", ["--seed", "-3"]
+        elif case == "zero-gammas-kmc":
+            # the default grid starts at gamma = 0
+            target, flags = "fig5c", ["--engine", "kmc"]
+        elif case == "zero-gamma-classical-exact":
+            target = "fig3"
+            flags = ["--gamma", "0", "--engine", "classical-exact"]
+        elif case == "zero-gamma-kmc":
+            target, flags = "fig7-and", ["--gamma", "0", "--engine", "kmc"]
         elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":
@@ -161,7 +182,8 @@ class TestRun:
 
     @pytest.mark.parametrize("target, flags", [
         ("fig5c", ["--gamma", "3"]), ("fig5c", ["--n-atoms", "4"]),
-        ("appE", ["--engine", "kmc"]), ("fig4", ["--kappa", "0.1"])])
+        ("appE", ["--engine", "kmc"]), ("fig4", ["--kappa", "0.1"]),
+        ("appC", ["--engine", "kmc"])])
     def test_unread_override_exits_2(self, tmp_path, capsys, target, flags):
         # an override the experiment never reads would change only the
         # config hash
@@ -199,8 +221,7 @@ class TestRun:
 
         def kmc_series(seed):
             config = make_config(experiment, engine="kmc", trajectories=20,
-                                 seed=seed)
-            config.update(trim)
+                                 seed=seed, **trim)
             return run_experiment(config)["series"][key]
         a, b = kmc_series(1), kmc_series(2)
         assert a.metadata["n_trajectories"] == 20
@@ -297,8 +318,15 @@ class TestValidate:
             assert f"PASS  {name}: " in out
         assert "FAIL" not in out
 
-    def test_coarse_tol_reported_as_failure(self, capsys):
-        assert not run_validation(tol=0.5)
+    def test_coarse_tol_reported_as_failure(self, capsys, monkeypatch):
+        # a drive 10% too strong fails the Rabi oracle, which reports it
+        # as a FAIL line instead of raising
+        build = quantum.build_hamiltonian
+        monkeypatch.setattr(
+            quantum, "build_hamiltonian",
+            lambda network, detunings, omega: build(network, detunings,
+                                                    1.1 * omega))
+        assert not run_validation()
         assert "FAIL  rabi" in capsys.readouterr().out
 
 

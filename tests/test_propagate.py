@@ -155,7 +155,7 @@ def test_one_span_covers_dozens_of_record_times():
     g -= np.diag(g.sum(axis=0))
     g /= -np.linalg.eigvalsh(g).min() / 2
     t_end = 150.0
-    reach = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL).reach
+    reach = prop._Series(bendixson(sp.csr_matrix(g))).reach
     assert reach * (prop.RECORD_POINTS - 1) / t_end > 48
     ts = run([g], [0.0], t_end, start())
     assert ts.metadata["spans"] == np.ceil(t_end / reach)
@@ -247,8 +247,8 @@ def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
         random_network(np.random.default_rng(9), 2), SimParams(1.0, 1.0, 0.1))
     with pytest.raises(ValueError, match="CSR record of a 4 x 4 float64 "
                        "matrix with int32 indices, got " + got):
-        classical.evolve_classical_exact(start(4), lambda t0: (convert(g),
-                                                               rect), 1.0)
+        prop.propagate(start(4), lambda t0: (convert(g), rect), 1.0,
+                       "classical-exact", classical.ClassicalEngineError)
 
 
 @pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
@@ -270,7 +270,7 @@ def test_span_matches_expm(case):
     if case == "one-term":
         taus = np.array([1e-10])
     x = rng.uniform(size=16)
-    series = prop._Series(bendixson(sp.csr_matrix(g)), prop.TOL)
+    series = prop._Series(bendixson(sp.csr_matrix(g)))
     (coef, need), = series.coefficients([taus])
     with np.errstate(divide="raise", invalid="raise"):
         pops, end, used = series.span(to_record(g), x, coef, need,
@@ -373,7 +373,7 @@ def test_error_names_the_first_broken_record_time():
     g, t_end = negative_rate_generator(), 4.0
     # the whole run is one span
     rect = bendixson(sp.csr_matrix(g))
-    assert prop._Series(rect, prop.TOL).reach > t_end
+    assert prop._Series(rect).reach > t_end
     res = record_residuals(reference([g], [0.0], t_end, start()))
     broken = np.logical_or.reduce([res[k] >= prop.LIMITS[k] for k in res])
     first = int(np.argmax(broken))
