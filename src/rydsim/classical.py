@@ -93,6 +93,11 @@ def evolve_classical_exact(network: AtomNetwork, params: SimParams,
     n = network.n_atoms
     if len(initial) != n:
         raise ClassicalEngineError("initial configuration length mismatch")
+    # refused before the 2^N vector is made, not by classical_generator
+    # after it
+    if n > GENERATOR_CAP:
+        raise ClassicalEngineError(
+            f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
     schedule = schedule or DetuningSchedule()
     static = network.static_detunings
     p = np.zeros(1 << n)
@@ -162,7 +167,8 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
 def _lockstep_block(network: AtomNetwork, params: SimParams,
                     config0: Configuration, t_end: float,
                     schedule: DetuningSchedule, m: int, rng,
-                    times: np.ndarray, out: np.ndarray, log=None):
+                    times: np.ndarray, out: np.ndarray, site_density: bool,
+                    log=None):
     """Advance m trajectories from config0 to t_end in lockstep.
 
     Each trajectory holds its occupations, mismatches and the time of its
@@ -176,15 +182,16 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
 
     Each event writes its own record: an event at time tau counts from the
     first record time after tau, so the state at times[r] is the state
-    after every event before it.  A step adds its +-1 occupation changes,
-    and the change of the square of the output count (weights `out`), at
-    that record; one cumulative sum at the end turns them into states.
-    Every recorded value is an integer-valued float sum, so the order of
-    the events does not round it.
+    after every event before it.  A step adds the change of the output
+    count (weights `out`) and of its square, and, with `site_density`, its
+    +-1 occupation changes, at that record; one cumulative sum at the end
+    turns them into states.  Every recorded value is an integer-valued
+    float sum, so the order of the events does not round it.
 
-    Returns, per record time, the summed occupations, the summed output
-    counts and their squares; the events of each trajectory; and the number
-    of event steps.  `log` collects (time, atom, new_bit) of every event.
+    Returns, per record time, the summed occupations (None without
+    `site_density`), the (2, times) summed output counts and their
+    squares; the events of each trajectory; and the number of event steps.
+    `log` collects (time, atom, new_bit) of every event.
     """
     if params.gamma <= 0:
         raise ClassicalEngineError("Gillespie sampling requires gamma > 0")
@@ -202,10 +209,10 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     events = np.zeros(m, dtype=np.int64)
     count0 = float(bits0 @ out)
     counts = np.full(m, count0)
-    # changes filed at the record they first reach; the last row takes the
-    # events after the last record time
-    flips = np.zeros((times.size + 1, n))
-    sq = np.zeros(times.size + 1)
+    # changes filed at the record they first reach; the last record slot
+    # takes the events after the last record time
+    moments = np.zeros((2, times.size + 1))
+    flips = np.zeros((times.size + 1, n)) if site_density else None
     # scratch for the event steps, firing rows first: cumulative rates,
     # then the pair energies' workspace; pair energies, then new rates;
     # mismatches; the draw's comparison, then occupations
@@ -235,11 +242,13 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             rates[fire] = rates_k
             tau = pending[fire]
             at = np.searchsorted(times, tau, side="right")
-            # ufunc.at's fast path takes one flat index
-            np.add.at(flips.reshape(-1), at * n + atom, sign)
+            if flips is not None:
+                # ufunc.at's fast path takes one flat index
+                np.add.at(flips.reshape(-1), at * n + atom, sign)
             delta = sign * out[atom]
             before = counts[fire]
-            np.add.at(sq, at, delta * (2.0 * before + delta))
+            np.add.at(moments[0], at, delta)
+            np.add.at(moments[1], at, delta * (2.0 * before + delta))
             counts[fire] = before + delta
             if log is not None:
                 log += zip(tau.tolist(), atom.tolist(),
@@ -253,14 +262,13 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             det = new_det
             _rates(mism, bits, params, out=rates)
             pending = stop + _waits(rates, rng)
-    flips[0] += m * bits0
-    sq[0] += m * count0**2
-    np.cumsum(flips, axis=0, out=flips)
-    np.cumsum(sq, out=sq)
-    dens = flips[:-1]
-    # the summed output counts are the summed occupations at the output
-    # sites, an exact integer-valued sum
-    return dens, np.stack([dens @ out, sq[:-1]]), events, steps
+    moments[:, 0] += m * count0, m * count0**2
+    np.cumsum(moments, axis=1, out=moments)
+    if flips is not None:
+        flips[0] += m * bits0
+        np.cumsum(flips, axis=0, out=flips)
+        flips = flips[:-1]
+    return flips, moments[:, :-1], events, steps
 
 
 def gillespie_run(network: AtomNetwork, params: SimParams,
@@ -278,22 +286,25 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
     _lockstep_block(network, params, config0, t_end,
                     schedule or DetuningSchedule(), 1,
                     default_rng(seed), np.empty(0),
-                    np.zeros(network.n_atoms), log=events)
+                    np.zeros(network.n_atoms), False, log=events)
     return Trajectory(config0, events, float(t_end))
 
 
-def _ensemble_series(times: np.ndarray, dens_sum: np.ndarray,
+def _ensemble_series(times: np.ndarray, dens_sum: np.ndarray | None,
                      no_sum: np.ndarray, no_sq: np.ndarray, m: int,
                      sites: np.ndarray) -> TimeSeries:
     """Ensemble means from sums over m trajectories, with the standard
-    error of the output count."""
+    error of the output count.  The site densities are dens_sum divided in
+    place; without dens_sum the series has no site columns."""
     mean_no = no_sum / m
     if m > 1:
         var = np.maximum(no_sq / m - mean_no**2, 0.0) * m / (m - 1)
         stderr = np.sqrt(var / m)
     else:
         stderr = np.zeros_like(mean_no)
-    return TimeSeries(times, dens_sum / m, mean_no, stderr,
+    dens = (np.empty((times.size, 0)) if dens_sum is None
+            else np.divide(dens_sum, m, out=dens_sum))
+    return TimeSeries(times, dens, mean_no, stderr,
                       metadata={"engine": "kmc", "n_trajectories": m,
                                 "output_sites": [int(s) for s in sites]})
 
@@ -339,13 +350,17 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
                        config0: Configuration, t_end: float,
                        n_trajectories: int, master_seed: int,
                        times: np.ndarray, output_sites,
-                       schedule: DetuningSchedule | None = None) -> TimeSeries:
+                       schedule: DetuningSchedule | None = None,
+                       site_density: bool = True) -> TimeSeries:
     """Mean per-site density and output count of a sampled ensemble on
-    `times`, with the standard error of the output count.
+    `times`, with the standard error of the output count.  Without
+    `site_density` no per-site sums are kept and the series has no site
+    columns; the output count and its error are the same bits either way.
 
     Trajectories advance in lockstep blocks of at most BLOCK_ELEMENTS // N;
     block b draws from stream (master_seed, b), so a seed, ensemble size
-    and atom count always give the same result.  The metadata counts the
+    and atom count always give the same result.  Each block's sums are
+    added in place into the first block's.  The metadata counts the
     blocks, the event steps and the events per trajectory (mean and max).
     """
     if n_trajectories < 1:
@@ -365,17 +380,24 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
     out[sites] = 1.0
     block = max(1, BLOCK_ELEMENTS // network.n_atoms)
     offsets = range(0, n_trajectories, block)
-    dens, n_o, events, steps = 0.0, 0.0, [], 0
+    events, steps = [], 0
     for b, start in enumerate(offsets):
         part = _lockstep_block(network, params, config0, t_end, schedule,
                                min(block, n_trajectories - start),
                                default_rng([master_seed, b]),
-                               times, out)
-        dens, n_o = dens + part[0], n_o + part[1]
+                               times, out, site_density)
+        if b == 0:
+            dens, moments = part[0], part[1]
+        else:
+            moments += part[1]
+            if site_density:
+                dens += part[0]
         events.append(part[2])
         steps += part[3]
+        # this block's sums go before the next block makes its own
+        del part
     events = np.concatenate(events)
-    ts = _ensemble_series(times, dens, *n_o, n_trajectories, sites)
+    ts = _ensemble_series(times, dens, *moments, n_trajectories, sites)
     ts.metadata.update(master_seed=master_seed,
                        events_mean=float(events.mean()),
                        events_max=int(events.max()), blocks=len(offsets),

@@ -33,7 +33,8 @@ class ExperimentError(ValueError):
 def make_config(name: str, **overrides) -> dict:
     """The experiment's defaults with the given (non-None) overrides, each
     of which the experiment must read and `_check_value` accepts; a
-    classical engine is refused where any gamma is 0."""
+    classical engine, and appB (which always runs classical-exact), is
+    refused where any gamma is 0."""
     if name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
@@ -50,7 +51,7 @@ def make_config(name: str, **overrides) -> dict:
     config.update(given)
     # the classical rates are Lorentzians of width gamma: no classical
     # engine runs at gamma = 0
-    engine = config.get("engine")
+    engine = "classical-exact" if name == "appB" else config.get("engine")
     if (engine in ("classical-exact", "kmc")
             and 0 in config.get("gammas", [config.get("gamma")])):
         raise ExperimentError(f"{name} runs gamma = 0, which the {engine} "
@@ -107,8 +108,11 @@ def _pool_map(fn, jobs):
 
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                engine: str | None = None, seed: int = 0,
-               trajectories: int = 1000) -> TimeSeries:
-    """Run one device on the requested engine (default: quantum)."""
+               trajectories: int = 1000,
+               site_density: bool = True) -> TimeSeries:
+    """Run one device on the requested engine (default: quantum).  seed,
+    trajectories and site_density are kmc's: without site_density the
+    sampler keeps no per-site sums and the series has no site columns."""
     engine = engine or "quantum"
     if engine == "quantum":
         ts = evolve_quantum(device.network, params, device.initial, t_end,
@@ -122,7 +126,8 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
         times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
         ts = classical.gillespie_ensemble(
             device.network, params, device.initial, t_end, trajectories,
-            seed, times, device.output_sites, schedule=device.schedule)
+            seed, times, device.output_sites, schedule=device.schedule,
+            site_density=site_density)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
     ts.metadata["device"] = device.name
@@ -135,15 +140,6 @@ def _run_job(job):
     build, args, params, t_end, engine, keywords = job
     device = build(*args)
     return device, run_device(device, params, t_end, engine, **keywords)
-
-
-def _gas_job(job):
-    """One fig4 gas run, reduced where it ran to what fig4 writes of it:
-    (times, N_o, stderr^2, plateau, metadata), without the (200, n_atoms)
-    site densities, 4.8 MB a run at 3000 atoms."""
-    _, ts = _run_job(job)
-    return (ts.times, ts.output_count, ts.output_stderr**2,
-            ts.plateau_value(), ts.metadata)
 
 
 def _at_work_time(device: DeviceInstance, ts: TimeSeries,
@@ -182,30 +178,32 @@ def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
     n, seed = config["instances"], config["seed"]
     # instance i samples its gas from seed + i and its trajectories from
-    # 1000 seed + i
+    # 1000 seed + i; fig4 writes no per-site columns, so no run keeps them
     jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
              config["t_end"], "kmc",
-             {"seed": 1000 * seed + i, "trajectories": config["trajectories"]})
+             {"seed": 1000 * seed + i, "trajectories": config["trajectories"],
+              "site_density": False})
             for on in (True, False) for i in range(n)]
     try:
-        runs = list(_pool_map(_gas_job, jobs))
+        runs = [ts for _, ts in _pool_map(_run_job, jobs)]
     except DeviceError as exc:
         raise ExperimentError(f"n_atoms {config['n_atoms']} is too few for "
                               f"the gas switch: {exc}") from None
     out = {"series": {}}
     for key, part in (("on", runs[:n]), ("off", runs[n:])):
-        times, counts, variances, plateaus, meta = zip(*part)
-        # no per-site columns: the workers hand back no site densities
+        meta = [ts.metadata for ts in part]
         out["series"][key] = TimeSeries(
-            times[0], np.zeros((times[0].size, 0)), sum(counts) / n,
-            np.sqrt(sum(variances)) / n,
+            part[0].times, part[0].site_density,
+            sum(ts.output_count for ts in part) / n,
+            np.sqrt(sum(ts.output_stderr**2 for ts in part)) / n,
             metadata={"engine": "kmc", "switch": key, "instances": n,
                       "events_mean": float(np.mean(
                           [m["events_mean"] for m in meta])),
                       "events_max": max(m["events_max"] for m in meta),
                       "blocks": sum(m["blocks"] for m in meta),
                       "steps": sum(m["steps"] for m in meta)})
-        out[f"plateau_{key}"] = float(np.mean(plateaus))
+        out[f"plateau_{key}"] = float(np.mean([ts.plateau_value()
+                                               for ts in part]))
     out["on_off_ratio"] = (out["plateau_on"] / out["plateau_off"]
                            if out["plateau_off"] > 0 else float("inf"))
     return out

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
                               gillespie_run)
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS,
                             GAS_R_F, build_gas_switch, build_nand_gate,
-                            build_switch_chain)
+                            build_switch_chain, build_transport_chain)
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
                           SimParams, basis_bits, pair_energies)
@@ -177,6 +178,14 @@ class TestEvolveClassicalExact:
         with pytest.raises(ClassicalEngineError, match="length mismatch"):
             evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.0),
                                    Configuration((0, 0)), 1.0)
+
+    def test_cap_refused_before_the_probability_vector(self):
+        # 2^40 doubles would take 8 TiB: the cap is checked before any
+        # such allocation
+        dev = build_transport_chain(40)
+        with pytest.raises(ClassicalEngineError, match="exceeds"):
+            evolve_classical_exact(dev.network, SimParams(1.0, 1.0, 0.0),
+                                   dev.initial, 1.0)
 
     def test_leaking_generator_raises(self):
         # columns that do not sum to zero lose probability; the column-sum
@@ -471,27 +480,58 @@ class TestLockstepPinned:
         return (digest(ts.site_density, ts.output_count, ts.output_stderr),
                 m["events_mean"], m["events_max"], m["blocks"], m["steps"])
 
+    @staticmethod
+    def sample(*args, **kwargs):
+        """The ensemble with its site records, once the same ensemble
+        without them is seen to have no site columns and the same N_o,
+        stderr and metadata, bit for bit."""
+        ts = gillespie_ensemble(*args, **kwargs)
+        bare = gillespie_ensemble(*args, **kwargs, site_density=False)
+        assert bare.site_density.shape == (ts.times.size, 0)
+        for name in ("output_count", "output_stderr"):
+            assert getattr(bare, name).tobytes() == getattr(ts, name).tobytes()
+        assert bare.metadata == ts.metadata
+        return ts
+
     def test_switch_at_resonance(self):
         dev = build_switch_chain(DELTA_F, 1.0)
-        ts = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
-                                1000, 3, self.times, dev.output_sites)
+        ts = self.sample(dev.network, self.params, dev.initial, 8.0, 1000, 3,
+                         self.times, dev.output_sites)
         assert self.pin(ts) == SWITCH_PIN
 
     @pytest.mark.parametrize("bits", sorted(NAND_PINS))
     def test_nand_breakpoint_redraw(self, bits):
         dev = build_nand_gate(bits)
-        ts = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
-                                200, 5, self.times, dev.output_sites,
-                                schedule=dev.schedule)
+        ts = self.sample(dev.network, self.params, dev.initial, 8.0, 200, 5,
+                         self.times, dev.output_sites, schedule=dev.schedule)
         assert self.pin(ts) == NAND_PINS[bits]
 
     def test_gas_over_blocks(self, monkeypatch):
         dev = build_gas_switch(True, 7, 400)
         monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 400)
         times = np.linspace(100.0 / 200, 100.0, 200)
-        ts = gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial, 100.0,
-                                8, 11, times, dev.output_sites)
+        ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 100.0, 8, 11,
+                         times, dev.output_sites)
         assert self.pin(ts) == GAS_PIN
+
+    @pytest.mark.parametrize("site_density, trajectories, bound_mib",
+                             [(False, 30, 6), (True, 30, 10), (True, 2, 6)])
+    def test_full_scale_gas_peak_memory(self, site_density, trajectories,
+                                        bound_mib):
+        # fig4's sampler at 3000 atoms: its per-site sums alone are
+        # 201 x 3000 doubles (4.6 MiB).  At 2 trajectories they are nearly
+        # all of its memory, so one copy of them shows.
+        dev = build_gas_switch(True, 7)
+        times = np.linspace(100.0 / 200, 100.0, 200)
+        tracemalloc.start()
+        try:
+            gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial, 100.0,
+                               trajectories, 7000, times, dev.output_sites,
+                               site_density=site_density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     def test_event_log(self):
         dev = build_nand_gate((1, 0))

@@ -110,7 +110,7 @@ class TestRun:
                                       "negative-delta-g-ratio",
                                       "negative-seed", "zero-gammas-kmc",
                                       "zero-gamma-classical-exact",
-                                      "zero-gamma-kmc"])
+                                      "zero-gamma-kmc", "zero-gammas-appB"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
@@ -159,6 +159,11 @@ class TestRun:
             flags = ["--gamma", "0", "--engine", "classical-exact"]
         elif case == "zero-gamma-kmc":
             target, flags = "fig7-and", ["--gamma", "0", "--engine", "kmc"]
+        elif case == "zero-gammas-appB":
+            # appB runs classical-exact beside quantum at every gamma
+            cfg_path.write_text(json.dumps({"experiment": "appB",
+                                            "gammas": [0.0, 1.0],
+                                            "t_end": 1.0}))
         elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":
