@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits, pair_energies, sorted_union)
+                    basis_bits, pair_energies)
 from .propagate import CSR, propagate
 from .timeseries import TimeSeries
 
@@ -84,11 +84,11 @@ def classical_generator(network: AtomNetwork, params: SimParams,
 
 def evolve_classical_exact(network: AtomNetwork, params: SimParams,
                            initial: Configuration, t_end: float,
-                           schedule: DetuningSchedule | None = None,
+                           schedule: DetuningSchedule = DetuningSchedule(),
                            output_sites=()) -> TimeSeries:
     """Exact propagation of dp/dt = G p from the configuration `initial`
-    onto the record grid, rebuilding the generator at schedule
-    breakpoints; normalisation and positivity are checked at every record
+    onto the record grid, rebuilding the generator on each schedule
+    segment; normalisation and positivity are checked at every record
     time."""
     n = network.n_atoms
     if len(initial) != n:
@@ -98,15 +98,12 @@ def evolve_classical_exact(network: AtomNetwork, params: SimParams,
     if n > GENERATOR_CAP:
         raise ClassicalEngineError(
             f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
-    schedule = schedule or DetuningSchedule()
-    static = network.static_detunings
     p = np.zeros(1 << n)
     p[initial.to_index()] = 1.0
     return propagate(
-        p, lambda t0: classical_generator(network, params,
-                                          schedule.detunings_at(t0, static)),
-        t_end, "classical-exact", ClassicalEngineError, output_sites,
-        schedule.breakpoints())
+        p, lambda det: classical_generator(network, params, det),
+        schedule.segments(t_end, network.static_detunings),
+        "classical-exact", ClassicalEngineError, output_sites)
 
 
 class NeighborTable:
@@ -172,13 +169,13 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     """Advance m trajectories from config0 to t_end in lockstep.
 
     Each trajectory holds its occupations, mismatches and the time of its
-    pending event.  The trajectories synchronise only at segment ends
-    (schedule breakpoints and t_end).  Before each, every trajectory whose
-    event comes earlier fires it in one vectorised step: the atom is drawn
-    in proportion to its rate, the mismatches move by its pair energies and
-    a new wait is drawn.  At a breakpoint the mismatches shift with the
-    detunings and every pending event is redrawn, which is exact for a
-    memoryless process.
+    pending event.  The trajectories synchronise only at the schedule's
+    segment bounds.  At each segment's start (t = 0 the first) the
+    mismatches shift with the detunings and every pending event is drawn
+    afresh, which is exact for a memoryless process.  Before its end,
+    every trajectory whose event comes earlier fires it in one vectorised
+    step: the atom is drawn in proportion to its rate, the mismatches move
+    by its pair energies and a new wait is drawn.
 
     Each event writes its own record: an event at time tau counts from the
     first record time after tau, so the state at times[r] is the state
@@ -198,14 +195,12 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     n = network.n_atoms
     if len(config0) != n:
         raise ClassicalEngineError("configuration length mismatch")
-    static = network.static_detunings
-    starts = {float(b) for b in schedule.breakpoints() if 0.0 < b < t_end}
-    det = schedule.detunings_at(0.0, static)
     bits0 = config0.as_array().astype(float)
-    mism0 = det + pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
-    bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(mism0, (m, 1))
-    rates = _rates(mism, bits, params)
-    pending = _waits(rates, rng)
+    pairs0 = pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
+    bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(pairs0, (m, 1))
+    # detunings the mismatches hold; each segment shifts them to its own
+    det = 0.0
+    rates = np.empty((m, n))
     events = np.zeros(m, dtype=np.int64)
     count0 = float(bits0 @ out)
     counts = np.full(m, count0)
@@ -219,7 +214,12 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     cum, pairs, local = (np.empty((m, n)) for _ in range(3))
     hit = np.empty((m, n), dtype=bool)
     steps = 0
-    for stop in sorted_union([*starts, t_end]):
+    for start, stop, new_det in schedule.segments(t_end,
+                                                   network.static_detunings):
+        mism += new_det - det
+        det = new_det
+        _rates(mism, bits, params, out=rates)
+        pending = start + _waits(rates, rng)
         while (fire := np.flatnonzero(pending < stop)).size:
             k = fire.size
             # take writes `out` unbuffered in `clip` mode; fire is in range
@@ -256,12 +256,6 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             pending[fire] = tau + _waits(rates_k, rng)
             events[fire] += 1
             steps += 1
-        if stop in starts:
-            new_det = schedule.detunings_at(stop, static)
-            mism += new_det - det
-            det = new_det
-            _rates(mism, bits, params, out=rates)
-            pending = stop + _waits(rates, rng)
     moments[:, 0] += m * count0, m * count0**2
     np.cumsum(moments, axis=1, out=moments)
     if flips is not None:
@@ -273,7 +267,8 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
 
 def gillespie_run(network: AtomNetwork, params: SimParams,
                   config0: Configuration, t_end: float, seed,
-                  schedule: DetuningSchedule | None = None) -> Trajectory:
+                  schedule: DetuningSchedule = DetuningSchedule()
+                  ) -> Trajectory:
     """Exact event-driven sampling of the classical rate equation: one
     trajectory of the lockstep sampler, drawing from default_rng(seed),
     with its event log.
@@ -283,8 +278,7 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
     schedules resample the pending event at each breakpoint.
     """
     events = []
-    _lockstep_block(network, params, config0, t_end,
-                    schedule or DetuningSchedule(), 1,
+    _lockstep_block(network, params, config0, t_end, schedule, 1,
                     default_rng(seed), np.empty(0),
                     np.zeros(network.n_atoms), False, log=events)
     return Trajectory(config0, events, float(t_end))
@@ -350,7 +344,7 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
                        config0: Configuration, t_end: float,
                        n_trajectories: int, master_seed: int,
                        times: np.ndarray, output_sites,
-                       schedule: DetuningSchedule | None = None,
+                       schedule: DetuningSchedule = DetuningSchedule(),
                        site_density: bool = True) -> TimeSeries:
     """Mean per-site density and output count of a sampled ensemble on
     `times`, with the standard error of the output count.  Without
@@ -374,7 +368,6 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
             "record times must be strictly increasing from t >= 0")
     if times[-1] > t_end:
         raise ClassicalEngineError("trajectory shorter than time grid")
-    schedule = schedule or DetuningSchedule()
     sites = np.asarray(list(output_sites), dtype=int)
     out = np.zeros(network.n_atoms)
     out[sites] = 1.0

@@ -45,13 +45,12 @@ class DeviceError(ValueError):
 @dataclass(frozen=True)
 class DeviceInstance:
     """What the engines and runners read of a device: how to run it (engine,
-    noise, duration) is the caller's choice."""
+    noise, duration) and when to read it out are the caller's choice."""
 
     network: AtomNetwork
     initial: Configuration
     output_sites: tuple
-    schedule: DetuningSchedule | None = None
-    work_time: float | None = None
+    schedule: DetuningSchedule = DetuningSchedule()
     name: str = ""
 
     def __post_init__(self):
@@ -62,11 +61,12 @@ class DeviceInstance:
             raise DeviceError("output sites overlap initially excited inputs")
 
 
-def _work_time(gamma: float) -> float:
+def work_time(gamma: float) -> float:
+    """Readout time of the chain switch and diode at dephasing gamma."""
     return T_WORK_NOISY if gamma > 0 else T_WORK_IDEAL
 
 
-def build_switch_chain(delta_g: float, gamma: float = 1.0) -> DeviceInstance:
+def build_switch_chain(delta_g: float) -> DeviceInstance:
     """Six-atom switch: input, gate with tunable detuning, four outputs."""
     detunings = [DELTA_F, delta_g, DELTA_F, DELTA_F, DELTA_F, DELTA_F]
     network = geometry.build_chain([R_F] * 5, detunings, C6)
@@ -74,7 +74,6 @@ def build_switch_chain(delta_g: float, gamma: float = 1.0) -> DeviceInstance:
         network=network,
         initial=Configuration.single_excitation(6, 0),
         output_sites=(2, 3, 4, 5),
-        work_time=_work_time(gamma),
         name="switch-chain")
 
 
@@ -119,8 +118,7 @@ def build_gas_switch(on: bool, seed, n_atoms: int = GAS_N_ATOMS) -> DeviceInstan
         name=f"gas-switch-{'on' if on else 'off'}")
 
 
-def build_diode(direction: str, delta_g: float = 2 * DELTA_F,
-                gamma: float = 1.0) -> DeviceInstance:
+def build_diode(direction: str, delta_g: float = 2 * DELTA_F) -> DeviceInstance:
     """Six-atom diode: a gate atom whose off-spacing gap r_g satisfies the
     facilitation condition only when approached from the input side."""
     if delta_g >= 0:
@@ -139,7 +137,6 @@ def build_diode(direction: str, delta_g: float = 2 * DELTA_F,
         network=network,
         initial=Configuration.single_excitation(6, 0),
         output_sites=(3, 4, 5),
-        work_time=_work_time(gamma),
         name=f"diode-{direction}")
 
 

@@ -20,7 +20,7 @@ from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
                       build_and_gate, build_diode, build_gas_switch,
                       build_nand_gate, build_switch_chain,
                       build_transport_chain, find_gate_work_time,
-                      find_work_time, logic_readout)
+                      find_work_time, logic_readout, work_time)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -136,19 +136,19 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
 
 def _run_job(job):
     """One device run: (builder, its arguments, params, t_end, engine,
-    run_device keywords) -> (device, series)."""
+    run_device keywords) -> its series."""
     build, args, params, t_end, engine, keywords = job
-    device = build(*args)
-    return device, run_device(device, params, t_end, engine, **keywords)
+    return run_device(build(*args), params, t_end, engine, **keywords)
 
 
-def _at_work_time(device: DeviceInstance, ts: TimeSeries,
-                  t_end: float) -> float:
-    """Output count at the device work time, which t_end must reach."""
-    if t_end < device.work_time:
+def _work_times(gammas, t_end: float) -> list:
+    """The readout time at each gamma; where t_end falls short of the
+    latest, an ExperimentError before anything runs."""
+    t_ws = [work_time(gamma) for gamma in gammas]
+    if t_ws and t_end < max(t_ws):
         raise ExperimentError(f"t_end {t_end:g} is below the device work "
-                              f"time {device.work_time:g}")
-    return ts.value_at(device.work_time)
+                              f"time {max(t_ws):g}")
+    return t_ws
 
 
 def _sampling(config: dict) -> dict:
@@ -162,12 +162,13 @@ def run_fig3(config: dict) -> dict:
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
     gamma, t_end = config["gamma"], config["t_end"]
+    [t_w] = _work_times([gamma], t_end)
     params = SimParams(1.0, gamma, config["kappa"])
-    jobs = [(build_switch_chain, (r * DELTA_F, gamma), params, t_end,
+    jobs = [(build_switch_chain, (r * DELTA_F,), params, t_end,
              config.get("engine"), _sampling(config)) for r in config["scan"]]
     rows, series = [], {}
-    for (dev, ts), r in zip(_pool_map(_run_job, jobs), config["scan"]):
-        rows.append((r, _at_work_time(dev, ts, t_end), dev.work_time))
+    for ts, r in zip(_pool_map(_run_job, jobs), config["scan"]):
+        rows.append((r, ts.value_at(t_w), t_w))
         series[f"dg_ratio_{r:g}"] = ts
     return {"scan_rows": rows,
             "scan_header": ["delta_g_over_delta_f", "N_o_at_t_w", "t_w"],
@@ -185,7 +186,7 @@ def run_fig4(config: dict) -> dict:
               "site_density": False})
             for on in (True, False) for i in range(n)]
     try:
-        runs = [ts for _, ts in _pool_map(_run_job, jobs)]
+        runs = list(_pool_map(_run_job, jobs))
     except DeviceError as exc:
         raise ExperimentError(f"n_atoms {config['n_atoms']} is too few for "
                               f"the gas switch: {exc}") from None
@@ -216,7 +217,7 @@ def _noisy_params(gamma: float) -> SimParams:
 
 def _diode_jobs(gammas, ratios, t_end, engine, sampling) -> list:
     """Forward then reverse diode runs at each (gamma, dg/df), in order."""
-    return [(build_diode, (direction, ratio * DELTA_F, gamma),
+    return [(build_diode, (direction, ratio * DELTA_F),
              _noisy_params(gamma), t_end, engine, sampling)
             for gamma in gammas for ratio in ratios
             for direction in ("forward", "reverse")]
@@ -225,15 +226,17 @@ def _diode_jobs(gammas, ratios, t_end, engine, sampling) -> list:
 def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
     gammas, t_end = config["gammas"], config["t_end"]
+    t_ws = _work_times(gammas, t_end)
     runs = list(_pool_map(_run_job, _diode_jobs(
         gammas, [config["delta_g_ratio"]], t_end, config.get("engine"),
         _sampling(config))))
     rows, series = [], {}
-    for gamma, forward, reverse in zip(gammas, runs[::2], runs[1::2]):
-        rows.append((gamma, _at_work_time(*forward, t_end),
-                     _at_work_time(*reverse, t_end), forward[0].work_time))
-        series[f"forward_gamma_{gamma:g}"] = forward[1]
-        series[f"reverse_gamma_{gamma:g}"] = reverse[1]
+    for gamma, t_w, forward, reverse in zip(gammas, t_ws, runs[::2],
+                                            runs[1::2]):
+        rows.append((gamma, forward.value_at(t_w), reverse.value_at(t_w),
+                     t_w))
+        series[f"forward_gamma_{gamma:g}"] = forward
+        series[f"reverse_gamma_{gamma:g}"] = reverse
     return {"scan_rows": rows,
             "scan_header": ["gamma", "N_o_forward", "N_o_reverse", "t_w"],
             "series": series}
@@ -250,8 +253,7 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     params = SimParams(1.0, config["gamma"], config["kappa"])
     jobs = [(build, (bits,), params, config["t_end"], config.get("engine"),
              _sampling(config)) for bits in sorted(table)]
-    series = {bits: ts for (_, ts), bits
-              in zip(_pool_map(_run_job, jobs), sorted(table))}
+    series = dict(zip(sorted(table), _pool_map(_run_job, jobs)))
     t_w = find_gate_work_time(series, table)
     rows = []
     truth = {}
@@ -274,10 +276,9 @@ def run_appB(config: dict) -> dict:
             for engine in ("quantum", "classical-exact")]
     runs = list(_pool_map(_run_job, jobs))
     series, rows = {}, []
-    for gamma, (_, tsq), (_, tsc) in zip(config["gammas"], runs[::2],
-                                         runs[1::2]):
-        tsc_on_q = tsc.resample(tsq.times)
-        diff = float(np.max(np.abs(tsq.site_density - tsc_on_q.site_density)))
+    # both exact engines record on the same grid
+    for gamma, tsq, tsc in zip(config["gammas"], runs[::2], runs[1::2]):
+        diff = float(np.max(np.abs(tsq.site_density - tsc.site_density)))
         series[f"quantum_gamma_{gamma:g}"] = tsq
         series[f"classical_gamma_{gamma:g}"] = tsc
         rows.append((gamma, diff))
@@ -295,19 +296,18 @@ def run_appC(config: dict) -> dict:
             jobs.append((build_transport_chain, (6, c6),
                          SimParams(1.0, gamma, kappa), config["t_end"],
                          None, {}))
-    return {"series": {key: ts for (_, ts), key
-                       in zip(_pool_map(_run_job, jobs), keys)}}
+    return {"series": dict(zip(keys, _pool_map(_run_job, jobs)))}
 
 
 def run_appD(config: dict) -> dict:
     """Work-time study: time of maximal output density near resonance."""
     points = [(gamma, ratio) for gamma in config["gammas"]
               for ratio in config["scan"]]
-    jobs = [(build_switch_chain, (ratio * DELTA_F, gamma),
+    jobs = [(build_switch_chain, (ratio * DELTA_F,),
              _noisy_params(gamma), config["t_end"], None, {})
             for gamma, ratio in points]
     rows, series = [], {}
-    for (_, ts), (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
+    for ts, (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
         series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
         if np.isclose(ratio, 1.0):
             rows.append((gamma, find_work_time(ts)))
@@ -319,14 +319,14 @@ def run_appE(config: dict) -> dict:
     """Diode gate-detuning scan in both directions."""
     if not config["scan"]:
         raise ExperimentError("empty scan grid")
-    t_end = config["t_end"]
+    gammas, t_end = config["gammas"], config["t_end"]
+    t_ws = _work_times(gammas, t_end)
     runs = list(_pool_map(_run_job, _diode_jobs(
-        config["gammas"], config["scan"], t_end, None, {})))
-    points = [(gamma, ratio) for gamma in config["gammas"]
+        gammas, config["scan"], t_end, None, {})))
+    points = [(gamma, t_w, ratio) for gamma, t_w in zip(gammas, t_ws)
               for ratio in config["scan"]]
-    rows = [(gamma, ratio, _at_work_time(*forward, t_end),
-             _at_work_time(*reverse, t_end))
-            for (gamma, ratio), forward, reverse
+    rows = [(gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))
+            for (gamma, t_w, ratio), forward, reverse
             in zip(points, runs[::2], runs[1::2])]
     return {"scan_rows": rows,
             "scan_header": ["gamma", "delta_g_over_delta_f",

@@ -145,28 +145,22 @@ class DetuningSchedule:
             per_atom.setdefault(atom, []).append((t0, t1))
         object.__setattr__(self, "overrides", tuple(entries))
 
-    def breakpoints(self) -> np.ndarray:
-        """Sorted unique times at which some atom's detuning changes."""
-        times = set()
-        for t0, t1, _, _ in self.overrides:
-            times.add(t0)
-            times.add(t1)
-        return np.array(sorted(times))
-
-    def detunings_at(self, t: float, static: np.ndarray) -> np.ndarray:
-        """Effective per-atom detunings at time t (intervals are [t0, t1))."""
-        det = np.array(static, dtype=float)
-        for t0, t1, atom, value in self.overrides:
-            if t0 <= t < t1:
-                det[atom] = value
-        return det
-
-
-def sorted_union(*groups) -> np.ndarray:
-    """The sorted distinct values of the groups, as np.union1d gives them;
-    np.unique imports numpy.ma on its first call (~12 ms a process)."""
-    values = np.sort(np.concatenate(groups, axis=None))
-    return values[np.append(True, values[1:] != values[:-1])]
+    def segments(self, t_end: float, static: np.ndarray) -> list:
+        """(t0, t1, detunings) tiling [0, t_end], cut wherever some atom's
+        detuning changes: each segment's detunings are `static` with the
+        overrides in force on it (an override holds from its start up to,
+        not including, its end)."""
+        cuts = sorted({t for t0, t1, _, _ in self.overrides
+                       for t in (t0, t1) if 0.0 < t < t_end})
+        edges = [0.0, *cuts, t_end]
+        out = []
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            det = np.array(static, dtype=float)
+            for s0, s1, atom, value in self.overrides:
+                if s0 <= t0 < s1:
+                    det[atom] = value
+            out.append((t0, t1, det))
+        return out
 
 
 @lru_cache(maxsize=8)

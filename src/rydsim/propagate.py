@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import basis_bits, sorted_union
+from .model import basis_bits
 from .timeseries import TimeSeries
 
 
@@ -244,13 +244,13 @@ class _Series:
         return pops, end, terms - 1
 
 
-def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
-              output_sites=(), breakpoints=(),
-              populations=slice(None)) -> TimeSeries:
-    """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end:
-    the `engine`'s TimeSeries of per-site densities, with x at t_end as
-    `final_state`.  A changes only at `breakpoints`; build(t0) returns it
-    for the segment starting at t0, as a `CSR` record, with a rectangle
+def propagate(x: np.ndarray, build, segments, engine: str, error,
+              output_sites=(), populations=slice(None)) -> TimeSeries:
+    """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end,
+    the end of the last of the `segments` (t0, t1, detunings) that tile
+    [0, t_end] (`DetuningSchedule.segments`): the `engine`'s TimeSeries of
+    per-site densities, with x at t_end as `final_state`.  On each segment
+    A is build(detunings), a `CSR` record, with a rectangle
     (lo, hi, b) holding its spectrum in Re [lo, hi] x Im [-b, b]
     (Bendixson: Gershgorin bounds on A's Hermitian and skew-Hermitian
     parts); `check_operator` refuses one the kernel cannot read.
@@ -269,11 +269,10 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
     or `error` is raised at the first time one does not; the largest of
     each goes to the metadata.
     """
+    t_end = segments[-1][1]
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, RECORD_POINTS)
-    edges = sorted_union([0.0, t_end],
-                         [b for b in breakpoints if 0.0 < b < t_end])
     worst, dens = {}, []
     counted = np.zeros(x.size)
     counted[populations] = 1.0
@@ -298,8 +297,8 @@ def propagate(x: np.ndarray, build, t_end: float, engine: str, error,
 
     record(times[:1], x[None, populations])
     rec, products, spans = 1, 0, 0
-    for t, end in zip(edges[:-1], edges[1:]):
-        a, rect = build(t)
+    for t, end, detunings in segments:
+        a, rect = build(detunings)
         check_operator(a, x.size)
         # counted @ a: a's CSR arrays read as CSC are a^T
         leak = np.zeros(x.size)

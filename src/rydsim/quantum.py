@@ -184,10 +184,10 @@ def density_from_configuration(config: Configuration) -> np.ndarray:
 
 def evolve_quantum(network: AtomNetwork, params: SimParams,
                    initial: Configuration, t_end: float,
-                   schedule: DetuningSchedule | None = None,
+                   schedule: DetuningSchedule = DetuningSchedule(),
                    output_sites=()) -> TimeSeries:
     """Propagate the master equation from the pure state |initial> onto
-    the record grid, rebuilding the Liouvillian at schedule breakpoints.
+    the record grid, rebuilding the Liouvillian on each schedule segment.
     Trace and positivity are checked at every record time, and the state
     stays Hermitian by construction.
     """
@@ -199,15 +199,14 @@ def evolve_quantum(network: AtomNetwork, params: SimParams,
     # to_real(|c><c|): rho[c, c] = 1 sits at the vec index c (2^N + 1)
     x = np.zeros(dim * dim)
     x[initial.to_index() * (dim + 1)] = 1.0
-    schedule = schedule or DetuningSchedule()
 
-    def build(t0):
-        det = schedule.detunings_at(t0, network.static_detunings)
+    def build(det):
         ham = build_hamiltonian(network, det, params.omega)
         return liouvillian(ham, params), enclosure(ham, params)
 
-    ts = propagate(x, build, t_end, "quantum", IntegrationError,
-                   output_sites, schedule.breakpoints(),
+    ts = propagate(x, build,
+                   schedule.segments(t_end, network.static_detunings),
+                   "quantum", IntegrationError, output_sites,
                    slice(None, None, dim + 1))
     ts.final_state = from_real(ts.final_state)
     return ts

@@ -190,7 +190,7 @@ class TestCriterion8:
             (build_switch_chain(DELTA_F), SimParams(1.0, 1.0, 0.003), 8.0),
             (build_transport_chain(3), SimParams(1.0, 10.0, 0.003), 4.0),
             (build_transport_chain(3), SimParams(1.0, 0.1, 0.003), 4.0),
-            (build_diode("forward", gamma=0.0), SimParams(1.0, 0.0, 0.0), 3.2),
+            (build_diode("forward"), SimParams(1.0, 0.0, 0.0), 3.2),
             (build_and_gate((1, 1)), SimParams(1.0, 1.0, 0.003), 8.0),
         ]
         for dev, params, t_end in quantum_runs:

@@ -171,7 +171,7 @@ class TestEvolveClassicalExact:
                              ([1.2, -0.2], "negativity")):
             with pytest.raises(ClassicalEngineError,
                                match=f"at t=0.000: .*{residual}"):
-                propagate(np.array(p0), lambda t0: pair, 1.0,
+                propagate(np.array(p0), lambda det: pair, [(0.0, 1.0, None)],
                           "classical-exact", ClassicalEngineError)
 
     def test_rejects_configuration_of_other_length(self):
@@ -194,8 +194,9 @@ class TestEvolveClassicalExact:
             leak = to_record([[-1.0, 0.0], [1.0 - loss, 0.0]])
             with pytest.raises(ClassicalEngineError, match="trace_leak"):
                 propagate(np.array([1.0, 0.0]),
-                          lambda t0: (leak, (-1.5, 0.5, 0.5)), 1.0,
-                          "classical-exact", ClassicalEngineError)
+                          lambda det: (leak, (-1.5, 0.5, 0.5)),
+                          [(0.0, 1.0, None)], "classical-exact",
+                          ClassicalEngineError)
 
     def test_residuals_in_metadata(self):
         ts = evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.1),
@@ -374,7 +375,7 @@ class TestGillespieEnsemble:
     def test_one_trajectory_records_its_event_log(self, device, seed):
         # a one-trajectory ensemble draws the stream of gillespie_run, and
         # its records must be what the event log gives on the same grid
-        dev = (build_switch_chain(DELTA_F, 1.0) if device == "switch"
+        dev = (build_switch_chain(DELTA_F) if device == "switch"
                else build_nand_gate((1, 0)))
         times = np.linspace(8.0 / 200, 8.0, 200)
         ens = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
@@ -494,7 +495,7 @@ class TestLockstepPinned:
         return ts
 
     def test_switch_at_resonance(self):
-        dev = build_switch_chain(DELTA_F, 1.0)
+        dev = build_switch_chain(DELTA_F)
         ts = self.sample(dev.network, self.params, dev.initial, 8.0, 1000, 3,
                          self.times, dev.output_sites)
         assert self.pin(ts) == SWITCH_PIN

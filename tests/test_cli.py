@@ -8,7 +8,7 @@ import pytest
 
 import rydsim
 
-from rydsim import classical, quantum
+from rydsim import classical, experiments, quantum
 from rydsim.cli import main, run_validation
 from rydsim.experiments import make_config, run_experiment
 from test_timeseries import per_value_csv
@@ -79,7 +79,8 @@ class TestRun:
 
     def test_engine_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # a generator whose columns lose probability fails the engine's
-        # trace_leak check: an engine error, not a usage one
+        # trace_leak check: an engine error, not a usage one; t_end reaches
+        # the work time, which is refused before any engine runs
         monkeypatch.setenv("RYDSIM_THREADS", "1")
         generator = classical.classical_generator
 
@@ -90,7 +91,7 @@ class TestRun:
             return g._replace(data=data), rect
 
         monkeypatch.setattr(classical, "classical_generator", leaking)
-        config = make_config("fig3", t_end=2.0, engine="classical-exact")
+        config = make_config("fig3", t_end=5.0, engine="classical-exact")
         config["scan"] = [1.0]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -203,10 +204,19 @@ class TestRun:
         ("fig3", {"scan": [1.0], "engine": "classical-exact"}),
         ("fig5c", {"gammas": [1.0], "engine": "classical-exact"}),
         ("appE", {"gammas": [1.0], "scan": [2.0]}),
+        # appE at its default grid: 120 quantum runs, none of them started
+        ("appE", {}),
     ])
     def test_t_end_below_work_time_exits_2(self, tmp_path, capsys,
                                            monkeypatch, experiment, trim):
+        # refused before any engine runs: every engine raises if called
         monkeypatch.setenv("RYDSIM_THREADS", "1")
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+        monkeypatch.setattr(experiments, "evolve_quantum", no_engine)
+        monkeypatch.setattr(classical, "evolve_classical_exact", no_engine)
+        monkeypatch.setattr(classical, "gillespie_ensemble", no_engine)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(experiment, **trim)))
         argv = ["run", str(cfg_path), "--t-end", "2", "--out", str(tmp_path)]

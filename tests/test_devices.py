@@ -8,7 +8,7 @@ from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
                             build_and_gate, build_diode, build_gas_switch,
                             build_nand_gate, build_switch_chain,
                             build_transport_chain, find_gate_work_time,
-                            find_work_time, logic_readout)
+                            find_work_time, logic_readout, work_time)
 from rydsim.model import Configuration, SimParams, facilitation_radius
 from rydsim.quantum import evolve_quantum
 from rydsim.timeseries import TimeSeries
@@ -31,17 +31,17 @@ class TestSwitchChain:
         assert dev.network.static_detunings[1] == 3.5
 
     def test_work_times(self):
-        assert build_switch_chain(DELTA_F, gamma=1.0).work_time == T_WORK_NOISY
-        assert build_switch_chain(DELTA_F, gamma=0.0).work_time == T_WORK_IDEAL
+        assert work_time(1.0) == T_WORK_NOISY
+        assert work_time(0.0) == T_WORK_IDEAL
 
     def test_reference_work_time_is_output_peak(self):
-        dev = build_switch_chain(delta_g=DELTA_F, gamma=1.0)
+        dev = build_switch_chain(delta_g=DELTA_F)
         ts = evolve_quantum(dev.network, SimParams(1.0, 1.0, 0.003),
                             dev.initial, 8.0, output_sites=dev.output_sites)
         assert abs(find_work_time(ts) - T_WORK_NOISY) < 0.1
 
     def test_ideal_work_time_is_output_peak(self):
-        dev = build_switch_chain(delta_g=DELTA_F, gamma=0.0)
+        dev = build_switch_chain(delta_g=DELTA_F)
         ts = evolve_quantum(dev.network, SimParams(1.0, 0.0, 0.003),
                             dev.initial, 8.0, output_sites=dev.output_sites)
         assert abs(find_work_time(ts) - T_WORK_IDEAL) < 0.1
@@ -142,10 +142,10 @@ class TestNandGate:
 
     def test_detuning_outside_window(self):
         dev = build_nand_gate((0, 1))
-        static = dev.network.static_detunings
-        det = dev.schedule.detunings_at(0.0, static)
+        segments = dev.schedule.segments(8.0, dev.network.static_detunings)
+        det = next(d for t0, t1, d in segments if t0 <= 0.0 < t1)
         assert det[3] == DELTA_F
-        det = dev.schedule.detunings_at(1.5, static)
+        det = next(d for t0, t1, d in segments if t0 <= 1.5 < t1)
         assert det[3] == 0.0
 
 

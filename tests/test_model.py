@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydsim.classical import ClassicalEngineError, gillespie_run
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
@@ -121,10 +122,52 @@ class TestDetuningSchedule:
     def test_lookup(self):
         sched = DetuningSchedule(((1.0, 2.0, 1, 5.0),))
         static = np.array([0.0, -10.0])
-        np.testing.assert_allclose(sched.detunings_at(0.5, static), [0.0, -10.0])
-        np.testing.assert_allclose(sched.detunings_at(1.0, static), [0.0, 5.0])
-        np.testing.assert_allclose(sched.detunings_at(2.0, static), [0.0, -10.0])
+        segments = sched.segments(3.0, static)
+
+        def at(t):
+            return next(d for t0, t1, d in segments if t0 <= t < t1)
+        np.testing.assert_allclose(at(0.5), [0.0, -10.0])
+        np.testing.assert_allclose(at(1.0), [0.0, 5.0])
+        np.testing.assert_allclose(at(2.0), [0.0, -10.0])
 
     def test_breakpoints(self):
         sched = DetuningSchedule(((1.0, 2.0, 0, 5.0), (2.0, 3.0, 1, 6.0)))
-        np.testing.assert_allclose(sched.breakpoints(), [1.0, 2.0, 3.0])
+        segments = sched.segments(4.0, np.zeros(2))
+        np.testing.assert_allclose([t0 for t0, _, _ in segments[1:]],
+                                   [1.0, 2.0, 3.0])
+
+
+@st.composite
+def schedules(draw):
+    """Up to three intervals per atom on three atoms, from sorted distinct
+    times on a 1/8 grid, so no two overrides of an atom overlap."""
+    overrides = []
+    for atom in range(3):
+        times = sorted(draw(st.sets(st.integers(-16, 96), max_size=6)))
+        for t0, t1 in zip(times[::2], times[1::2]):
+            overrides.append((t0 / 8, t1 / 8, atom,
+                              draw(st.floats(-20.0, 20.0))))
+    return DetuningSchedule(tuple(overrides))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=schedules(), t_end=st.integers(1, 640).map(lambda k: k / 64))
+def test_segments_tile_and_match_a_lookup(schedule, t_end):
+    # the segments cover [0, t_end] end to end, no override starts or ends
+    # inside one, and each holds the detunings active at its midpoint
+    static = np.array([-10.0, 0.0, 3.0])
+    segments = schedule.segments(t_end, static)
+    starts = [t0 for t0, _, _ in segments]
+    ends = [t1 for _, t1, _ in segments]
+    assert starts[0] == 0.0 and ends[-1] == t_end
+    assert starts[1:] == ends[:-1]
+    for t0, t1, det in segments:
+        assert t0 < t1
+        assert not any(t0 < t < t1 for s0, s1, _, _ in schedule.overrides
+                       for t in (s0, s1))
+        mid = (t0 + t1) / 2
+        expected = static.copy()
+        for s0, s1, atom, value in schedule.overrides:
+            if s0 <= mid < s1:
+                expected[atom] = value
+        np.testing.assert_array_equal(det, expected)

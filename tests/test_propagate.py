@@ -42,7 +42,7 @@ def classical_generators():
     params = SimParams(1.0, 1.0, 0.003)
     nand = build_nand_gate((1, 0))
     static = nand.network.static_detunings
-    pulse = nand.schedule.detunings_at(nand.schedule.breakpoints()[0], static)
+    pulse = nand.schedule.segments(8.0, static)[1][2]
     assert not np.array_equal(pulse, static)
     for label, net, det in [
             ("switch", build_switch_chain(DELTA_F).network, None),
@@ -73,12 +73,15 @@ def start(dim=16):
 
 def run(generators, edges, t_end, x):
     """propagate on a piecewise-constant generator: generators[i] holds
-    from edges[i] (edges[0] = 0) to the next edge."""
-    def build(t0):
-        g = sp.csr_matrix(generators[edges.index(t0)])
+    from edges[i] (edges[0] = 0) to the next edge, and each segment hands
+    its generator to build in place of detunings."""
+    def build(g):
+        g = sp.csr_matrix(g)
         return to_record(g), bendixson(g)
-    return prop.propagate(x, build, t_end, "test", RuntimeError,
-                          breakpoints=edges[1:])
+    bounds = [*edges, t_end]
+    return prop.propagate(x, build, list(zip(bounds[:-1], bounds[1:],
+                                             generators)),
+                          "test", RuntimeError)
 
 
 def reference(generators, edges, t_end, x):
@@ -218,7 +221,7 @@ def test_record_sums_stay_within_64_mb_at_the_caps():
 @pytest.mark.parametrize("engine, most", [("quantum", 700),
                                           ("classical-exact", 250)])
 def test_switch_products_repeat_and_stay_low(engine, most):
-    dev = build_switch_chain(DELTA_F, gamma=1.0)
+    dev = build_switch_chain(DELTA_F)
     counts = [run_device(dev, SimParams(1.0, 1.0, 0.003), 8.0,
                          engine=engine).metadata["products"]
               for _ in range(2)]
@@ -247,8 +250,9 @@ def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
         random_network(np.random.default_rng(9), 2), SimParams(1.0, 1.0, 0.1))
     with pytest.raises(ValueError, match="CSR record of a 4 x 4 float64 "
                        "matrix with int32 indices, got " + got):
-        prop.propagate(start(4), lambda t0: (convert(g), rect), 1.0,
-                       "classical-exact", classical.ClassicalEngineError)
+        prop.propagate(start(4), lambda det: (convert(g), rect),
+                       [(0.0, 1.0, None)], "classical-exact",
+                       classical.ClassicalEngineError)
 
 
 @pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
@@ -347,8 +351,8 @@ def test_refuses_an_operator_the_kernel_cannot_take(convert, problem):
     message = ("CSR record of a 16 x 16 float64 matrix with int32 indices, "
                "got " + problem)
     with pytest.raises(ValueError, match=message):
-        prop.propagate(start(), lambda t0: (bad, bendixson(sp.csr_matrix(g))),
-                       1.0, "test", RuntimeError)
+        prop.propagate(start(), lambda det: (bad, bendixson(sp.csr_matrix(g))),
+                       [(0.0, 1.0, None)], "test", RuntimeError)
     if isinstance(bad, prop.CSR):
         with pytest.raises(ValueError, match=message):
             bad @ start()

@@ -58,10 +58,10 @@ def propagate_rho(network, params, rho, t_end, output_sites=()):
     Liouvillian and rectangle, from rho's real coordinates."""
     ham = build_hamiltonian(network, network.static_detunings, params.omega)
     return propagate(to_real(rho),
-                     lambda t0: (liouvillian(ham, params),
-                                 enclosure(ham, params)),
-                     t_end, "quantum", IntegrationError, output_sites,
-                     populations=slice(None, None, ham.dim + 1))
+                     lambda det: (liouvillian(ham, params),
+                                  enclosure(ham, params)),
+                     [(0.0, t_end, None)], "quantum", IntegrationError,
+                     output_sites, populations=slice(None, None, ham.dim + 1))
 
 
 def readout(rho, output_sites):
