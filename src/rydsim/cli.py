@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (EXPERIMENTS, ExperimentError, make_config,
-                          run_experiment)
+from .experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS, ExperimentError,
+                          make_config, run_experiment)
 from .timeseries import write_csv
 
 
@@ -40,9 +40,8 @@ def _load_config(target: str, overrides: dict) -> dict:
         data = data["config"]
     if not isinstance(data, dict) or "experiment" not in data:
         raise ExperimentError(f"{target}: config has no 'experiment' key")
-    fields = {k: v for k, v in data.items() if k != "experiment"}
-    fields.update((k, v) for k, v in overrides.items() if v is not None)
-    return make_config(data["experiment"], **fields)
+    fields = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    return make_config(fields.pop("experiment"), **fields)
 
 
 def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list:
@@ -59,17 +58,13 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
         path = out_dir / "scan.csv"
         write_csv(path, result["scan_header"], result["scan_rows"])
         written.append(path)
-    summary = {
-        "experiment": config["experiment"],
-        "config": config,
-        "config_hash": result["config_hash"],
-        "code_version": __version__,
-        "outputs": [p.name for p in written],
-    }
-    for key in ("plateau_on", "plateau_off", "on_off_ratio", "work_time",
-                "truth_table_ok"):
-        if key in result:
-            summary[key] = result[key]
+    summary = {"experiment": config["experiment"], "config": config,
+               "config_hash": result["config_hash"],
+               "code_version": __version__,
+               "outputs": [p.name for p in written]}
+    # then the runner's scalar results, in order (config_hash stays put)
+    summary.update((key, value) for key, value in result.items()
+                   if np.isscalar(value))
     # engine, work counters and invariant residuals of each series; all
     # deterministic, so a replay writes the same summary
     if series:
@@ -80,17 +75,12 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
     return written
 
 
-def _overrides(args) -> dict:
-    keys = ("seed", "trajectories", "engine", "gamma", "kappa", "n_atoms",
-            "t_end", "instances")
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def cmd_run(args) -> int:
     """`run` writes every output; `scan` only the scan CSV and the summary,
     and refuses an experiment without one."""
     scan_only = args.command == "scan"
-    config = _load_config(args.target, _overrides(args))
+    config = _load_config(args.target,
+                          {key: getattr(args, key) for key in FLAGS})
     result = run_experiment(config)
     if scan_only and "scan_rows" not in result:
         raise ExperimentError(
@@ -193,25 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="results", help="output directory")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--trajectories", type=int)
-    common.add_argument("--instances", type=int)
-    common.add_argument("--n-atoms", dest="n_atoms", type=int)
-    common.add_argument("--t-end", dest="t_end", type=float)
-    common.add_argument("--gamma", type=float)
-    common.add_argument("--kappa", type=float)
-    common.add_argument("--engine",
-                        choices=["quantum", "classical-exact", "kmc"])
+    for key in FLAGS:
+        flag = "--" + key.replace("_", "-")
+        if key in KEYS:
+            common.add_argument(flag, type=KEYS[key][0])
+        else:  # the engine
+            common.add_argument(flag, choices=ENGINES)
 
-    p_run = sub.add_parser("run", parents=[common],
-                           help="run a named experiment or config file")
-    p_run.add_argument("target", help="experiment name or JSON config/summary")
-    p_run.set_defaults(func=cmd_run)
-
-    p_scan = sub.add_parser("scan", parents=[common],
-                            help="run a scan, writing the aggregated CSV only")
-    p_scan.add_argument("target")
-    p_scan.set_defaults(func=cmd_run)
+    for cmd, text in (("run", "run a named experiment or config file"),
+                      ("scan", "run a scan, writing the aggregated CSV only")):
+        p = sub.add_parser(cmd, parents=[common], help=text)
+        p.add_argument("target", help="experiment name or JSON config/summary")
+        p.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="run engine self-checks")
     p_val.set_defaults(func=cmd_validate)

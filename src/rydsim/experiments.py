@@ -30,12 +30,33 @@ class ExperimentError(ValueError):
     pass
 
 
-def make_config(name: str, **overrides) -> dict:
-    """The experiment's defaults with the given (non-None) overrides, each
-    of which the experiment must read and `_check_value` accepts; a
-    classical engine, and appB (which always runs classical-exact), is
-    refused where any gamma is 0."""
-    if name not in EXPERIMENTS:
+# the quantum engine, then the two classical ones
+ENGINES = ("quantum", "classical-exact", "kmc")
+# config key -> (kind of each value, whether a list, lower bound or None)
+KEYS = {
+    "seed": (int, False, "non-negative"),
+    "trajectories": (int, False, "positive"),
+    "instances": (int, False, "positive"),
+    "n_atoms": (int, False, "positive"),
+    "t_end": (float, False, "positive"),
+    "gamma": (float, False, "non-negative"),
+    "kappa": (float, False, "non-negative"),
+    "delta_g_ratio": (float, False, "positive"),
+    "gammas": (float, True, "non-negative"),
+    "c6_values": (float, True, "positive"),
+    "scan": (float, True, None),
+}
+# the keys the command line takes as flags (n_atoms as --n-atoms)
+FLAGS = ("seed", "trajectories", "instances", "n_atoms", "t_end", "gamma",
+         "kappa", "engine")
+SAMPLING = ("engine", "trajectories", "seed")  # kmc reads the last two
+
+
+def make_config(name: str, /, **overrides) -> dict:
+    """The experiment's defaults with the given (non-None) overrides: each
+    one it reads, an engine in ENGINES, any other value as `_check_value`
+    takes it, and no classical engine (appB's included) at a gamma of 0."""
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
     _, defaults, optional = EXPERIMENTS[name]
@@ -47,39 +68,40 @@ def make_config(name: str, **overrides) -> dict:
         raise ExperimentError(f"{name} does not read {sorted(unread)}")
     for key, value in given.items():
         if key != "engine":
-            _check_value(key, value, isinstance(defaults.get(key), list))
+            _check_value(key, value)
+        elif value not in ENGINES:
+            raise ExperimentError(f"unknown engine {value!r}; choose from "
+                                  f"{list(ENGINES)}")
     config.update(given)
     # the classical rates are Lorentzians of width gamma: no classical
     # engine runs at gamma = 0
     engine = "classical-exact" if name == "appB" else config.get("engine")
-    if (engine in ("classical-exact", "kmc")
+    if (engine in ENGINES[1:]
             and 0 in config.get("gammas", [config.get("gamma")])):
         raise ExperimentError(f"{name} runs gamma = 0, which the {engine} "
                               "engine does not take (it needs gamma > 0)")
     return config
 
 
-def _check_value(key: str, value, is_list: bool) -> None:
-    """Refuse a config value before anything runs unless it is a finite
-    number (an integer for counts and seeds), or a list of them where the
-    default is a list, at or above its key's lower bound."""
-    whole = key in ("trajectories", "instances", "n_atoms", "seed")
-    what = ("a list of finite numbers" if is_list else
-            "a finite integer" if whole else "a finite number")
+def _check_value(key: str, value) -> None:
+    """Refuse, before anything runs, a value that is not a finite number
+    of its KEYS kind at or above its lower bound, or (where KEYS says so)
+    a non-empty list of them, no two alike in their `:g` series names."""
+    kind, is_list, bound = KEYS[key]
     items = value if is_list and isinstance(value, list) else [value]
-    for item in items:
-        if (is_list != isinstance(value, list) or isinstance(item, bool)
-                or not isinstance(item, int if whole else (int, float))
-                or not -np.inf < item < np.inf):
-            raise ExperimentError(f"{key} must be {what}, got {value!r}")
-    # lower bound 0: excluded (True) or allowed (False)
-    strict = {"t_end": True, "trajectories": True, "instances": True,
-              "n_atoms": True, "c6_values": True, "delta_g_ratio": True,
-              "gamma": False, "kappa": False, "gammas": False, "seed": False}
-    if key in strict and any(item < 0 or (strict[key] and item == 0)
-                             for item in items):
-        bound = "positive" if strict[key] else "non-negative"
+    if is_list != isinstance(value, list) or not all(
+            isinstance(item, (int, kind)) and not isinstance(item, bool)
+            and -np.inf < item < np.inf for item in items):
+        what = ("a list of finite numbers" if is_list else
+                "a finite integer" if kind is int else "a finite number")
+        raise ExperimentError(f"{key} must be {what}, got {value!r}")
+    if bound and any(item < 0 or (bound == "positive" and item == 0)
+                     for item in items):
         raise ExperimentError(f"{key} must be {bound}, got {value!r}")
+    names = [f"{item:g}" for item in items]
+    if not names or len(set(names)) < len(names):
+        raise ExperimentError(f"{key} must not be empty or repeat an entry "
+                              f"to 6 significant digits, got {value!r}")
 
 
 def worker_count() -> int:
@@ -107,13 +129,12 @@ def _pool_map(fn, jobs):
 
 
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
-               engine: str | None = None, seed: int = 0,
+               engine: str = "quantum", seed: int = 0,
                trajectories: int = 1000,
                site_density: bool = True) -> TimeSeries:
-    """Run one device on the requested engine (default: quantum).  seed,
-    trajectories and site_density are kmc's: without site_density the
-    sampler keeps no per-site sums and the series has no site columns."""
-    engine = engine or "quantum"
+    """Run one device on the requested engine.  seed, trajectories and
+    site_density are kmc's: without site_density the sampler keeps no
+    per-site sums and the series has no site columns."""
     if engine == "quantum":
         ts = evolve_quantum(device.network, params, device.initial, t_end,
                             schedule=device.schedule,
@@ -135,10 +156,10 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
 
 
 def _run_job(job):
-    """One device run: (builder, its arguments, params, t_end, engine,
-    run_device keywords) -> its series."""
-    build, args, params, t_end, engine, keywords = job
-    return run_device(build(*args), params, t_end, engine, **keywords)
+    """One device run: (builder, its arguments, params, t_end, run_device
+    keywords) -> its series."""
+    build, args, params, t_end, keywords = job
+    return run_device(build(*args), params, t_end, **keywords)
 
 
 def _work_times(gammas, t_end: float) -> list:
@@ -152,20 +173,17 @@ def _work_times(gammas, t_end: float) -> list:
 
 
 def _sampling(config: dict) -> dict:
-    """kmc's trajectory count and seed, where the config sets them, as
-    run_device keywords."""
-    return {k: config[k] for k in ("trajectories", "seed") if k in config}
+    """The config's SAMPLING keys, as run_device keywords."""
+    return {k: config[k] for k in SAMPLING if k in config}
 
 
 def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
-    if not config["scan"]:
-        raise ExperimentError("empty scan grid")
     gamma, t_end = config["gamma"], config["t_end"]
     [t_w] = _work_times([gamma], t_end)
     params = SimParams(1.0, gamma, config["kappa"])
     jobs = [(build_switch_chain, (r * DELTA_F,), params, t_end,
-             config.get("engine"), _sampling(config)) for r in config["scan"]]
+             _sampling(config)) for r in config["scan"]]
     rows, series = [], {}
     for ts, r in zip(_pool_map(_run_job, jobs), config["scan"]):
         rows.append((r, ts.value_at(t_w), t_w))
@@ -181,9 +199,9 @@ def run_fig4(config: dict) -> dict:
     # instance i samples its gas from seed + i and its trajectories from
     # 1000 seed + i; fig4 writes no per-site columns, so no run keeps them
     jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
-             config["t_end"], "kmc",
-             {"seed": 1000 * seed + i, "trajectories": config["trajectories"],
-              "site_density": False})
+             config["t_end"],
+             {"engine": "kmc", "seed": 1000 * seed + i,
+              "trajectories": config["trajectories"], "site_density": False})
             for on in (True, False) for i in range(n)]
     try:
         runs = list(_pool_map(_run_job, jobs))
@@ -215,10 +233,10 @@ def _noisy_params(gamma: float) -> SimParams:
     return SimParams(1.0, gamma, 0.003 if gamma > 0 else 0.0)
 
 
-def _diode_jobs(gammas, ratios, t_end, engine, sampling) -> list:
+def _diode_jobs(gammas, ratios, t_end, keywords) -> list:
     """Forward then reverse diode runs at each (gamma, dg/df), in order."""
     return [(build_diode, (direction, ratio * DELTA_F),
-             _noisy_params(gamma), t_end, engine, sampling)
+             _noisy_params(gamma), t_end, keywords)
             for gamma in gammas for ratio in ratios
             for direction in ("forward", "reverse")]
 
@@ -228,8 +246,7 @@ def run_fig5c(config: dict) -> dict:
     gammas, t_end = config["gammas"], config["t_end"]
     t_ws = _work_times(gammas, t_end)
     runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, [config["delta_g_ratio"]], t_end, config.get("engine"),
-        _sampling(config))))
+        gammas, [config["delta_g_ratio"]], t_end, _sampling(config))))
     rows, series = [], {}
     for gamma, t_w, forward, reverse in zip(gammas, t_ws, runs[::2],
                                             runs[1::2]):
@@ -251,8 +268,8 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     build = build_and_gate if kind == "and" else build_nand_gate
     table = AND_TABLE if kind == "and" else NAND_TABLE
     params = SimParams(1.0, config["gamma"], config["kappa"])
-    jobs = [(build, (bits,), params, config["t_end"], config.get("engine"),
-             _sampling(config)) for bits in sorted(table)]
+    jobs = [(build, (bits,), params, config["t_end"], _sampling(config))
+            for bits in sorted(table)]
     series = dict(zip(sorted(table), _pool_map(_run_job, jobs)))
     t_w = find_gate_work_time(series, table)
     rows = []
@@ -271,7 +288,7 @@ def run_appB(config: dict) -> dict:
     """Quantum vs classical-exact comparison on the 3-atom chain."""
     kappa = config["kappa"]
     jobs = [(build_transport_chain, (3,), SimParams(1.0, gamma, kappa),
-             config["t_end"], engine, {})
+             config["t_end"], {"engine": engine})
             for gamma in config["gammas"]
             for engine in ("quantum", "classical-exact")]
     runs = list(_pool_map(_run_job, jobs))
@@ -294,8 +311,7 @@ def run_appC(config: dict) -> dict:
         for gamma, kappa in ((0.0, 0.0), (config["gamma"], config["kappa"])):
             keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
             jobs.append((build_transport_chain, (6, c6),
-                         SimParams(1.0, gamma, kappa), config["t_end"],
-                         None, {}))
+                         SimParams(1.0, gamma, kappa), config["t_end"], {}))
     return {"series": dict(zip(keys, _pool_map(_run_job, jobs)))}
 
 
@@ -304,7 +320,7 @@ def run_appD(config: dict) -> dict:
     points = [(gamma, ratio) for gamma in config["gammas"]
               for ratio in config["scan"]]
     jobs = [(build_switch_chain, (ratio * DELTA_F,),
-             _noisy_params(gamma), config["t_end"], None, {})
+             _noisy_params(gamma), config["t_end"], {})
             for gamma, ratio in points]
     rows, series = [], {}
     for ts, (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
@@ -317,12 +333,10 @@ def run_appD(config: dict) -> dict:
 
 def run_appE(config: dict) -> dict:
     """Diode gate-detuning scan in both directions."""
-    if not config["scan"]:
-        raise ExperimentError("empty scan grid")
     gammas, t_end = config["gammas"], config["t_end"]
     t_ws = _work_times(gammas, t_end)
     runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, config["scan"], t_end, None, {})))
+        gammas, config["scan"], t_end, {})))
     points = [(gamma, t_w, ratio) for gamma, t_w in zip(gammas, t_ws)
               for ratio in config["scan"]]
     rows = [(gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))
@@ -339,7 +353,7 @@ EXPERIMENTS = {
              {"gamma": 1.0, "kappa": 0.003,
               "scan": [round(0.1 * i, 2) for i in range(1, 31)],
               "t_end": 8.0},
-             ("engine", "trajectories", "seed")),
+             SAMPLING),
     "fig4": (run_fig4,
              {"n_atoms": 3000, "instances": 10, "trajectories": 30,
               "t_end": 100.0, "seed": 7},
@@ -347,13 +361,13 @@ EXPERIMENTS = {
     "fig5c": (run_fig5c,
               {"gammas": [0.0, 0.25, 0.5, 1.0], "delta_g_ratio": 2.0,
                "t_end": 8.0},
-              ("engine", "trajectories", "seed")),
+              SAMPLING),
     "fig7-and": (lambda c: run_logic_gate(c, "and"),
                  {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                 ("engine", "trajectories", "seed")),
+                 SAMPLING),
     "fig7-nand": (lambda c: run_logic_gate(c, "nand"),
                   {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                  ("engine", "trajectories", "seed")),
+                  SAMPLING),
     "appB": (run_appB,
              {"gammas": [0.1, 1.0, 10.0], "kappa": 0.003, "t_end": 4.0},
              ()),

@@ -9,9 +9,16 @@ import pytest
 import rydsim
 
 from rydsim import classical, experiments, quantum
-from rydsim.cli import main, run_validation
-from rydsim.experiments import make_config, run_experiment
+from rydsim.cli import build_parser, main, run_validation
+from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
+                                make_config, run_experiment)
 from test_timeseries import per_value_csv
+
+
+# malformed configs that make_config refuses before any job list starts
+NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
+                "repeated-scan-close", "repeated-scan-equal",
+                "unknown-engine", "list-experiment", "name-key")
 
 
 def tiny_fig4_args(out_dir, seed=11):
@@ -111,14 +118,40 @@ class TestRun:
                                       "negative-delta-g-ratio",
                                       "negative-seed", "zero-gammas-kmc",
                                       "zero-gamma-classical-exact",
-                                      "zero-gamma-kmc", "zero-gammas-appB"])
+                                      "zero-gamma-kmc", "zero-gammas-appB",
+                                      *NO_JOB_CASES])
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                      case):
         cfg_path = tmp_path / "cfg.json"
         config = make_config("fig3", t_end=1.0, engine="classical-exact")
         config["scan"] = [0.5, 1.0]
         target, flags = str(cfg_path), []
-        if case == "negative-t-end":
+        if case in NO_JOB_CASES:
+            # refused by make_config: no runner starts its job list
+            def no_jobs(fn, jobs):
+                raise AssertionError("a job list started")
+            monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+        if case == "empty-gammas-appB":
+            cfg_path.write_text(json.dumps({**make_config("appB"),
+                                            "gammas": []}))
+        elif case == "empty-gammas-fig5c":
+            cfg_path.write_text(json.dumps({**make_config("fig5c"),
+                                            "gammas": []}))
+        elif case.startswith("repeated-scan"):
+            # both points would write dg_ratio_1.csv
+            scan = [1.0, 1.0] if case.endswith("equal") else [1.0, 1.0000001]
+            cfg_path.write_text(json.dumps({**make_config("fig3"),
+                                            "scan": scan}))
+        elif case == "unknown-engine":
+            cfg_path.write_text(json.dumps({**make_config("fig7-and"),
+                                            "engine": "qutip"}))
+        elif case == "list-experiment":
+            cfg_path.write_text(json.dumps({"experiment": ["fig3"]}))
+        elif case == "name-key":
+            # a key named like make_config's first parameter
+            cfg_path.write_text(json.dumps({**make_config("fig7-and"),
+                                            "name": "fig3"}))
+        elif case == "negative-t-end":
             target, flags = "fig7-and", ["--t-end", "-1"]
         elif case == "nan-t-end":
             target, flags = "fig7-and", ["--t-end", "nan"]
@@ -288,6 +321,33 @@ class TestRun:
                 assert np.array_equal(getattr(ts, name),
                                       getattr(other, name))
             assert ts.metadata == other.metadata
+
+
+@pytest.mark.parametrize("key", FLAGS)
+def test_flag_parses_to_its_keys_kind(key):
+    # each flag fills its config key as KEYS types it; --engine takes the
+    # names in ENGINES and nothing else
+    parser = build_parser()
+    flag = "--" + key.replace("_", "-")
+    if key in KEYS:
+        kind = KEYS[key][0]
+        value = getattr(parser.parse_args(["run", "fig3", flag, "3"]), key)
+        assert type(value) is kind and value == 3
+        if kind is int:
+            with pytest.raises(SystemExit):
+                parser.parse_args(["run", "fig3", flag, "2.5"])
+    else:
+        for engine in ENGINES:
+            args = parser.parse_args(["run", "fig3", flag, engine])
+            assert getattr(args, key) == engine
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "fig3", flag, "qutip"])
+
+
+def test_keys_cover_every_config_key():
+    # every key an experiment reads has a row in KEYS (the engine: ENGINES)
+    for _, defaults, optional in EXPERIMENTS.values():
+        assert set(defaults) | set(optional) <= set(KEYS) | {"engine"}
 
 
 class TestScan:
