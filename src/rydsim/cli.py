@@ -21,27 +21,26 @@ import numpy as np
 
 from . import __version__
 from .experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS, ExperimentError,
-                          make_config, run_experiment)
+                          run_experiment)
 from .timeseries import write_csv
 
 
-def _load_config(target: str, overrides: dict) -> dict:
+def _load_config(target: str, flags: dict) -> dict:
+    """The target, unchecked: {"experiment": name}, or a JSON file's object
+    (a summary's config when replaying), with the flags that were set."""
     if target in EXPERIMENTS:
-        return make_config(target, **overrides)
-    path = Path(target)
-    if not path.exists():
-        raise ExperimentError(
-            f"{target!r} is neither a known experiment nor a config file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{target}: invalid JSON ({exc})") from None
-    if isinstance(data, dict) and "config" in data:  # replay from a summary
-        data = data["config"]
-    if not isinstance(data, dict) or "experiment" not in data:
-        raise ExperimentError(f"{target}: config has no 'experiment' key")
-    fields = {**data, **{k: v for k, v in overrides.items() if v is not None}}
-    return make_config(fields.pop("experiment"), **fields)
+        data = {"experiment": target}
+    else:
+        try:  # decoding errors are ValueErrors too
+            data = json.loads(Path(target).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ExperimentError(f"{target!r} is neither a known experiment "
+                                  f"nor a readable JSON file ({exc})") from None
+        if isinstance(data, dict) and "config" in data:  # replay a summary
+            data = data["config"]
+        if not isinstance(data, dict):
+            raise ExperimentError(f"{target}: config is not a JSON object")
+    return {**data, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list:
@@ -81,11 +80,13 @@ def cmd_run(args) -> int:
     scan_only = args.command == "scan"
     config = _load_config(args.target,
                           {key: getattr(args, key) for key in FLAGS})
+    name = config.get("experiment")
+    # refused before anything runs (run_experiment checks the name)
+    if (scan_only and isinstance(name, str) and name in EXPERIMENTS
+            and not EXPERIMENTS[name][3]):
+        raise ExperimentError(f"experiment {name!r} has no scan output")
     result = run_experiment(config)
-    if scan_only and "scan_rows" not in result:
-        raise ExperimentError(
-            f"experiment {config['experiment']!r} has no scan output")
-    out_dir = Path(args.out) / config["experiment"]
+    out_dir = Path(args.out) / result["config"]["experiment"]
     for path in _write_results(result, out_dir, scan_only):
         print(path)
     return 0
@@ -138,7 +139,7 @@ def run_validation() -> bool:
 
     # cross-engine agreement on the 3-atom chain, and conservation on its
     # noisy quantum run: both read from appB
-    appB = run_experiment(make_config("appB"))
+    appB = run_experiment({"experiment": "appB"})
     diff = dict(appB["scan_rows"])
     # six significant digits: the gamma = 10 difference sits within 2e-5
     # of the bound, which four decimals round onto

@@ -53,26 +53,25 @@ SAMPLING = ("engine", "trajectories", "seed")  # kmc reads the last two
 
 
 def make_config(name: str, /, **overrides) -> dict:
-    """The experiment's defaults with the given (non-None) overrides: each
-    one it reads, an engine in ENGINES, any other value as `_check_value`
-    takes it, and no classical engine (appB's included) at a gamma of 0."""
+    """The experiment's defaults with the given overrides: each one it
+    reads, an engine in ENGINES, any other value (None too) as
+    `_check_value` takes it, and no classical engine (appB's included) at
+    a gamma of 0.  Given its own output, it returns an equal dict."""
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
-    _, defaults, optional = EXPERIMENTS[name]
+    _, defaults, optional, _ = EXPERIMENTS[name]
     config = {"experiment": name, **defaults}
-    given = {key: value for key, value in overrides.items()
-             if value is not None}
-    unread = set(given) - set(config) - set(optional)
+    unread = set(overrides) - set(config) - set(optional)
     if unread:
         raise ExperimentError(f"{name} does not read {sorted(unread)}")
-    for key, value in given.items():
+    for key, value in overrides.items():
         if key != "engine":
             _check_value(key, value)
         elif value not in ENGINES:
             raise ExperimentError(f"unknown engine {value!r}; choose from "
                                   f"{list(ENGINES)}")
-    config.update(given)
+    config.update(overrides)
     # the classical rates are Lorentzians of width gamma: no classical
     # engine runs at gamma = 0
     engine = "classical-exact" if name == "appB" else config.get("engine")
@@ -188,9 +187,7 @@ def run_fig3(config: dict) -> dict:
     for ts, r in zip(_pool_map(_run_job, jobs), config["scan"]):
         rows.append((r, ts.value_at(t_w), t_w))
         series[f"dg_ratio_{r:g}"] = ts
-    return {"scan_rows": rows,
-            "scan_header": ["delta_g_over_delta_f", "N_o_at_t_w", "t_w"],
-            "series": series}
+    return {"scan_rows": rows, "series": series}
 
 
 def run_fig4(config: dict) -> dict:
@@ -254,9 +251,7 @@ def run_fig5c(config: dict) -> dict:
                      t_w))
         series[f"forward_gamma_{gamma:g}"] = forward
         series[f"reverse_gamma_{gamma:g}"] = reverse
-    return {"scan_rows": rows,
-            "scan_header": ["gamma", "N_o_forward", "N_o_reverse", "t_w"],
-            "series": series}
+    return {"scan_rows": rows, "series": series}
 
 
 AND_TABLE = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
@@ -278,7 +273,6 @@ def run_logic_gate(config: dict, kind: str) -> dict:
         n_o, truth[bits] = logic_readout(series[bits], t_w)
         rows.append((f"{bits[0]}{bits[1]}", n_o, truth[bits], table[bits]))
     return {"scan_rows": rows,
-            "scan_header": ["inputs", "N_o_at_t_w", "output_bit", "expected"],
             "series": {f"input_{b[0]}{b[1]}": s for b, s in series.items()},
             "work_time": t_w,
             "truth_table_ok": truth == table}
@@ -299,9 +293,7 @@ def run_appB(config: dict) -> dict:
         series[f"quantum_gamma_{gamma:g}"] = tsq
         series[f"classical_gamma_{gamma:g}"] = tsc
         rows.append((gamma, diff))
-    return {"scan_rows": rows,
-            "scan_header": ["gamma", "max_site_density_diff"],
-            "series": series}
+    return {"scan_rows": rows, "series": series}
 
 
 def run_appC(config: dict) -> dict:
@@ -327,8 +319,7 @@ def run_appD(config: dict) -> dict:
         series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
         if np.isclose(ratio, 1.0):
             rows.append((gamma, find_work_time(ts)))
-    return {"scan_rows": rows, "scan_header": ["gamma", "t_w"],
-            "series": series}
+    return {"scan_rows": rows, "series": series}
 
 
 def run_appE(config: dict) -> dict:
@@ -342,57 +333,64 @@ def run_appE(config: dict) -> dict:
     rows = [(gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))
             for (gamma, t_w, ratio), forward, reverse
             in zip(points, runs[::2], runs[1::2])]
-    return {"scan_rows": rows,
-            "scan_header": ["gamma", "delta_g_over_delta_f",
-                            "N_o_forward", "N_o_reverse"]}
+    return {"scan_rows": rows}
 
 
-# name -> (runner, default config, keys it reads besides its defaults)
+# name -> (runner, default config, keys it reads besides its defaults,
+# header of its scan.csv or None where it writes none)
+GATE_HEADER = ("inputs", "N_o_at_t_w", "output_bit", "expected")
 EXPERIMENTS = {
     "fig3": (run_fig3,
              {"gamma": 1.0, "kappa": 0.003,
               "scan": [round(0.1 * i, 2) for i in range(1, 31)],
               "t_end": 8.0},
-             SAMPLING),
+             SAMPLING, ("delta_g_over_delta_f", "N_o_at_t_w", "t_w")),
     "fig4": (run_fig4,
              {"n_atoms": 3000, "instances": 10, "trajectories": 30,
               "t_end": 100.0, "seed": 7},
-             ()),
+             (), None),
     "fig5c": (run_fig5c,
               {"gammas": [0.0, 0.25, 0.5, 1.0], "delta_g_ratio": 2.0,
                "t_end": 8.0},
-              SAMPLING),
+              SAMPLING, ("gamma", "N_o_forward", "N_o_reverse", "t_w")),
     "fig7-and": (lambda c: run_logic_gate(c, "and"),
                  {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                 SAMPLING),
+                 SAMPLING, GATE_HEADER),
     "fig7-nand": (lambda c: run_logic_gate(c, "nand"),
                   {"gamma": 1.0, "kappa": 0.003, "t_end": 8.0},
-                  SAMPLING),
+                  SAMPLING, GATE_HEADER),
     "appB": (run_appB,
              {"gammas": [0.1, 1.0, 10.0], "kappa": 0.003, "t_end": 4.0},
-             ()),
+             (), ("gamma", "max_site_density_diff")),
     "appC": (run_appC,
              {"c6_values": [5.0, 10.0, 15.0], "gamma": 1.0, "kappa": 0.003,
               "t_end": 8.0},
-             ()),
+             (), None),
     "appD": (run_appD,
              {"gammas": [0.0, 1.0],
               "scan": [round(0.1 * i, 2) for i in range(8, 13)],
               "t_end": 8.0},
-             ()),
+             (), ("gamma", "t_w")),
     "appE": (run_appE,
              {"gammas": [0.0, 1.0],
               "scan": [round(0.1 * i, 2) for i in range(1, 31)],
               "t_end": 8.0},
-             ()),
+             (), ("gamma", "delta_g_over_delta_f", "N_o_forward",
+                  "N_o_reverse")),
 }
 
 
 def run_experiment(config: dict) -> dict:
-    name = config.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ExperimentError(f"unknown experiment {name!r}")
-    result = EXPERIMENTS[name][0](config)
+    """Run any config dict, from {"experiment": name} to a summary's
+    config: `make_config` first fills in the experiment's defaults and
+    makes every refusal, so nothing runs on input it would refuse.  The
+    result carries the checked config, its hash and its scan header."""
+    fields = dict(config)
+    config = make_config(fields.pop("experiment", None), **fields)
+    runner, _, _, header = EXPERIMENTS[config["experiment"]]
+    result = runner(config)
+    if header:
+        result["scan_header"] = header
     result["config"] = config
     result["config_hash"] = config_hash(config)
     return result

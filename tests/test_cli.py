@@ -15,10 +15,16 @@ from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
 from test_timeseries import per_value_csv
 
 
-# malformed configs that make_config refuses before any job list starts
+# malformed input refused before any job list starts
 NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "repeated-scan-close", "repeated-scan-equal",
-                "unknown-engine", "list-experiment", "name-key")
+                "unknown-engine", "list-experiment", "name-key",
+                "null-gamma", "null-scan", "null-engine",
+                "directory-target", "undecodable-target")
+
+
+def no_jobs(fn, jobs):
+    raise AssertionError("a job list started")
 
 
 def tiny_fig4_args(out_dir, seed=11):
@@ -127,9 +133,7 @@ class TestRun:
         config["scan"] = [0.5, 1.0]
         target, flags = str(cfg_path), []
         if case in NO_JOB_CASES:
-            # refused by make_config: no runner starts its job list
-            def no_jobs(fn, jobs):
-                raise AssertionError("a job list started")
+            # no runner starts its job list
             monkeypatch.setattr(experiments, "_pool_map", no_jobs)
         if case == "empty-gammas-appB":
             cfg_path.write_text(json.dumps({**make_config("appB"),
@@ -151,6 +155,15 @@ class TestRun:
             # a key named like make_config's first parameter
             cfg_path.write_text(json.dumps({**make_config("fig7-and"),
                                             "name": "fig3"}))
+        elif case.startswith("null-"):
+            # a null is refused like any other non-number, not dropped
+            key = case[len("null-"):]
+            base = make_config("fig3" if key == "scan" else "fig7-and")
+            cfg_path.write_text(json.dumps({**base, key: None}))
+        elif case == "directory-target":
+            target = str(tmp_path)
+        elif case == "undecodable-target":
+            cfg_path.write_bytes(b"\xff\xfe{}")
         elif case == "negative-t-end":
             target, flags = "fig7-and", ["--t-end", "-1"]
         elif case == "nan-t-end":
@@ -346,7 +359,7 @@ def test_flag_parses_to_its_keys_kind(key):
 
 def test_keys_cover_every_config_key():
     # every key an experiment reads has a row in KEYS (the engine: ENGINES)
-    for _, defaults, optional in EXPERIMENTS.values():
+    for _, defaults, optional, _ in EXPERIMENTS.values():
         assert set(defaults) | set(optional) <= set(KEYS) | {"engine"}
 
 
@@ -377,9 +390,14 @@ class TestScan:
                                      result["scan_rows"]).encode()
         assert scan.splitlines()[2].startswith(b"01,")
 
-    def test_scan_rejects_non_scan_experiment(self, tmp_path):
-        args = ["scan", "appC", "--t-end", "2", "--out", str(tmp_path)]
-        assert main(args) == 2
+    def test_scan_rejects_non_scan_experiment(self, tmp_path, capsys,
+                                              monkeypatch):
+        # refused before any job list starts
+        monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+        for target in ("appC", "fig4"):
+            assert main(["scan", target, "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: experiment {target!r} has no scan output\n")
 
 
 class TestValidate:
@@ -409,6 +427,28 @@ def test_run_experiment_rejects_unknown():
     from rydsim.experiments import ExperimentError
     with pytest.raises(ExperimentError):
         run_experiment({"experiment": "nope"})
+
+
+@pytest.mark.parametrize("scan", [[], [1.0, 1.0]], ids=["empty", "repeated"])
+def test_run_experiment_checks_its_config(monkeypatch, scan):
+    # a config that did not come from make_config is checked all the same
+    from rydsim.experiments import ExperimentError
+    monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+    with pytest.raises(ExperimentError, match="scan must not be empty"):
+        run_experiment({**make_config("fig3"), "scan": scan})
+
+
+def test_run_experiment_fills_defaults():
+    # a partial config runs as make_config completes it, to the bit
+    one = run_experiment({"experiment": "fig7-and", "t_end": 5.0})
+    two = run_experiment(make_config("fig7-and", t_end=5.0))
+    assert list(one["config"].items()) == list(two["config"].items())
+    assert one["config_hash"] == two["config_hash"]
+    assert sorted(one["series"]) == sorted(two["series"])
+    for key, ts in one["series"].items():
+        for name in ("times", "site_density", "output_count"):
+            assert np.array_equal(getattr(ts, name),
+                                  getattr(two["series"][key], name))
 
 
 def test_config_hash_embedded(tmp_path):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rydsim import quantum
+from rydsim.classical import classical_generator
 from rydsim.devices import DELTA_F, build_switch_chain
 from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
@@ -142,6 +143,28 @@ def test_real_liouvillian_matches_complex(seed, n, gamma, kappa):
     # lindblad_rhs also takes a non-Hermitian rho
     np.testing.assert_allclose(lindblad_rhs(a, ham, params),
                                (lv @ a.ravel()).reshape(a.shape), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       gamma=st.floats(0.1, 20.0))
+def test_classical_rates_eliminate_the_coherences(seed, n, gamma):
+    # the classical rate of flipping atom k in configuration i is the
+    # coherence p = i << N | j, j = i ^ 2^k, adiabatically eliminated:
+    # 2 omega^2 G2 / (G2^2 + dE^2), with its damping G2 = -R[p, p] and
+    # energy difference dE = R[p, p^T] read off the Liouvillian (kappa = 0)
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n)
+    params = SimParams(rng.uniform(0.2, 3.0), gamma, 0.0)
+    ham = build_hamiltonian(net, net.static_detunings, params.omega)
+    r = to_scipy(liouvillian(ham, params)).toarray()
+    g = to_scipy(classical_generator(net, params)[0]).toarray()
+    i = np.repeat(np.arange(ham.dim), n)
+    j = i ^ np.tile(1 << np.arange(n), ham.dim)
+    damping, gap = -r[i << n | j, i << n | j], r[i << n | j, j << n | i]
+    np.testing.assert_allclose(
+        2 * params.omega**2 * damping / (damping**2 + gap**2), g[j, i],
+        rtol=1e-12, atol=0)
 
 
 class TestLindbladRhs:
