@@ -162,11 +162,11 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
 
 
 def _lockstep_block(network: AtomNetwork, params: SimParams,
-                    config0: Configuration, t_end: float,
-                    schedule: DetuningSchedule, m: int, rng,
-                    times: np.ndarray, out: np.ndarray, site_density: bool,
+                    config0: Configuration, schedule: DetuningSchedule,
+                    m: int, rng, times: np.ndarray, out: np.ndarray,
+                    moments: np.ndarray, flips: np.ndarray | None,
                     log=None):
-    """Advance m trajectories from config0 to t_end in lockstep.
+    """Advance m trajectories from config0 to times[-1] in lockstep.
 
     Each trajectory holds its occupations, mismatches and the time of its
     pending event.  The trajectories synchronise only at the schedule's
@@ -177,17 +177,16 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     step: the atom is drawn in proportion to its rate, the mismatches move
     by its pair energies and a new wait is drawn.
 
-    Each event writes its own record: an event at time tau counts from the
-    first record time after tau, so the state at times[r] is the state
-    after every event before it.  A step adds the change of the output
-    count (weights `out`) and of its square, and, with `site_density`, its
-    +-1 occupation changes, at that record; one cumulative sum at the end
-    turns them into states.  Every recorded value is an integer-valued
-    float sum, so the order of the events does not round it.
+    Each event is filed at the first record time after it (every event
+    comes before times[-1]), so the state at times[r] is the state after
+    every event before it.  A step adds the change of the output count
+    (weights `out`) and of its square into the (2, times) `moments`, and,
+    unless `flips` is None, its +-1 occupation changes into the (times, N)
+    `flips`; a cumulative sum of the start state and these changes gives
+    the states.  Every filed value is an integer-valued float, so the
+    order of the events does not round the sums.
 
-    Returns, per record time, the summed occupations (None without
-    `site_density`), the (2, times) summed output counts and their
-    squares; the events of each trajectory; and the number of event steps.
+    Returns the events of each trajectory and the number of event steps.
     `log` collects (time, atom, new_bit) of every event.
     """
     if params.gamma <= 0:
@@ -202,19 +201,14 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     det = 0.0
     rates = np.empty((m, n))
     events = np.zeros(m, dtype=np.int64)
-    count0 = float(bits0 @ out)
-    counts = np.full(m, count0)
-    # changes filed at the record they first reach; the last record slot
-    # takes the events after the last record time
-    moments = np.zeros((2, times.size + 1))
-    flips = np.zeros((times.size + 1, n)) if site_density else None
+    counts = np.full(m, float(bits0 @ out))
     # scratch for the event steps, firing rows first: cumulative rates,
     # then the pair energies' workspace; pair energies, then new rates;
     # mismatches; the draw's comparison, then occupations
     cum, pairs, local = (np.empty((m, n)) for _ in range(3))
     hit = np.empty((m, n), dtype=bool)
     steps = 0
-    for start, stop, new_det in schedule.segments(t_end,
+    for start, stop, new_det in schedule.segments(times[-1],
                                                    network.static_detunings):
         mism += new_det - det
         det = new_det
@@ -256,13 +250,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             pending[fire] = tau + _waits(rates_k, rng)
             events[fire] += 1
             steps += 1
-    moments[:, 0] += m * count0, m * count0**2
-    np.cumsum(moments, axis=1, out=moments)
-    if flips is not None:
-        flips[0] += m * bits0
-        np.cumsum(flips, axis=0, out=flips)
-        flips = flips[:-1]
-    return flips, moments[:, :-1], events, steps
+    return events, steps
 
 
 def gillespie_run(network: AtomNetwork, params: SimParams,
@@ -278,9 +266,10 @@ def gillespie_run(network: AtomNetwork, params: SimParams,
     schedules resample the pending event at each breakpoint.
     """
     events = []
-    _lockstep_block(network, params, config0, t_end, schedule, 1,
-                    default_rng(seed), np.empty(0),
-                    np.zeros(network.n_atoms), False, log=events)
+    _lockstep_block(network, params, config0, schedule, 1,
+                    default_rng(seed), np.array([float(t_end)]),
+                    np.zeros(network.n_atoms), np.zeros((2, 1)), None,
+                    log=events)
     return Trajectory(config0, events, float(t_end))
 
 
@@ -341,20 +330,20 @@ def ensemble_average(trajectories, times: np.ndarray, output_sites,
 
 
 def gillespie_ensemble(network: AtomNetwork, params: SimParams,
-                       config0: Configuration, t_end: float,
-                       n_trajectories: int, master_seed: int,
-                       times: np.ndarray, output_sites,
+                       config0: Configuration, n_trajectories: int,
+                       master_seed: int, times: np.ndarray, output_sites,
                        schedule: DetuningSchedule = DetuningSchedule(),
                        site_density: bool = True) -> TimeSeries:
-    """Mean per-site density and output count of a sampled ensemble on
-    `times`, with the standard error of the output count.  Without
-    `site_density` no per-site sums are kept and the series has no site
-    columns; the output count and its error are the same bits either way.
+    """Mean per-site density and output count of an ensemble sampled up to
+    times[-1], on `times`, with the standard error of the output count.
+    Without `site_density` no per-site sums are kept and the series has no
+    site columns; the output count and its error are the same bits either
+    way.
 
     Trajectories advance in lockstep blocks of at most BLOCK_ELEMENTS // N;
     block b draws from stream (master_seed, b), so a seed, ensemble size
-    and atom count always give the same result.  Each block's sums are
-    added in place into the first block's.  The metadata counts the
+    and atom count always give the same result.  Every block files its
+    events into the ensemble's one set of sums.  The metadata counts the
     blocks, the event steps and the events per trajectory (mean and max).
     """
     if n_trajectories < 1:
@@ -366,29 +355,31 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
             or not np.all(times[1:] > times[:-1])):
         raise ClassicalEngineError(
             "record times must be strictly increasing from t >= 0")
-    if times[-1] > t_end:
-        raise ClassicalEngineError("trajectory shorter than time grid")
+    n = network.n_atoms
     sites = np.asarray(list(output_sites), dtype=int)
-    out = np.zeros(network.n_atoms)
+    out = np.zeros(n)
     out[sites] = 1.0
-    block = max(1, BLOCK_ELEMENTS // network.n_atoms)
+    moments = np.zeros((2, times.size))
+    dens = np.zeros((times.size, n)) if site_density else None
+    block = max(1, BLOCK_ELEMENTS // n)
     offsets = range(0, n_trajectories, block)
     events, steps = [], 0
     for b, start in enumerate(offsets):
-        part = _lockstep_block(network, params, config0, t_end, schedule,
-                               min(block, n_trajectories - start),
-                               default_rng([master_seed, b]),
-                               times, out, site_density)
-        if b == 0:
-            dens, moments = part[0], part[1]
-        else:
-            moments += part[1]
-            if site_density:
-                dens += part[0]
-        events.append(part[2])
-        steps += part[3]
-        # this block's sums go before the next block makes its own
-        del part
+        block_events, block_steps = _lockstep_block(
+            network, params, config0, schedule,
+            min(block, n_trajectories - start), default_rng([master_seed, b]),
+            times, out, moments, dens)
+        events.append(block_events)
+        steps += block_steps
+    # the start state, as floats (the int8 bits would overflow), then one
+    # cumulative sum turns the filed changes into states
+    bits0 = config0.as_array().astype(float)
+    count0 = float(bits0 @ out)
+    moments[:, 0] += n_trajectories * count0, n_trajectories * count0**2
+    np.cumsum(moments, axis=1, out=moments)
+    if dens is not None:
+        dens[0] += n_trajectories * bits0
+        np.cumsum(dens, axis=0, out=dens)
     events = np.concatenate(events)
     ts = _ensemble_series(times, dens, *moments, n_trajectories, sites)
     ts.metadata.update(master_seed=master_seed,

@@ -124,7 +124,7 @@ def run_validation() -> bool:
     # t = 1/kappa against e^-1, within 3 binomial standard errors
     m, expect = 40000, np.exp(-1.0)
     frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
-                                    Configuration((1,)), 1.0, m, 42,
+                                    Configuration((1,)), m, 42,
                                     np.array([1.0]), (0,)).output_count[0])
     bound = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
     _check("decay", abs(frac - expect) < bound,

@@ -89,21 +89,30 @@ def build_transport_chain(n_atoms: int = 6, c6: float = C6) -> DeviceInstance:
         name="transport-chain")
 
 
+def gas_scale(n_atoms: int, error) -> float:
+    """Length scale of an n_atoms gas against the full-scale 3000 atoms,
+    which keeps the gas density.  Raises `error` where the shrunk gate is
+    too narrow to block direct input-to-output facilitation (no wider than
+    GAS_R_F: below 336 atoms)."""
+    scale = (n_atoms / GAS_N_ATOMS) ** (1.0 / 3.0)
+    if GAS_REGION_LENGTHS[1] * scale <= GAS_R_F:
+        raise error(f"n_atoms {n_atoms} is too few for the gas switch: its "
+                    "gate region is narrower than the facilitation radius")
+    return scale
+
+
 def build_gas_switch(on: bool, seed, n_atoms: int = GAS_N_ATOMS) -> DeviceInstance:
     """Cylindrical-gas switch with input/gate/output detuning regions.
 
     For n_atoms below the full-scale 3000 the geometry is shrunk uniformly
-    so the gas density is preserved.
+    so the gas density is preserved; a gate narrower than the facilitation
+    radius is refused before a gas is sampled.
     """
-    scale = (n_atoms / GAS_N_ATOMS) ** (1.0 / 3.0)
+    scale = gas_scale(n_atoms, DeviceError)
     lengths = tuple(l * scale for l in GAS_REGION_LENGTHS)
     spec = geometry.CylinderSpec(length=sum(lengths),
                                  radius=GAS_RADIUS * scale,
                                  n_atoms=n_atoms, d_min=GAS_D_MIN)
-    # the gate must be wide enough to block direct input-to-output
-    # facilitation; refused before a whole gas is sampled
-    if lengths[1] <= GAS_R_F:
-        raise DeviceError("gate region narrower than the facilitation radius")
     positions = geometry.sample_cylinder(spec, seed)
     delta_g = GAS_DELTA_F if on else -GAS_DELTA_F
     detunings = geometry.assign_regions(positions, lengths,

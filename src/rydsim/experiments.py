@@ -16,11 +16,11 @@ import numpy as np
 # the classical engines are looked up on the module at call time, so that
 # a wrapper installed there after import is the one that runs
 from . import classical
-from .devices import (DELTA_F, GAS_PARAMS, DeviceError, DeviceInstance,
-                      build_and_gate, build_diode, build_gas_switch,
-                      build_nand_gate, build_switch_chain,
-                      build_transport_chain, find_gate_work_time,
-                      find_work_time, logic_readout, work_time)
+from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
+                      build_diode, build_gas_switch, build_nand_gate,
+                      build_switch_chain, build_transport_chain,
+                      find_gate_work_time, find_work_time, gas_scale,
+                      logic_readout, work_time)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -145,8 +145,8 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     elif engine == "kmc":
         times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
         ts = classical.gillespie_ensemble(
-            device.network, params, device.initial, t_end, trajectories,
-            seed, times, device.output_sites, schedule=device.schedule,
+            device.network, params, device.initial, trajectories, seed,
+            times, device.output_sites, schedule=device.schedule,
             site_density=site_density)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
@@ -193,6 +193,8 @@ def run_fig3(config: dict) -> dict:
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
     n, seed = config["instances"], config["seed"]
+    # an undersized gas is refused before any job starts
+    gas_scale(config["n_atoms"], ExperimentError)
     # instance i samples its gas from seed + i and its trajectories from
     # 1000 seed + i; fig4 writes no per-site columns, so no run keeps them
     jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
@@ -200,11 +202,7 @@ def run_fig4(config: dict) -> dict:
              {"engine": "kmc", "seed": 1000 * seed + i,
               "trajectories": config["trajectories"], "site_density": False})
             for on in (True, False) for i in range(n)]
-    try:
-        runs = list(_pool_map(_run_job, jobs))
-    except DeviceError as exc:
-        raise ExperimentError(f"n_atoms {config['n_atoms']} is too few for "
-                              f"the gas switch: {exc}") from None
+    runs = list(_pool_map(_run_job, jobs))
     out = {"series": {}}
     for key, part in (("on", runs[:n]), ("off", runs[n:])):
         meta = [ts.metadata for ts in part]

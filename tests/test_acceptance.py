@@ -71,7 +71,7 @@ class TestCriterion1:
         # e^-1, within 3 binomial standard errors
         m, expect = 40000, np.exp(-1.0)
         frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
-                                        Configuration((1,)), 1.0, m, 42,
+                                        Configuration((1,)), m, 42,
                                         np.array([1.0]), (0,)).output_count[0])
         decay_tol = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
         decay_err = abs(frac - expect)
@@ -169,8 +169,8 @@ class TestCriterion7:
         for dev in small_chain_devices():
             exact = evolve_classical_exact(dev.network, params, dev.initial,
                                            4.0, output_sites=dev.output_sites)
-            ens = gillespie_ensemble(dev.network, params, dev.initial, 4.0,
-                                     10000, 123, times,
+            ens = gillespie_ensemble(dev.network, params, dev.initial, 10000,
+                                     123, times,
                                      output_sites=dev.output_sites)
             diff = float(np.max(np.abs(
                 ens.site_density - exact.resample(times).site_density)))

@@ -78,7 +78,7 @@ class TestTransitionRate:
                     + pair_energies(net, np.flatnonzero(bits)).sum(axis=0))
         assert mismatch[k] == pytest.approx(expected, rel=1e-9)
         config = Configuration(tuple(bits))
-        ts = gillespie_ensemble(net, GAS_PARAMS, config, 0.5, 2, 0,
+        ts = gillespie_ensemble(net, GAS_PARAMS, config, 2, 0,
                                 np.array([0.25, 0.5]), (k,))
         assert ts.metadata["events_mean"] > 0
 
@@ -275,8 +275,8 @@ class TestGillespie:
         params = SimParams(1.0, 1.0, 0.0)
         net = single_atom()
         samples = 2000
-        ens = gillespie_ensemble(net, params, Configuration((0,)), 5.0,
-                                 samples, 17, [5.0], output_sites=(0,))
+        ens = gillespie_ensemble(net, params, Configuration((0,)), samples,
+                                 17, [5.0], output_sites=(0,))
         frac = ens.output_count[-1]
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / samples)
 
@@ -285,7 +285,7 @@ class TestGillespie:
         params = SimParams(1.0, 1.0, 0.003)
         config0 = Configuration((1, 0, 0))
         times = np.linspace(0.1, 4.0, 40)
-        ens = gillespie_ensemble(net, params, config0, 4.0, 4000, 99,
+        ens = gillespie_ensemble(net, params, config0, 4000, 99,
                                  times, output_sites=(2,))
         exact = evolve_classical_exact(net, params, config0, 4.0,
                                        output_sites=(2,)).resample(times)
@@ -324,8 +324,8 @@ class TestGillespieEnsemble:
     times = np.linspace(0.1, 4.0, 40)
 
     def sample(self, m, seed):
-        return gillespie_ensemble(self.net, self.params, self.config0, 4.0,
-                                  m, seed, self.times, output_sites=(2,))
+        return gillespie_ensemble(self.net, self.params, self.config0, m,
+                                  seed, self.times, output_sites=(2,))
 
     def exact(self):
         return evolve_classical_exact(self.net, self.params, self.config0,
@@ -341,8 +341,8 @@ class TestGillespieEnsemble:
     def test_scheduled_device_matches_exact(self):
         # the NAND gate's NOT atom (3) is pulsed onto resonance mid-run
         dev = build_nand_gate((1, 1))
-        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 4.0,
-                                 4000, 99, self.times, dev.output_sites,
+        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 4000,
+                                 99, self.times, dev.output_sites,
                                  schedule=dev.schedule)
         exact = evolve_classical_exact(dev.network, self.params, dev.initial,
                                        4.0, schedule=dev.schedule,
@@ -362,7 +362,7 @@ class TestGillespieEnsemble:
         # an excited atom under a negligible drive decays once, and only
         # once: every trajectory fires in the one event step
         ens = gillespie_ensemble(single_atom(), SimParams(1e-4, 1.0, 2.0),
-                                 Configuration((1,)), 20.0, 50, 3,
+                                 Configuration((1,)), 50, 3,
                                  np.array([10.0, 20.0]), output_sites=(0,))
         assert ens.metadata["events_mean"] == 1.0
         assert ens.metadata["events_max"] == 1
@@ -378,8 +378,8 @@ class TestGillespieEnsemble:
         dev = (build_switch_chain(DELTA_F) if device == "switch"
                else build_nand_gate((1, 0)))
         times = np.linspace(8.0 / 200, 8.0, 200)
-        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 8.0,
-                                 1, seed, times, dev.output_sites,
+        ens = gillespie_ensemble(dev.network, self.params, dev.initial, 1,
+                                 seed, times, dev.output_sites,
                                  schedule=dev.schedule)
         traj = gillespie_run(dev.network, self.params, dev.initial, 8.0,
                              [seed, 0], dev.schedule)
@@ -397,8 +397,8 @@ class TestGillespieEnsemble:
         # each event is filed at the first record time after it, which
         # only an increasing grid from t >= 0 gives
         with pytest.raises(ClassicalEngineError, match="strictly increasing"):
-            gillespie_ensemble(self.net, self.params, self.config0, 4.0, 10,
-                               0, np.array(times), output_sites=(2,))
+            gillespie_ensemble(self.net, self.params, self.config0, 10, 0,
+                               np.array(times), output_sites=(2,))
 
 
 class TestEnsembleAverage:
@@ -424,7 +424,7 @@ class TestEnsembleAverage:
         mean_err = {}
         for m in (30, 120, 480):
             ts = gillespie_ensemble(net, params, Configuration((1, 0, 0)),
-                                    4.0, m, 7, times, output_sites=(1, 2))
+                                    m, 7, times, output_sites=(1, 2))
             mean_err[m] = float(np.mean(ts.output_stderr))
         assert mean_err[30] / mean_err[120] == pytest.approx(2.0, rel=0.2)
         assert mean_err[120] / mean_err[480] == pytest.approx(2.0, rel=0.2)
@@ -496,14 +496,14 @@ class TestLockstepPinned:
 
     def test_switch_at_resonance(self):
         dev = build_switch_chain(DELTA_F)
-        ts = self.sample(dev.network, self.params, dev.initial, 8.0, 1000, 3,
+        ts = self.sample(dev.network, self.params, dev.initial, 1000, 3,
                          self.times, dev.output_sites)
         assert self.pin(ts) == SWITCH_PIN
 
     @pytest.mark.parametrize("bits", sorted(NAND_PINS))
     def test_nand_breakpoint_redraw(self, bits):
         dev = build_nand_gate(bits)
-        ts = self.sample(dev.network, self.params, dev.initial, 8.0, 200, 5,
+        ts = self.sample(dev.network, self.params, dev.initial, 200, 5,
                          self.times, dev.output_sites, schedule=dev.schedule)
         assert self.pin(ts) == NAND_PINS[bits]
 
@@ -511,22 +511,28 @@ class TestLockstepPinned:
         dev = build_gas_switch(True, 7, 400)
         monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 400)
         times = np.linspace(100.0 / 200, 100.0, 200)
-        ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 100.0, 8, 11,
+        ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 8, 11,
                          times, dev.output_sites)
         assert self.pin(ts) == GAS_PIN
 
-    @pytest.mark.parametrize("site_density, trajectories, bound_mib",
-                             [(False, 30, 6), (True, 30, 10), (True, 2, 6)])
-    def test_full_scale_gas_peak_memory(self, site_density, trajectories,
-                                        bound_mib):
+    @pytest.mark.parametrize(
+        "site_density, trajectories, bound_mib, block",
+        [(False, 30, 6, None), (True, 30, 10, None), (True, 2, 6, None),
+         (True, 30, 8, 3000 * 10)],
+        ids=["False-30-6", "True-30-10", "True-2-6", "True-30-8-3-blocks"])
+    def test_full_scale_gas_peak_memory(self, monkeypatch, site_density,
+                                        trajectories, bound_mib, block):
         # fig4's sampler at 3000 atoms: its per-site sums alone are
-        # 201 x 3000 doubles (4.6 MiB).  At 2 trajectories they are nearly
-        # all of its memory, so one copy of them shows.
+        # 200 x 3000 doubles (4.6 MiB).  At 2 trajectories they are nearly
+        # all of its memory, so one copy of them shows; in three blocks of
+        # 10 trajectories, so does a second copy.
+        if block:
+            monkeypatch.setattr(classical, "BLOCK_ELEMENTS", block)
         dev = build_gas_switch(True, 7)
         times = np.linspace(100.0 / 200, 100.0, 200)
         tracemalloc.start()
         try:
-            gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial, 100.0,
+            gillespie_ensemble(dev.network, GAS_PARAMS, dev.initial,
                                trajectories, 7000, times, dev.output_sites,
                                site_density=site_density)
             peak = tracemalloc.get_traced_memory()[1]
@@ -565,8 +571,10 @@ class TestGasClusterOracle:
         out, t_end = (8, 9, 10, 11), 20.0
         exact = evolve_classical_exact(net, GAS_PARAMS, config0, t_end,
                                        schedule, out)
-        rows = np.arange(25, 200, 25)
-        ens = gillespie_ensemble(net, GAS_PARAMS, config0, t_end, self.M, 1,
+        # row 199 (t = t_end) is checked too: the sampler runs to its
+        # grid's last time
+        rows = np.append(np.arange(25, 200, 25), 199)
+        ens = gillespie_ensemble(net, GAS_PARAMS, config0, self.M, 1,
                                  exact.times[rows], out, schedule=schedule)
         assert ens.metadata["events_mean"] >= 5
         p = exact.site_density[rows]

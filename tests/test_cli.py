@@ -20,7 +20,7 @@ NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "repeated-scan-close", "repeated-scan-equal",
                 "unknown-engine", "list-experiment", "name-key",
                 "null-gamma", "null-scan", "null-engine",
-                "directory-target", "undecodable-target")
+                "directory-target", "undecodable-target", "gas-too-small")
 
 
 def no_jobs(fn, jobs):
@@ -113,7 +113,7 @@ class TestRun:
 
 
     @pytest.mark.parametrize("case", ["invalid-json", "no-experiment",
-                                      "bad-threads", "gas-too-small",
+                                      "bad-threads",
                                       "no-gas-instances", "negative-t-end",
                                       "nan-t-end", "text-t-end",
                                       "no-gas-trajectories",

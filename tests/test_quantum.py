@@ -167,6 +167,50 @@ def test_classical_rates_eliminate_the_coherences(seed, n, gamma):
         rtol=1e-12, atol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       gamma=st.floats(0.1, 20.0), kappa=st.floats(0.0, 1.0))
+def test_generators_are_covariant_under_atom_permutation(seed, n, gamma,
+                                                         kappa):
+    # relabelling the atoms by sigma (new atom j is old atom sigma(j))
+    # moves bit sigma(j) of each basis index s to bit j: P.  The relabelled
+    # network's classical generator is P G P^T, its Hamiltonian's diagonal
+    # is permuted by P, and its Liouvillian maps P rho P^T to P L(rho) P^T
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n)
+    sigma = rng.permutation(n)
+    moved = AtomNetwork(net.positions[sigma], net.static_detunings[sigma],
+                        net.c6)
+    params = SimParams(rng.uniform(0.2, 3.0), gamma, kappa)
+    s = np.arange(1 << n)
+    p = sum(((s >> int(sigma[j])) & 1) << j for j in range(n))
+
+    def permuted(m):
+        out = np.empty_like(m)
+        out[np.ix_(p, p)] = m
+        return out
+
+    def generator(network):
+        return to_scipy(classical_generator(network, params)[0]).toarray()
+    np.testing.assert_allclose(generator(moved), permuted(generator(net)),
+                               rtol=1e-12, atol=0)
+
+    ham = build_hamiltonian(net, net.static_detunings, params.omega)
+    ham_moved = build_hamiltonian(moved, moved.static_detunings, params.omega)
+    np.testing.assert_allclose(ham_moved.diagonal[p], ham.diagonal,
+                               rtol=1e-12,
+                               atol=1e-12 * np.abs(ham.diagonal).max())
+
+    # the real coordinates swap Re and Im where sigma reverses i < j, so
+    # the Liouvillians are compared on a Hermitian rho, not entry by entry
+    a = rng.normal(size=(ham.dim,) * 2) + 1j * rng.normal(size=(ham.dim,) * 2)
+    rho = a + a.conj().T
+    want = permuted(from_real(liouvillian(ham, params) @ to_real(rho)))
+    got = from_real(liouvillian(ham_moved, params) @ to_real(permuted(rho)))
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
 class TestLindbladRhs:
     def test_maximally_mixed_is_dephasing_fixed_point(self):
         net = AtomNetwork([[0, 0, 0], [10, 0, 0]], [0.0, 0.0], 10.0)
