@@ -194,7 +194,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     n = network.n_atoms
     if len(config0) != n:
         raise ClassicalEngineError("configuration length mismatch")
-    bits0 = config0.as_array().astype(float)
+    bits0 = config0.as_array()
     pairs0 = pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
     bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(pairs0, (m, 1))
     # detunings the mismatches hold; each segment shifts them to its own
@@ -310,7 +310,7 @@ def ensemble_average(trajectories, times: np.ndarray, output_sites,
     for traj in trajectories:
         if traj.t_end < times[-1]:
             raise ClassicalEngineError("trajectory shorter than time grid")
-        bits = traj.initial.as_array().astype(float)
+        bits = traj.initial.as_array()
         no_traj = np.empty(times.size)
         gi = 0
         for et, atom, new_bit in traj.events:
@@ -371,9 +371,8 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
             times, out, moments, dens)
         events.append(block_events)
         steps += block_steps
-    # the start state, as floats (the int8 bits would overflow), then one
-    # cumulative sum turns the filed changes into states
-    bits0 = config0.as_array().astype(float)
+    # the start state, then one cumulative sum turns changes into states
+    bits0 = config0.as_array()
     count0 = float(bits0 @ out)
     moments[:, 0] += n_trajectories * count0, n_trajectories * count0**2
     np.cumsum(moments, axis=1, out=moments)

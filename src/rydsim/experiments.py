@@ -54,15 +54,18 @@ SAMPLING = ("engine", "trajectories", "seed")  # kmc reads the last two
 
 def make_config(name: str, /, **overrides) -> dict:
     """The experiment's defaults with the given overrides: each one it
-    reads, an engine in ENGINES, any other value (None too) as
-    `_check_value` takes it, and no classical engine (appB's included) at
-    a gamma of 0.  Given its own output, it returns an equal dict."""
+    reads (kmc's sampling keys only on kmc, unless they are defaults), an
+    engine in ENGINES, any other value (None too) as `_check_value` takes
+    it, and no classical engine (appB's included) at a gamma of 0.  Given
+    its own output, it returns an equal dict."""
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
     _, defaults, optional, _ = EXPERIMENTS[name]
     config = {"experiment": name, **defaults}
     unread = set(overrides) - set(config) - set(optional)
+    if overrides.get("engine") != "kmc":
+        unread |= set(overrides) & set(SAMPLING[1:]) - set(config)
     if unread:
         raise ExperimentError(f"{name} does not read {sorted(unread)}")
     for key, value in overrides.items():
@@ -127,6 +130,11 @@ def _pool_map(fn, jobs):
         yield from pool.map(fn, jobs)
 
 
+def _kmc_times(t_end: float) -> np.ndarray:
+    """kmc's record grid: RECORD_POINTS times from t_end / RECORD_POINTS."""
+    return np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
+
+
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                engine: str = "quantum", seed: int = 0,
                trajectories: int = 1000,
@@ -143,10 +151,9 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
             device.network, params, device.initial, t_end,
             schedule=device.schedule, output_sites=device.output_sites)
     elif engine == "kmc":
-        times = np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
         ts = classical.gillespie_ensemble(
             device.network, params, device.initial, trajectories, seed,
-            times, device.output_sites, schedule=device.schedule,
+            _kmc_times(t_end), device.output_sites, schedule=device.schedule,
             site_density=site_density)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
@@ -161,13 +168,20 @@ def _run_job(job):
     return run_device(build(*args), params, t_end, **keywords)
 
 
-def _work_times(gammas, t_end: float) -> list:
-    """The readout time at each gamma; where t_end falls short of the
-    latest, an ExperimentError before anything runs."""
-    t_ws = [work_time(gamma) for gamma in gammas]
-    if t_ws and t_end < max(t_ws):
+def _work_times(config: dict) -> list:
+    """The readout time at each of the config's gammas (or its gamma);
+    where the record grid (kmc's starts after 0) misses one, an
+    ExperimentError before anything runs."""
+    t_end = config["t_end"]
+    t_ws = [work_time(g) for g in config.get("gammas", [config.get("gamma")])]
+    first = _kmc_times(t_end)[0] if config.get("engine") == "kmc" else 0.0
+    if t_end < max(t_ws):
         raise ExperimentError(f"t_end {t_end:g} is below the device work "
                               f"time {max(t_ws):g}")
+    if first > min(t_ws):
+        raise ExperimentError(f"t_end {t_end:g} puts kmc's first record time "
+                              f"{first:g} after the device work time "
+                              f"{min(t_ws):g}")
     return t_ws
 
 
@@ -178,10 +192,9 @@ def _sampling(config: dict) -> dict:
 
 def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
-    gamma, t_end = config["gamma"], config["t_end"]
-    [t_w] = _work_times([gamma], t_end)
-    params = SimParams(1.0, gamma, config["kappa"])
-    jobs = [(build_switch_chain, (r * DELTA_F,), params, t_end,
+    [t_w] = _work_times(config)
+    params = SimParams(1.0, config["gamma"], config["kappa"])
+    jobs = [(build_switch_chain, (r * DELTA_F,), params, config["t_end"],
              _sampling(config)) for r in config["scan"]]
     rows, series = [], {}
     for ts, r in zip(_pool_map(_run_job, jobs), config["scan"]):
@@ -238,10 +251,10 @@ def _diode_jobs(gammas, ratios, t_end, keywords) -> list:
 
 def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
-    gammas, t_end = config["gammas"], config["t_end"]
-    t_ws = _work_times(gammas, t_end)
+    gammas, t_ws = config["gammas"], _work_times(config)
     runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, [config["delta_g_ratio"]], t_end, _sampling(config))))
+        gammas, [config["delta_g_ratio"]], config["t_end"],
+        _sampling(config))))
     rows, series = [], {}
     for gamma, t_w, forward, reverse in zip(gammas, t_ws, runs[::2],
                                             runs[1::2]):
@@ -322,10 +335,9 @@ def run_appD(config: dict) -> dict:
 
 def run_appE(config: dict) -> dict:
     """Diode gate-detuning scan in both directions."""
-    gammas, t_end = config["gammas"], config["t_end"]
-    t_ws = _work_times(gammas, t_end)
+    gammas, t_ws = config["gammas"], _work_times(config)
     runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, config["scan"], t_end, {})))
+        gammas, config["scan"], config["t_end"], {})))
     points = [(gamma, t_w, ratio) for gamma, t_w in zip(gammas, t_ws)
               for ratio in config["scan"]]
     rows = [(gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))

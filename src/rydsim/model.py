@@ -117,7 +117,7 @@ class Configuration:
         return sum(b << k for k, b in enumerate(self.bits))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.int8)
+        return np.array(self.bits, dtype=float)
 
 
 @dataclass(frozen=True)

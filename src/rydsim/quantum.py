@@ -84,10 +84,16 @@ def from_real(x: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T + np.diag(x.diagonal())
 
 
-def liouvillian(ham: SparseHamiltonian, params: SimParams) -> CSR:
+def liouvillian(ham: SparseHamiltonian, params: SimParams) -> tuple:
     """Real generator R of dx/dt, x = to_real(rho), for
 
-    -i[H, rho] + gamma sum_k D[n_k] rho + kappa sum_k D[sigma_k] rho.
+    -i[H, rho] + gamma sum_k D[n_k] rho + kappa sum_k D[sigma_k] rho,
+
+    as a `CSR` record, and the rectangle (lo, hi, b) holding its spectrum
+    (see `propagate.propagate`): -i[H, .] is skew-Hermitian, its imaginary
+    parts at most H's diagonal spread plus 2 N omega (Gershgorin); the
+    damping, per atom at most (gamma + kappa) / 2 or kappa, is Hermitian;
+    the decay feed widens both by at most N kappa / 2.
 
     R is P^H L P, with L the complex Liouvillian on vec(rho) and P the
     basis map of `to_real`, so the two are unitarily similar.  Row p of L
@@ -148,19 +154,10 @@ def liouvillian(ham: SparseHamiltonian, params: SimParams) -> CSR:
         indices[slot[feed]] = idx[feed] | both
         data[slot[feed]] = params.kappa
         slot += feed
-    return CSR(indptr, indices, data)
-
-
-def enclosure(ham: SparseHamiltonian, params: SimParams) -> tuple:
-    """The Liouvillian's rectangle (lo, hi, b) (see `propagate.propagate`)
-    without its transpose.  -i[H, .] is skew-Hermitian, its imaginary parts
-    at most H's diagonal spread plus 2 N omega (Gershgorin); the damping,
-    per atom at most (gamma + kappa) / 2 or kappa, is Hermitian; the decay
-    feed widens both by at most N kappa / 2."""
-    n, gamma, kappa = ham.n_atoms, params.gamma, params.kappa
-    feed = 0.5 * n * kappa
-    return (-n * max(0.5 * (gamma + kappa), kappa) - feed, feed,
-            float(np.ptp(ham.diagonal)) + 2 * n * abs(ham.omega) + feed)
+    feed = 0.5 * n * params.kappa
+    return CSR(indptr, indices, data), (
+        -n * max(0.5 * (params.gamma + params.kappa), params.kappa) - feed,
+        feed, float(np.ptp(ham.diagonal)) + 2 * n * abs(ham.omega) + feed)
 
 
 def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
@@ -170,7 +167,7 @@ def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
     through the real Liouvillian."""
     if rho.shape != (ham.dim, ham.dim):
         raise ValueError("rho shape does not match Hamiltonian dimension")
-    r = liouvillian(ham, params)
+    r, _ = liouvillian(ham, params)
     h1, h2 = (rho + rho.conj().T) / 2, (rho - rho.conj().T) / 2j
     return from_real(r @ to_real(h1)) + 1j * from_real(r @ to_real(h2))
 
@@ -188,8 +185,8 @@ def evolve_quantum(network: AtomNetwork, params: SimParams,
                    output_sites=()) -> TimeSeries:
     """Propagate the master equation from the pure state |initial> onto
     the record grid, rebuilding the Liouvillian on each schedule segment.
-    Trace and positivity are checked at every record time, and the state
-    stays Hermitian by construction.
+    Trace and positivity are checked at every record time.  `final_state`
+    holds rho's real coordinates at t_end; `from_real` gives rho back.
     """
     n = network.n_atoms
     _check_cap(n)
@@ -199,14 +196,7 @@ def evolve_quantum(network: AtomNetwork, params: SimParams,
     # to_real(|c><c|): rho[c, c] = 1 sits at the vec index c (2^N + 1)
     x = np.zeros(dim * dim)
     x[initial.to_index() * (dim + 1)] = 1.0
-
-    def build(det):
-        ham = build_hamiltonian(network, det, params.omega)
-        return liouvillian(ham, params), enclosure(ham, params)
-
-    ts = propagate(x, build,
-                   schedule.segments(t_end, network.static_detunings),
-                   "quantum", IntegrationError, output_sites,
-                   slice(None, None, dim + 1))
-    ts.final_state = from_real(ts.final_state)
-    return ts
+    return propagate(x, lambda det: liouvillian(
+        build_hamiltonian(network, det, params.omega), params),
+        schedule.segments(t_end, network.static_detunings), "quantum",
+        IntegrationError, output_sites, slice(None, None, dim + 1))

@@ -13,7 +13,7 @@ from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
 from rydsim.experiments import make_config, run_experiment, run_logic_gate
 from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, SimParams
-from rydsim.quantum import evolve_quantum
+from rydsim.quantum import evolve_quantum, from_real
 
 
 def report(name, ok, detail):
@@ -197,7 +197,7 @@ class TestCriterion8:
             ts = evolve_quantum(dev.network, params, dev.initial, t_end,
                                 schedule=dev.schedule,
                                 output_sites=dev.output_sites)
-            rho = ts.final_state
+            rho = from_real(ts.final_state)
             checks.append(abs(np.real(np.trace(rho)) - 1.0) < 1e-8)
             checks.append(float(np.max(np.abs(rho - rho.conj().T))) < 1e-8)
             checks.append(float(np.min(np.real(np.diag(rho)))) > -1e-8)

@@ -358,6 +358,28 @@ class TestGillespieEnsemble:
         assert np.array_equal(a.output_stderr, b.output_stderr)
         assert np.max(np.abs(a.site_density - self.exact().site_density)) < 0.03
 
+    def test_blocks_match_exact_within_standard_errors(self, monkeypatch):
+        # a seed does not replay across block sizes (block b draws from
+        # stream (seed, b)), so across blocks the statistics must hold:
+        # 8 blocks of 500 trajectories against the exact engine, within
+        # the gas oracle's bound.  Seeds 0-4 read at most 2.5-3.9; every
+        # block drawing from stream (seed, 0) reads 6.4-9.2.
+        monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 500)
+        dev, m = build_transport_chain(3), 4000
+        exact = evolve_classical_exact(dev.network, self.params, dev.initial,
+                                       4.0, output_sites=dev.output_sites)
+        rows = np.arange(5, 200, 5)
+        ens = gillespie_ensemble(dev.network, self.params, dev.initial, m, 0,
+                                 exact.times[rows], dev.output_sites)
+        assert ens.metadata["blocks"] == 8
+        p = exact.site_density[rows]
+        se = np.sqrt(np.maximum(p * (1 - p), 1.0 / m) / m)
+        z_out = ((ens.output_count - exact.output_count[rows])
+                 / np.maximum(ens.output_stderr, 1.0 / m))
+        z_max = TestGasClusterOracle.Z_MAX
+        assert np.abs((ens.site_density - p) / se).max() <= z_max
+        assert np.abs(z_out).max() <= z_max
+
     def test_work_counters(self):
         # an excited atom under a negligible drive decays once, and only
         # once: every trajectory fires in the one event step

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rydsim
 
@@ -12,6 +13,7 @@ from rydsim import classical, experiments, quantum
 from rydsim.cli import build_parser, main, run_validation
 from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
                                 make_config, run_experiment)
+from records import to_record, to_scipy
 from test_timeseries import per_value_csv
 
 
@@ -25,6 +27,17 @@ NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
 
 def no_jobs(fn, jobs):
     raise AssertionError("a job list started")
+
+
+def no_engines(monkeypatch):
+    """Make every engine raise if called, in one process."""
+    monkeypatch.setenv("RYDSIM_THREADS", "1")
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+    monkeypatch.setattr(experiments, "evolve_quantum", no_engine)
+    monkeypatch.setattr(classical, "evolve_classical_exact", no_engine)
+    monkeypatch.setattr(classical, "gillespie_ensemble", no_engine)
 
 
 def tiny_fig4_args(out_dir, seed=11):
@@ -235,10 +248,16 @@ class TestRun:
     @pytest.mark.parametrize("target, flags", [
         ("fig5c", ["--gamma", "3"]), ("fig5c", ["--n-atoms", "4"]),
         ("appE", ["--engine", "kmc"]), ("fig4", ["--kappa", "0.1"]),
-        ("appC", ["--engine", "kmc"])])
-    def test_unread_override_exits_2(self, tmp_path, capsys, target, flags):
+        ("appC", ["--engine", "kmc"]),
+        # only the kmc engine reads the sampling keys
+        ("fig7-and", ["--seed", "3"]),
+        ("fig3", ["--engine", "classical-exact", "--trajectories", "5"]),
+        ("fig5c", ["--engine", "quantum", "--seed", "4"])])
+    def test_unread_override_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     target, flags):
         # an override the experiment never reads would change only the
-        # config hash
+        # config hash; refused before any job starts
+        monkeypatch.setattr(experiments, "_pool_map", no_jobs)
         assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {target} does "
                                                   "not read")
@@ -256,19 +275,32 @@ class TestRun:
     def test_t_end_below_work_time_exits_2(self, tmp_path, capsys,
                                            monkeypatch, experiment, trim):
         # refused before any engine runs: every engine raises if called
-        monkeypatch.setenv("RYDSIM_THREADS", "1")
-
-        def no_engine(*args, **kwargs):
-            raise AssertionError("an engine ran")
-        monkeypatch.setattr(experiments, "evolve_quantum", no_engine)
-        monkeypatch.setattr(classical, "evolve_classical_exact", no_engine)
-        monkeypatch.setattr(classical, "gillespie_ensemble", no_engine)
+        no_engines(monkeypatch)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(experiment, **trim)))
         argv = ["run", str(cfg_path), "--t-end", "2", "--out", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: t_end 2 is below the device work time 4.6")
+
+    @pytest.mark.parametrize("experiment, trim", [
+        ("fig3", {"engine": "kmc"}),
+        ("fig5c", {"gammas": [0.5, 1.0], "engine": "kmc"})],
+        ids=["fig3", "fig5c"])
+    def test_kmc_first_record_after_work_time_exits_2(
+            self, tmp_path, capsys, monkeypatch, experiment, trim):
+        # kmc records from t_end / RECORD_POINTS: at t_end 1000 its first
+        # record time, 5, comes after the work time 4.6, which it could not
+        # read; refused before any engine runs
+        no_engines(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(experiment, **trim)))
+        argv = ["run", str(cfg_path), "--t-end", "1000", "--out",
+                str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: t_end 1000 puts kmc's first record time 5 after the "
+            "device work time 4.6")
 
     @pytest.mark.parametrize("experiment, trim, key", [
         ("fig3", {"scan": [1.0]}, "dg_ratio_1"),
@@ -421,6 +453,22 @@ class TestValidate:
                                                     1.1 * omega))
         assert not run_validation()
         assert "FAIL  rabi" in capsys.readouterr().out
+
+    def test_recorded_leak_reported_as_failure(self, capsys, monkeypatch):
+        # a quantum Liouvillian whose population columns sum to 1e-11: too
+        # small for the engine's own trace_leak limit (1e-10) to stop appB,
+        # but validate reads the worst recorded value against 1e-12
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        build = quantum.liouvillian
+
+        def leaky(ham, params):
+            r, rect = build(ham, params)
+            return to_record(to_scipy(r) + 1e-11 * sp.eye(ham.dim ** 2)), rect
+        monkeypatch.setattr(quantum, "liouvillian", leaky)
+        assert not run_validation()
+        out = capsys.readouterr().out
+        assert "FAIL  generator-column-sums" in out
+        assert "PASS  conservation" in out
 
 
 def test_run_experiment_rejects_unknown():

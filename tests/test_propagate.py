@@ -17,8 +17,8 @@ from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
 from rydsim.experiments import run_device
 from rydsim.model import Configuration, SimParams
 from rydsim.quantum import (ATOM_CAP, build_hamiltonian,
-                            density_from_configuration, enclosure,
-                            evolve_quantum)
+                            density_from_configuration, evolve_quantum,
+                            liouvillian)
 from records import to_record, to_scipy
 from test_quantum import dense_liouvillian, random_network
 
@@ -197,7 +197,7 @@ def test_random_lindbladians_match_expm(seed):
     ts = evolve_quantum(net, params, initial, t_end)
     ham = build_hamiltonian(net, net.static_detunings, params.omega)
     lv = dense_liouvillian(ham, params)
-    lo, hi, b = enclosure(ham, params)
+    lo, hi, b = liouvillian(ham, params)[1]
     blo, bhi, bb = bendixson(sp.csr_matrix(lv))
     assert lo <= blo + 1e-12 and bhi <= hi + 1e-12 and bb <= b + 1e-12
     step = expm(lv * t_end / (prop.RECORD_POINTS - 1))

@@ -10,9 +10,8 @@ from rydsim.geometry import build_chain
 from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
 from rydsim.propagate import propagate
 from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
-                            density_from_configuration, enclosure,
-                            evolve_quantum, from_real, lindblad_rhs,
-                            liouvillian, to_real)
+                            density_from_configuration, evolve_quantum,
+                            from_real, lindblad_rhs, liouvillian, to_real)
 from records import to_record, to_scipy
 
 
@@ -58,9 +57,7 @@ def propagate_rho(network, params, rho, t_end, output_sites=()):
     """The quantum engine's propagation of any density matrix rho: its
     Liouvillian and rectangle, from rho's real coordinates."""
     ham = build_hamiltonian(network, network.static_detunings, params.omega)
-    return propagate(to_real(rho),
-                     lambda det: (liouvillian(ham, params),
-                                  enclosure(ham, params)),
+    return propagate(to_real(rho), lambda det: liouvillian(ham, params),
                      [(0.0, t_end, None)], "quantum", IntegrationError,
                      output_sites, populations=slice(None, None, ham.dim + 1))
 
@@ -137,7 +134,7 @@ def test_real_liouvillian_matches_complex(seed, n, gamma, kappa):
     assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(rho), rel=1e-14)
     np.testing.assert_allclose(from_real(x), rho, atol=1e-15)
     lv = dense_liouvillian(ham, params)
-    np.testing.assert_allclose(from_real(liouvillian(ham, params) @ x),
+    np.testing.assert_allclose(from_real(liouvillian(ham, params)[0] @ x),
                                (lv @ rho.ravel()).reshape(rho.shape),
                                atol=1e-12)
     # lindblad_rhs also takes a non-Hermitian rho
@@ -157,7 +154,7 @@ def test_classical_rates_eliminate_the_coherences(seed, n, gamma):
     net = random_network(rng, n)
     params = SimParams(rng.uniform(0.2, 3.0), gamma, 0.0)
     ham = build_hamiltonian(net, net.static_detunings, params.omega)
-    r = to_scipy(liouvillian(ham, params)).toarray()
+    r = to_scipy(liouvillian(ham, params)[0]).toarray()
     g = to_scipy(classical_generator(net, params)[0]).toarray()
     i = np.repeat(np.arange(ham.dim), n)
     j = i ^ np.tile(1 << np.arange(n), ham.dim)
@@ -205,8 +202,9 @@ def test_generators_are_covariant_under_atom_permutation(seed, n, gamma,
     # the Liouvillians are compared on a Hermitian rho, not entry by entry
     a = rng.normal(size=(ham.dim,) * 2) + 1j * rng.normal(size=(ham.dim,) * 2)
     rho = a + a.conj().T
-    want = permuted(from_real(liouvillian(ham, params) @ to_real(rho)))
-    got = from_real(liouvillian(ham_moved, params) @ to_real(permuted(rho)))
+    want = permuted(from_real(liouvillian(ham, params)[0] @ to_real(rho)))
+    got = from_real(liouvillian(ham_moved, params)[0]
+                    @ to_real(permuted(rho)))
     np.testing.assert_allclose(got, want, rtol=1e-12,
                                atol=1e-12 * np.abs(want).max())
 
@@ -258,14 +256,14 @@ class TestEvolveQuantum:
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
         ts = evolve_quantum(net, SimParams(1.0, 0.0, 0.0),
                             Configuration((1, 0, 0)), 4.0)
-        rho = ts.final_state
+        rho = from_real(ts.final_state)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-6)
 
     def test_conservation_invariants(self):
         net = build_chain([1.0, 1.0], [-10.0] * 3, 10.0)
         ts = evolve_quantum(net, SimParams(1.0, 1.0, 0.003),
                             Configuration((1, 0, 0)), 4.0)
-        rho = ts.final_state
+        rho = from_real(ts.final_state)
         assert abs(np.trace(rho).real - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
         assert np.min(np.diag(rho).real) > -1e-8
@@ -331,8 +329,8 @@ class TestEvolveQuantum:
         # population column sums of 1e-6: far too slow a loss for the norm
         # drift to show within t_end
         def leaky(ham, params):
-            return to_record(to_scipy(liouvillian(ham, params))
-                             + 1e-6 * sp.eye(ham.dim ** 2))
+            r, rect = liouvillian(ham, params)
+            return to_record(to_scipy(r) + 1e-6 * sp.eye(ham.dim ** 2)), rect
         monkeypatch.setattr(quantum, "liouvillian", leaky)
         with pytest.raises(IntegrationError, match="trace_leak"):
             evolve_quantum(single_atom(), SimParams(1.0, 0.5, 0.01),
@@ -345,7 +343,10 @@ class TestEvolveQuantum:
         for key in ("norm_drift", "trace_leak", "negativity"):
             assert 0.0 <= ts.metadata[key] < 1e-10
         assert "hermiticity" not in ts.metadata
-        rho = ts.final_state
+        # the vector propagate advanced: rho's 4^N real coordinates
+        assert ts.final_state.shape == (64,)
+        assert ts.final_state.dtype == float
+        rho = from_real(ts.final_state)
         np.testing.assert_array_equal(rho, rho.conj().T)
         assert ts.times.size == 200
 
