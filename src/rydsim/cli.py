@@ -150,15 +150,16 @@ def run_validation() -> bool:
 
     # conservation and every generator's column sums: the worst residuals
     # `propagate` recorded over appB's three quantum and three classical
-    # runs, and the hermiticity of a noisy run's final rho
+    # runs (negativity reads only rho's diagonal), and the least eigenvalue
+    # of a noisy run's final rho
     worst = {key: max(ts.metadata[key] for ts in appB["series"].values())
              for key in ("norm_drift", "negativity", "trace_leak")}
     rho = from_real(appB["series"]["quantum_gamma_1"].final_state)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    _check("conservation", worst["norm_drift"] < 1e-8 and herm < 1e-8
+    least = float(np.linalg.eigvalsh(rho)[0])
+    _check("conservation", worst["norm_drift"] < 1e-8 and least >= -1e-8
            and worst["negativity"] < 1e-8,
-           f"norm drift {worst['norm_drift']:.1e}, hermiticity {herm:.1e}, "
-           f"negativity {worst['negativity']:.1e}", report)
+           f"norm drift {worst['norm_drift']:.1e}, least eigenvalue "
+           f"{least:.3g}, negativity {worst['negativity']:.1e}", report)
     _check("generator-column-sums", worst["trace_leak"] < 1e-12,
            f"max |column sum| = {worst['trace_leak']:.1e}", report)
 

@@ -1,5 +1,5 @@
 """Atomtronic device builders: switch chain, 3D-gas switch, diode and the
-AND/NAND logic gates, plus readout helpers (threshold logic, work time)."""
+AND/NAND logic gates.  How a device is read out is the experiments'."""
 
 from __future__ import annotations
 
@@ -10,21 +10,12 @@ import numpy as np
 from . import geometry
 from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
                     facilitation_detuning, facilitation_radius)
-from .timeseries import TimeSeries
 
 # Chain devices: dimensionless units, facilitation distance 1.
 C6 = 10.0
 R_F = 1.0
 DELTA_F = facilitation_detuning(R_F, C6)  # -10
 OMEGA = 1.0
-
-# Logic readout: an output count above this reads as bit 1.
-THRESHOLD = 0.5
-
-# Work times: output density peaks here for the reference switch (gate on
-# resonance), with and without dephasing.
-T_WORK_NOISY = 4.60
-T_WORK_IDEAL = 3.20
 
 # 3D gas, frequencies in units of the drive (50 kHz) and lengths in um:
 # gamma = 700/50, kappa = 2/50, C6 = 869 GHz / 50 kHz.
@@ -59,11 +50,6 @@ class DeviceInstance:
         excited = {i for i, b in enumerate(self.initial.bits) if b}
         if excited & set(self.output_sites):
             raise DeviceError("output sites overlap initially excited inputs")
-
-
-def work_time(gamma: float) -> float:
-    """Readout time of the chain switch and diode at dephasing gamma."""
-    return T_WORK_NOISY if gamma > 0 else T_WORK_IDEAL
 
 
 def build_switch_chain(delta_g: float) -> DeviceInstance:
@@ -196,37 +182,3 @@ def build_nand_gate(input_bits) -> DeviceInstance:
         initial=Configuration(bits + (0, 0)),
         output_sites=(3,),
         name=f"nand-{bits[0]}{bits[1]}")
-
-
-def logic_readout(series: TimeSeries, t_w: float) -> tuple:
-    """(N_o, bit): the output count at the work time and its threshold
-    decision (strict inequality; an exact tie reads as 0)."""
-    n_o = series.value_at(t_w)
-    return n_o, int(n_o > THRESHOLD)
-
-
-def find_work_time(series: TimeSeries) -> float:
-    """Earliest time on the recorded grid of the largest output count."""
-    if series.times.size == 0:
-        raise DeviceError("empty time series")
-    return float(series.times[int(np.argmax(series.output_count))])
-
-
-def find_gate_work_time(series_by_input: dict, truth_table: dict) -> float:
-    """Work time maximizing the worst-case margin of a logic gate.
-
-    For inputs expected to read 1 the margin is N_o - THRESHOLD, for 0 it
-    is THRESHOLD - N_o; the returned time maximizes the minimum margin over
-    all inputs.  All series must share a time grid.
-    """
-    times = None
-    margins = []
-    for key, series in series_by_input.items():
-        if times is None:
-            times = series.times
-        elif series.times.shape != times.shape or not np.allclose(series.times, times):
-            raise DeviceError("gate series must share a time grid")
-        sign = 1.0 if truth_table[key] else -1.0
-        margins.append(sign * (series.output_count - THRESHOLD))
-    worst = np.min(margins, axis=0)
-    return float(times[int(np.argmax(worst))])

@@ -18,9 +18,7 @@ import numpy as np
 from . import classical
 from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
                       build_diode, build_gas_switch, build_nand_gate,
-                      build_switch_chain, build_transport_chain,
-                      find_gate_work_time, find_work_time, gas_scale,
-                      logic_readout, work_time)
+                      build_switch_chain, build_transport_chain, gas_scale)
 from .model import SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
@@ -28,6 +26,14 @@ from .timeseries import TimeSeries, config_hash
 
 class ExperimentError(ValueError):
     pass
+
+
+# Logic readout: an output count above this reads as bit 1.
+THRESHOLD = 0.5
+# Work times: output density peaks here for the reference switch (gate on
+# resonance), with and without dephasing.
+T_WORK_NOISY = 4.60
+T_WORK_IDEAL = 3.20
 
 
 # the quantum engine, then the two classical ones
@@ -62,6 +68,9 @@ def make_config(name: str, /, **overrides) -> dict:
         raise ExperimentError(f"unknown experiment {name!r}; choose from "
                               f"{sorted(EXPERIMENTS)}")
     _, defaults, optional, _ = EXPERIMENTS[name]
+    if "engine" in overrides and overrides["engine"] not in ENGINES:
+        raise ExperimentError(f"unknown engine {overrides['engine']!r}; "
+                              f"choose from {list(ENGINES)}")
     config = {"experiment": name, **defaults}
     unread = set(overrides) - set(config) - set(optional)
     if overrides.get("engine") != "kmc":
@@ -71,9 +80,6 @@ def make_config(name: str, /, **overrides) -> dict:
     for key, value in overrides.items():
         if key != "engine":
             _check_value(key, value)
-        elif value not in ENGINES:
-            raise ExperimentError(f"unknown engine {value!r}; choose from "
-                                  f"{list(ENGINES)}")
     config.update(overrides)
     # the classical rates are Lorentzians of width gamma: no classical
     # engine runs at gamma = 0
@@ -169,11 +175,13 @@ def _run_job(job):
 
 
 def _work_times(config: dict) -> list:
-    """The readout time at each of the config's gammas (or its gamma);
+    """The readout time of the chain switch and diode at each of the
+    config's gammas (or its gamma);
     where the record grid (kmc's starts after 0) misses one, an
     ExperimentError before anything runs."""
     t_end = config["t_end"]
-    t_ws = [work_time(g) for g in config.get("gammas", [config.get("gamma")])]
+    t_ws = [T_WORK_NOISY if gamma > 0 else T_WORK_IDEAL
+            for gamma in config.get("gammas", [config.get("gamma")])]
     first = _kmc_times(t_end)[0] if config.get("engine") == "kmc" else 0.0
     if t_end < max(t_ws):
         raise ExperimentError(f"t_end {t_end:g} is below the device work "
@@ -229,8 +237,10 @@ def run_fig4(config: dict) -> dict:
                       "events_max": max(m["events_max"] for m in meta),
                       "blocks": sum(m["blocks"] for m in meta),
                       "steps": sum(m["steps"] for m in meta)})
-        out[f"plateau_{key}"] = float(np.mean([ts.plateau_value()
-                                               for ts in part]))
+        # each instance's plateau: the mean of its last tenth of records
+        out[f"plateau_{key}"] = float(np.mean(
+            [np.mean(ts.output_count[-(RECORD_POINTS // 10):])
+             for ts in part]))
     out["on_off_ratio"] = (out["plateau_on"] / out["plateau_off"]
                            if out["plateau_off"] > 0 else float("inf"))
     return out
@@ -265,6 +275,17 @@ def run_fig5c(config: dict) -> dict:
     return {"scan_rows": rows, "series": series}
 
 
+def _gate_work_time(series_by_input: dict, truth_table: dict) -> float:
+    """The record time (the gate's runs share one grid) that maximizes the
+    worst margin over all inputs: N_o - THRESHOLD for an input expected to
+    read 1, THRESHOLD - N_o for one expected to read 0."""
+    margins = [(1.0 if truth_table[key] else -1.0)
+               * (series.output_count - THRESHOLD)
+               for key, series in series_by_input.items()]
+    times = next(iter(series_by_input.values())).times
+    return float(times[int(np.argmax(np.min(margins, axis=0)))])
+
+
 AND_TABLE = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 NAND_TABLE = {k: 1 - v for k, v in AND_TABLE.items()}
 
@@ -277,11 +298,12 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     jobs = [(build, (bits,), params, config["t_end"], _sampling(config))
             for bits in sorted(table)]
     series = dict(zip(sorted(table), _pool_map(_run_job, jobs)))
-    t_w = find_gate_work_time(series, table)
-    rows = []
-    truth = {}
+    t_w = _gate_work_time(series, table)
+    rows, truth = [], {}
     for bits in sorted(table):
-        n_o, truth[bits] = logic_readout(series[bits], t_w)
+        # strictly above the threshold: a tie reads 0
+        n_o = series[bits].value_at(t_w)
+        truth[bits] = int(n_o > THRESHOLD)
         rows.append((f"{bits[0]}{bits[1]}", n_o, truth[bits], table[bits]))
     return {"scan_rows": rows,
             "series": {f"input_{b[0]}{b[1]}": s for b, s in series.items()},
@@ -328,8 +350,8 @@ def run_appD(config: dict) -> dict:
     rows, series = [], {}
     for ts, (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
         series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
-        if np.isclose(ratio, 1.0):
-            rows.append((gamma, find_work_time(ts)))
+        if np.isclose(ratio, 1.0):  # the earliest record of the most N_o
+            rows.append((gamma, float(ts.times[np.argmax(ts.output_count)])))
     return {"scan_rows": rows, "series": series}
 
 

@@ -1,5 +1,5 @@
 """Time-series results: per-site excitation densities, output excitation
-count and run metadata, with CSV/JSON export."""
+count and run metadata, with CSV export and the config hash."""
 
 from __future__ import annotations
 
@@ -65,11 +65,6 @@ class TimeSeries:
         if t < self.times[0] or t > self.times[-1]:
             raise TimeSeriesError(f"t={t} outside recorded range")
         return float(np.interp(t, self.times, self.output_count))
-
-    def plateau_value(self, fraction: float = 0.1) -> float:
-        """Mean output count over the trailing fraction of the run."""
-        n = max(1, int(round(fraction * self.times.size)))
-        return float(np.mean(self.output_count[-n:]))
 
     def resample(self, times: np.ndarray) -> "TimeSeries":
         """Linear-interpolation resample onto a new grid within range."""

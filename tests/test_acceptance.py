@@ -200,6 +200,7 @@ class TestCriterion8:
             rho = from_real(ts.final_state)
             checks.append(abs(np.real(np.trace(rho)) - 1.0) < 1e-8)
             checks.append(float(np.max(np.abs(rho - rho.conj().T))) < 1e-8)
+            checks.append(float(np.linalg.eigvalsh(rho)[0]) >= -1e-8)
             checks.append(float(np.min(np.real(np.diag(rho)))) > -1e-8)
 
         # probability normalization and nonnegativity on the exact propagator

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ import scipy.sparse as sp
 
 import rydsim
 
-from rydsim import classical, experiments, quantum
+from rydsim import classical, cli, experiments, quantum
 from rydsim.cli import build_parser, main, run_validation
 from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
                                 make_config, run_experiment)
+from rydsim.timeseries import TimeSeries
 from records import to_record, to_scipy
 from test_timeseries import per_value_csv
 
@@ -20,7 +22,8 @@ from test_timeseries import per_value_csv
 # malformed input refused before any job list starts
 NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "repeated-scan-close", "repeated-scan-equal",
-                "unknown-engine", "list-experiment", "name-key",
+                "unknown-engine", "unknown-engine-seed", "list-experiment",
+                "name-key",
                 "null-gamma", "null-scan", "null-engine",
                 "directory-target", "undecodable-target", "gas-too-small")
 
@@ -162,6 +165,10 @@ class TestRun:
         elif case == "unknown-engine":
             cfg_path.write_text(json.dumps({**make_config("fig7-and"),
                                             "engine": "qutip"}))
+        elif case == "unknown-engine-seed":
+            # with a key only kmc reads: the engine is what is wrong
+            cfg_path.write_text(json.dumps({"experiment": "fig3",
+                                            "engine": "qutip", "seed": 3}))
         elif case == "list-experiment":
             cfg_path.write_text(json.dumps({"experiment": ["fig3"]}))
         elif case == "name-key":
@@ -244,6 +251,8 @@ class TestRun:
         assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "engine failure" not in err
+        if case.startswith("unknown-engine"):
+            assert err.startswith("error: unknown engine 'qutip'")
 
     @pytest.mark.parametrize("target, flags", [
         ("fig5c", ["--gamma", "3"]), ("fig5c", ["--n-atoms", "4"]),
@@ -346,8 +355,10 @@ class TestRun:
                    "t_end": 5.0}),
         ("fig4", {"n_atoms": 400, "instances": 2, "trajectories": 4,
                   "t_end": 10.0}),
-        ("fig7-and", {"engine": "classical-exact"})],
-        ids=["fig5c", "fig4", "fig7-and"])
+        ("fig7-and", {"engine": "classical-exact"}),
+        # kmc with site columns and the NOT pulse's schedule
+        ("fig7-nand", {"engine": "kmc", "trajectories": 50, "seed": 3})],
+        ids=["fig5c", "fig4", "fig7-and", "fig7-nand-kmc"])
     def test_independent_of_worker_count(self, monkeypatch, experiment,
                                          trim):
         config = make_config(experiment, **trim)
@@ -393,6 +404,88 @@ def test_keys_cover_every_config_key():
     # every key an experiment reads has a row in KEYS (the engine: ENGINES)
     for _, defaults, optional, _ in EXPERIMENTS.values():
         assert set(defaults) | set(optional) <= set(KEYS) | {"engine"}
+
+
+class TestReductions:
+    """What fig4 and appB make of their runs, each run replaced by a
+    series built here."""
+
+    N = 3  # fig4 instances
+
+    @pytest.fixture
+    def fig4(self, monkeypatch):
+        """fig4's jobs, its runs (on instances, then off) and its result."""
+        rng = np.random.default_rng(5)
+        times = experiments._kmc_times(20.0)
+        runs = [TimeSeries(times, np.zeros((times.size, 0)),
+                           rng.uniform(0.0, 3.0, times.size),
+                           rng.uniform(0.1, 0.5, times.size),
+                           {"events_mean": 1.0 + k, "blocks": 1, "steps": 9,
+                            "events_max": (30, 10, 20, 60, 40, 50)[k]})
+                for k in range(2 * self.N)]
+        jobs = []
+
+        def pool_map(fn, given):
+            jobs.extend(given)
+            return iter(runs)
+        monkeypatch.setattr(experiments, "_pool_map", pool_map)
+        result = run_experiment(make_config(
+            "fig4", n_atoms=400, instances=self.N, trajectories=5,
+            t_end=20.0))
+        return jobs, {"on": runs[:self.N], "off": runs[self.N:]}, result
+
+    def test_fig4_stderr_adds_instances_in_quadrature(self, fig4):
+        _, parts, result = fig4
+        for key, part in parts.items():
+            expect = np.sqrt(sum(ts.output_stderr**2 for ts in part)) / self.N
+            np.testing.assert_allclose(result["series"][key].output_stderr,
+                                       expect, rtol=1e-12)
+
+    def test_fig4_events_max_is_max_over_instances(self, fig4):
+        _, _, result = fig4
+        assert result["series"]["on"].metadata["events_max"] == 30
+        assert result["series"]["off"].metadata["events_max"] == 60
+
+    def test_fig4_plateau_reads_each_instances_last_20_records(self, fig4):
+        # of its 200 record times: the last tenth
+        _, parts, result = fig4
+        for key, part in parts.items():
+            assert part[0].times.size == 200
+            expect = np.mean([np.mean(ts.output_count[-20:]) for ts in part])
+            assert result[f"plateau_{key}"] == pytest.approx(expect,
+                                                             rel=1e-12)
+        assert result["on_off_ratio"] == pytest.approx(
+            result["plateau_on"] / result["plateau_off"], rel=1e-12)
+
+    def test_fig4_on_and_off_instance_share_their_gas(self, fig4):
+        jobs, _, _ = fig4
+        gases = [job[0](*job[1]) for job in jobs]
+        for i in range(self.N):
+            on, off = gases[i], gases[self.N + i]
+            assert (on.name, off.name) == ("gas-switch-on", "gas-switch-off")
+            np.testing.assert_array_equal(on.network.positions,
+                                          off.network.positions)
+            # and the same trajectory seed
+            assert jobs[i][4] == jobs[self.N + i][4]
+        assert not np.array_equal(gases[0].network.positions,
+                                  gases[1].network.positions)
+
+    def test_appB_row_is_max_abs_site_density_difference(self, monkeypatch):
+        # per gamma a quantum run, then a classical one: the row is the
+        # largest |difference| of any site at any time, not a mean
+        times = np.linspace(0.0, 1.0, 5)
+        quantum_dens, classical_dens = np.zeros((5, 3)), np.full((5, 3), 0.01)
+        quantum_dens[2, 1] = 0.4
+        classical_dens[4, 0] = 0.3
+        runs = [TimeSeries(times, dens, dens.sum(axis=1))
+                for dens in (quantum_dens, classical_dens,
+                             quantum_dens, 0.5 * classical_dens)]
+        monkeypatch.setattr(experiments, "_pool_map",
+                            lambda fn, jobs: iter(runs))
+        result = run_experiment({"experiment": "appB", "gammas": [0.5, 1.0]})
+        [(g0, d0), (g1, d1)] = result["scan_rows"]
+        assert (g0, g1) == (0.5, 1.0)
+        assert d0 == pytest.approx(0.39) and d1 == pytest.approx(0.395)
 
 
 class TestScan:
@@ -469,6 +562,25 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL  generator-column-sums" in out
         assert "PASS  conservation" in out
+
+    def test_negative_eigenvalue_reported_as_failure(self, capsys,
+                                                     monkeypatch):
+        # the noisy final rho with Re rho_01 raised by 1.4, past what any
+        # populations allow (|rho_01|^2 <= rho_00 rho_11 <= 1/4): trace,
+        # hermiticity and diagonal are as they were, one eigenvalue is < 0
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        run = cli.run_experiment
+
+        def skewed(config):
+            result = run(config)
+            x = result["series"]["quantum_gamma_1"].final_state
+            x.reshape((isqrt(x.size),) * 2)[0, 1] += 2.0
+            return result
+        monkeypatch.setattr(cli, "run_experiment", skewed)
+        assert not run_validation()
+        out = capsys.readouterr().out
+        assert "FAIL  conservation" in out and "negativity 0.0e+00" in out
+        assert "PASS  generator-column-sums" in out
 
 
 def test_run_experiment_rejects_unknown():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from rydsim import geometry
+from rydsim import experiments, geometry
 from rydsim.classical import classical_generator
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
-                            R_F, T_WORK_IDEAL, T_WORK_NOISY, DeviceError,
-                            build_and_gate, build_diode, build_gas_switch,
-                            build_nand_gate, build_switch_chain,
-                            build_transport_chain, find_gate_work_time,
-                            find_work_time, logic_readout, work_time)
+                            R_F, DeviceError, build_and_gate, build_diode,
+                            build_gas_switch, build_nand_gate,
+                            build_switch_chain, build_transport_chain)
+from rydsim.experiments import (T_WORK_IDEAL, T_WORK_NOISY, make_config,
+                                run_experiment)
 from rydsim.model import Configuration, SimParams, facilitation_radius
 from rydsim.quantum import evolve_quantum
 from rydsim.timeseries import TimeSeries
@@ -31,20 +31,28 @@ class TestSwitchChain:
         assert dev.network.static_detunings[1] == 3.5
 
     def test_work_times(self):
-        assert work_time(1.0) == T_WORK_NOISY
-        assert work_time(0.0) == T_WORK_IDEAL
+        # the switch and diode read out at 4.6 with dephasing, 3.2 without
+        assert (T_WORK_NOISY, T_WORK_IDEAL) == (4.6, 3.2)
+        config = make_config("fig5c", gammas=[0.0, 0.5, 1.0])
+        assert experiments._work_times(config) == [3.2, 4.6, 4.6]
 
-    def test_reference_work_time_is_output_peak(self):
-        dev = build_switch_chain(delta_g=DELTA_F)
-        ts = evolve_quantum(dev.network, SimParams(1.0, 1.0, 0.003),
-                            dev.initial, 8.0, output_sites=dev.output_sites)
-        assert abs(find_work_time(ts) - T_WORK_NOISY) < 0.1
+    def appD_work_time(self, monkeypatch, gamma):
+        """appD's measured work time: when the resonant switch's output
+        peaks."""
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        result = run_experiment({"experiment": "appD", "gammas": [gamma],
+                                 "scan": [1.0]})
+        [(_, t_w)] = result["scan_rows"]
+        return t_w
 
-    def test_ideal_work_time_is_output_peak(self):
-        dev = build_switch_chain(delta_g=DELTA_F)
-        ts = evolve_quantum(dev.network, SimParams(1.0, 0.0, 0.003),
-                            dev.initial, 8.0, output_sites=dev.output_sites)
-        assert abs(find_work_time(ts) - T_WORK_IDEAL) < 0.1
+    # the output peaks near the time the other runs read it out at
+    def test_reference_work_time_is_output_peak(self, monkeypatch):
+        t_w = self.appD_work_time(monkeypatch, 1.0)
+        assert abs(t_w - T_WORK_NOISY) < 0.1
+
+    def test_ideal_work_time_is_output_peak(self, monkeypatch):
+        t_w = self.appD_work_time(monkeypatch, 0.0)
+        assert abs(t_w - T_WORK_IDEAL) < 0.1
 
 
 class TestTransportChain:
@@ -216,42 +224,70 @@ class TestGasSwitch:
 
 
 class TestReadout:
+    """Readout through the runners that decide it, each run replaced by a
+    series built here: the gates' work time and threshold, and appD's
+    measured work time."""
+
     def make_series(self, values):
         t = np.linspace(0, 1, len(values))
         v = np.asarray(values, dtype=float)
         return TimeSeries(t, v[:, None], v)
 
-    def test_logic_readout(self):
-        ts = self.make_series([0.0, 0.9])
-        assert logic_readout(ts, 1.0) == (0.9, 1)
-        assert logic_readout(ts, 0.0) == (0.0, 0)
+    def read_gate(self, monkeypatch, kind, values_by_input):
+        # the runs come back in sorted input order, as the runner asks
+        runs = [self.make_series(values_by_input[bits])
+                for bits in sorted(values_by_input)]
+        monkeypatch.setattr(experiments, "_pool_map",
+                            lambda fn, jobs: iter(runs))
+        return run_experiment({"experiment": f"fig7-{kind}"})
 
-    def test_tie_reads_zero(self):
-        ts = self.make_series([0.5, 0.5])
-        assert logic_readout(ts, 0.5) == (0.5, 0)
+    def read_appD(self, monkeypatch, values):
+        monkeypatch.setattr(experiments, "_pool_map",
+                            lambda fn, jobs: iter([self.make_series(values)]))
+        result = run_experiment({"experiment": "appD", "gammas": [1.0],
+                                 "scan": [1.0]})
+        [(_, t_w)] = result["scan_rows"]
+        return t_w
 
-    def test_find_work_time_monotone(self):
-        ts = self.make_series([0.0, 0.2, 0.4, 0.8])
-        assert find_work_time(ts) == 1.0
+    def test_logic_readout(self, monkeypatch):
+        # N_o at the work time, and its bit
+        low = [0.0, 0.1]
+        result = self.read_gate(monkeypatch, "and",
+                                {(0, 0): low, (0, 1): low, (1, 0): low,
+                                 (1, 1): [0.0, 0.9]})
+        assert result["work_time"] == 1.0
+        assert result["scan_rows"] == [("00", 0.1, 0, 0), ("01", 0.1, 0, 0),
+                                       ("10", 0.1, 0, 0), ("11", 0.9, 1, 1)]
+        assert result["truth_table_ok"]
 
-    def test_find_work_time_earliest_tie(self):
-        ts = self.make_series([0.0, 0.7, 0.7, 0.1])
-        assert find_work_time(ts) == pytest.approx(1 / 3)
+    def test_tie_reads_zero(self, monkeypatch):
+        # (1, 1) sits at the threshold throughout, so every time ties on
+        # the worst margin and the earliest is read: 0.5 reads as 0
+        zero = [0.0, 0.0]
+        result = self.read_gate(monkeypatch, "and",
+                                {(0, 0): zero, (0, 1): zero, (1, 0): zero,
+                                 (1, 1): [0.5, 0.5]})
+        assert result["work_time"] == 0.0
+        assert result["scan_rows"][-1] == ("11", 0.5, 0, 1)
+        assert not result["truth_table_ok"]
 
-    def test_gate_work_time_margins(self):
-        t = np.linspace(0, 1, 5)
-        high = TimeSeries(t, np.zeros((5, 1)), np.array([0., .2, .9, .9, .4]))
-        low = TimeSeries(t, np.zeros((5, 1)), np.array([0., .1, .4, .1, .0]))
-        table = {(1, 1): 1, (0, 0): 0}
-        t_w = find_gate_work_time({(1, 1): high, (0, 0): low}, table)
-        # margin is best where high is large and low is small
-        assert t_w == pytest.approx(0.75)
+    def test_find_work_time_monotone(self, monkeypatch):
+        assert self.read_appD(monkeypatch, [0.0, 0.2, 0.4, 0.8]) == 1.0
 
-    def test_gate_work_time_rejects_mismatched_grids(self):
-        a = TimeSeries(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros(2))
-        b = TimeSeries(np.array([0.0, 2.0]), np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(DeviceError):
-            find_gate_work_time({(0, 0): a, (1, 1): b}, {(0, 0): 0, (1, 1): 1})
+    def test_find_work_time_earliest_tie(self, monkeypatch):
+        t_w = self.read_appD(monkeypatch, [0.0, 0.7, 0.7, 0.1])
+        assert t_w == pytest.approx(1 / 3)
+
+    def test_gate_work_time_margins(self, monkeypatch):
+        # NAND expects 1 from three inputs and 0 from (1, 1): the worst
+        # margin is best at t = 0.5 (0.2 against 0.15 at t = 0.75), though
+        # the mean margin is best at 0.75
+        high = [0., .2, .7, 1., .4]
+        result = self.read_gate(monkeypatch, "nand",
+                                {(0, 0): high, (0, 1): high, (1, 0): high,
+                                 (1, 1): [0., .1, 0., .35, 0.]})
+        assert result["work_time"] == 0.5
+        assert result["truth_table_ok"]
 
 
 def test_output_sites_must_not_overlap_excited_inputs():

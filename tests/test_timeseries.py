@@ -41,14 +41,6 @@ class TestValueAt:
             ts.value_at(2.1)
 
 
-def test_plateau_value():
-    t = np.linspace(0, 9, 10)
-    n_o = np.concatenate([np.zeros(8), [1.0, 3.0]])
-    ts = TimeSeries(t, np.zeros((10, 1)), n_o)
-    assert ts.plateau_value(0.2) == pytest.approx(2.0)
-    assert ts.plateau_value(0.1) == 3.0
-
-
 def test_resample_roundtrip():
     ts = make_series(with_err=True)
     fine = ts.resample(np.linspace(0, 2, 17))
