@@ -52,27 +52,25 @@ class DeviceInstance:
             raise DeviceError("output sites overlap initially excited inputs")
 
 
+def _chain(gaps, detunings, output_sites, name: str, c6=C6) -> DeviceInstance:
+    """Facilitation chain along x with the given gaps and detunings, its
+    atom 0 excited."""
+    return DeviceInstance(geometry.build_chain(gaps, detunings, c6),
+                          Configuration.single_excitation(len(detunings), 0),
+                          output_sites, name=name)
+
+
 def build_switch_chain(delta_g: float) -> DeviceInstance:
     """Six-atom switch: input, gate with tunable detuning, four outputs."""
-    detunings = [DELTA_F, delta_g, DELTA_F, DELTA_F, DELTA_F, DELTA_F]
-    network = geometry.build_chain([R_F] * 5, detunings, C6)
-    return DeviceInstance(
-        network=network,
-        initial=Configuration.single_excitation(6, 0),
-        output_sites=(2, 3, 4, 5),
-        name="switch-chain")
+    return _chain([R_F] * 5, [DELTA_F, delta_g] + [DELTA_F] * 4,
+                  (2, 3, 4, 5), "switch-chain")
 
 
 def build_transport_chain(n_atoms: int = 6, c6: float = C6) -> DeviceInstance:
     """Uniform facilitation chain with the input atom excited."""
     delta_f = facilitation_detuning(R_F, c6)
-    network = geometry.build_chain([R_F] * (n_atoms - 1),
-                                   [delta_f] * n_atoms, c6)
-    return DeviceInstance(
-        network=network,
-        initial=Configuration.single_excitation(n_atoms, 0),
-        output_sites=(n_atoms - 1,),
-        name="transport-chain")
+    return _chain([R_F] * (n_atoms - 1), [delta_f] * n_atoms,
+                  (n_atoms - 1,), "transport-chain", c6)
 
 
 def gas_scale(n_atoms: int, error) -> float:
@@ -120,43 +118,33 @@ def build_diode(direction: str, delta_g: float = 2 * DELTA_F) -> DeviceInstance:
         raise DeviceError("gate detuning must be negative")
     if direction not in ("forward", "reverse"):
         raise DeviceError(f"unknown direction {direction!r}")
-    r_g = facilitation_radius(delta_g, C6)
-    if direction == "forward":
-        gaps = [R_F, r_g, R_F, R_F, R_F]  # r_g on the gate's input side
-    else:
-        gaps = [R_F, R_F, r_g, R_F, R_F]  # r_g on the gate's output side
-    detunings = [DELTA_F] * 6
-    detunings[2] = delta_g
-    network = geometry.build_chain(gaps, detunings, C6)
-    return DeviceInstance(
-        network=network,
-        initial=Configuration.single_excitation(6, 0),
-        output_sites=(3, 4, 5),
-        name=f"diode-{direction}")
+    gaps = [R_F] * 5
+    # r_g on the gate's input side going forward, its output side in reverse
+    gaps[1 if direction == "forward" else 2] = facilitation_radius(delta_g, C6)
+    return _chain(gaps, [DELTA_F, DELTA_F, delta_g] + [DELTA_F] * 3,
+                  (3, 4, 5), f"diode-{direction}")
 
 
-def _and_positions() -> np.ndarray:
-    """Output atom at the origin, inputs at distance R_F, opened to 120 deg
-    so the input-input interaction is negligible (~0.04 |Delta_f|)."""
+def _and_atoms(input_bits, gate: str):
+    """The AND gate's positions, detunings and input bits.  Output atom at
+    the origin, inputs at distance R_F, opened to 120 deg so the
+    input-input interaction is negligible (~0.04 |Delta_f|)."""
+    bits = tuple(int(b) for b in input_bits)
+    if len(bits) != 2:
+        raise DeviceError(f"{gate} gate takes two input bits")
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
-    return np.array([[R_F * c, R_F * s, 0.0],
-                     [R_F * c, -R_F * s, 0.0],
-                     [0.0, 0.0, 0.0]])
+    positions = [[R_F * c, R_F * s, 0.0], [R_F * c, -R_F * s, 0.0],
+                 [0.0, 0.0, 0.0]]
+    return positions, [DELTA_F, DELTA_F, 2 * DELTA_F], bits
 
 
 def build_and_gate(input_bits) -> DeviceInstance:
     """AND gate: two inputs facilitate the doubly-detuned output only when
     both are excited."""
-    bits = tuple(int(b) for b in input_bits)
-    if len(bits) != 2:
-        raise DeviceError("AND gate takes two input bits")
-    network = AtomNetwork(_and_positions(),
-                          [DELTA_F, DELTA_F, 2 * DELTA_F], C6)
-    return DeviceInstance(
-        network=network,
-        initial=Configuration(bits + (0,)),
-        output_sites=(2,),
-        name=f"and-{bits[0]}{bits[1]}")
+    positions, detunings, bits = _and_atoms(input_bits, "AND")
+    return DeviceInstance(AtomNetwork(positions, detunings, C6),
+                          Configuration(bits + (0,)), (2,),
+                          name=f"and-{bits[0]}{bits[1]}")
 
 
 NOT_PULSE_CENTER = 1.5  # in units of 1/omega
@@ -167,18 +155,13 @@ def build_nand_gate(input_bits) -> DeviceInstance:
     """AND gate plus a NOT atom at facilitation distance from the AND
     output.  The NOT atom's detuning is dropped to zero for a pi-pulse
     window centered at t*omega = 1.5 and sits at Delta_f otherwise."""
-    bits = tuple(int(b) for b in input_bits)
-    if len(bits) != 2:
-        raise DeviceError("NAND gate takes two input bits")
-    positions = np.vstack([_and_positions(), [-R_F, 0.0, 0.0]])
-    network = AtomNetwork(positions,
-                          [DELTA_F, DELTA_F, 2 * DELTA_F, DELTA_F], C6)
+    positions, detunings, bits = _and_atoms(input_bits, "NAND")
     t0 = NOT_PULSE_CENTER - NOT_PULSE_LENGTH / 2
     t1 = NOT_PULSE_CENTER + NOT_PULSE_LENGTH / 2
-    schedule = DetuningSchedule(((t0, t1, 3, 0.0),))
     return DeviceInstance(
-        network=network,
-        schedule=schedule,
+        network=AtomNetwork(positions + [[-R_F, 0.0, 0.0]],
+                            detunings + [DELTA_F], C6),
+        schedule=DetuningSchedule(((t0, t1, 3, 0.0),)),
         initial=Configuration(bits + (0, 0)),
         output_sites=(3,),
         name=f"nand-{bits[0]}{bits[1]}")

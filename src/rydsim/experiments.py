@@ -126,8 +126,9 @@ def worker_count() -> int:
 def _pool_map(fn, jobs):
     """Map jobs through a process pool, yielding results in job order, so
     that a runner can reduce each result before it holds the next."""
-    workers = worker_count()
-    if workers == 1 or len(jobs) <= 1:
+    # at most one worker per job: the pool forks all of them at once
+    workers = min(worker_count(), len(jobs))
+    if workers <= 1:
         yield from map(fn, jobs)
         return
     # imported here: a serial run never pays for it (~18 ms)
@@ -251,25 +252,26 @@ def _noisy_params(gamma: float) -> SimParams:
     return SimParams(1.0, gamma, 0.003 if gamma > 0 else 0.0)
 
 
-def _diode_jobs(gammas, ratios, t_end, keywords) -> list:
-    """Forward then reverse diode runs at each (gamma, dg/df), in order."""
-    return [(build_diode, (direction, ratio * DELTA_F),
-             _noisy_params(gamma), t_end, keywords)
-            for gamma in gammas for ratio in ratios
-            for direction in ("forward", "reverse")]
+def _diode_scan(config: dict, ratios) -> list:
+    """Forward and reverse diode runs at each of the config's gammas and
+    each dg/df in ratios: (gamma, ratio, t_w, forward, reverse), in order."""
+    points = [(gamma, ratio, t_w)
+              for gamma, t_w in zip(config["gammas"], _work_times(config))
+              for ratio in ratios]
+    runs = list(_pool_map(_run_job, [
+        (build_diode, (side, ratio * DELTA_F), _noisy_params(gamma),
+         config["t_end"], _sampling(config))
+        for gamma, ratio, _ in points for side in ("forward", "reverse")]))
+    return [(*point, forward, reverse) for point, forward, reverse
+            in zip(points, runs[::2], runs[1::2])]
 
 
 def run_fig5c(config: dict) -> dict:
     """Diode forward/reverse output against dephasing."""
-    gammas, t_ws = config["gammas"], _work_times(config)
-    runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, [config["delta_g_ratio"]], config["t_end"],
-        _sampling(config))))
     rows, series = [], {}
-    for gamma, t_w, forward, reverse in zip(gammas, t_ws, runs[::2],
-                                            runs[1::2]):
-        rows.append((gamma, forward.value_at(t_w), reverse.value_at(t_w),
-                     t_w))
+    for gamma, _, t_w, forward, reverse in _diode_scan(
+            config, [config["delta_g_ratio"]]):
+        rows.append((gamma, forward.value_at(t_w), reverse.value_at(t_w), t_w))
         series[f"forward_gamma_{gamma:g}"] = forward
         series[f"reverse_gamma_{gamma:g}"] = reverse
     return {"scan_rows": rows, "series": series}
@@ -357,15 +359,10 @@ def run_appD(config: dict) -> dict:
 
 def run_appE(config: dict) -> dict:
     """Diode gate-detuning scan in both directions."""
-    gammas, t_ws = config["gammas"], _work_times(config)
-    runs = list(_pool_map(_run_job, _diode_jobs(
-        gammas, config["scan"], config["t_end"], {})))
-    points = [(gamma, t_w, ratio) for gamma, t_w in zip(gammas, t_ws)
-              for ratio in config["scan"]]
-    rows = [(gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))
-            for (gamma, t_w, ratio), forward, reverse
-            in zip(points, runs[::2], runs[1::2])]
-    return {"scan_rows": rows}
+    return {"scan_rows": [
+        (gamma, ratio, forward.value_at(t_w), reverse.value_at(t_w))
+        for gamma, ratio, t_w, forward, reverse
+        in _diode_scan(config, config["scan"])]}
 
 
 # name -> (runner, default config, keys it reads besides its defaults,

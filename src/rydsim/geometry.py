@@ -41,6 +41,7 @@ class CylinderSpec:
 
 # candidates drawn per batch: enough that a sparse gas needs few batches
 BATCH = 1024
+MAX_ATTEMPTS_PER_ATOM = 1000  # candidates per atom before sampling gives up
 
 
 def _candidates(spec: CylinderSpec, rng, count: int):
@@ -57,8 +58,7 @@ def _candidates(spec: CylinderSpec, rng, count: int):
     return p.tolist(), (p // spec.d_min).astype(int).tolist()
 
 
-def sample_cylinder(spec: CylinderSpec, seed,
-                    max_attempts_per_atom: int = 1000) -> np.ndarray:
+def sample_cylinder(spec: CylinderSpec, seed) -> np.ndarray:
     """Uniform positions in the cylinder with hard-core distance d_min.
 
     Rejection sampling backed by a cell grid of side d_min, so each
@@ -74,7 +74,7 @@ def sample_cylinder(spec: CylinderSpec, seed,
     grid: dict = {}  # cell key -> indices of the atoms placed in it
     xs, ys, zs = [], [], []
     d2_min = spec.d_min**2
-    max_attempts = max_attempts_per_atom * spec.n_atoms
+    max_attempts = MAX_ATTEMPTS_PER_ATOM * spec.n_atoms
     attempts = 0
     while len(xs) < spec.n_atoms:
         coords, cells = _candidates(spec, rng, BATCH)

@@ -124,8 +124,8 @@ class Configuration:
 class DetuningSchedule:
     """Piecewise-constant detuning overrides: (t_start, t_end, atom, value).
 
-    Atoms without an active override keep their static detuning.  Intervals
-    for the same atom must not overlap.
+    Atoms without an active override keep their static detuning.  Atoms
+    are indices into the network; intervals of one atom must not overlap.
     """
 
     overrides: tuple = ()
@@ -135,14 +135,14 @@ class DetuningSchedule:
         for t0, t1, atom, value in self.overrides:
             if not t0 < t1:
                 raise ModelError("schedule interval needs t_start < t_end")
+            if int(atom) < 0:
+                raise ModelError(f"schedule atom {atom} is negative")
             entries.append((float(t0), float(t1), int(atom), float(value)))
-        entries.sort()
-        per_atom = {}
-        for t0, t1, atom, _ in entries:
-            for s0, s1 in per_atom.get(atom, ()):
-                if t0 < s1 and s0 < t1:
-                    raise ModelError(f"overlapping overrides for atom {atom}")
-            per_atom.setdefault(atom, []).append((t0, t1))
+        # by atom, then start: if any two overlap, some neighbours do
+        entries.sort(key=lambda entry: (entry[2], entry[0]))
+        for (_, s1, a, _), (t0, _, b, _) in zip(entries, entries[1:]):
+            if a == b and t0 < s1:
+                raise ModelError(f"overlapping overrides for atom {a}")
         object.__setattr__(self, "overrides", tuple(entries))
 
     def segments(self, t_end: float, static: np.ndarray) -> list:
@@ -150,6 +150,8 @@ class DetuningSchedule:
         detuning changes: each segment's detunings are `static` with the
         overrides in force on it (an override holds from its start up to,
         not including, its end)."""
+        if any(atom >= len(static) for _, _, atom, _ in self.overrides):
+            raise ModelError(f"schedule atom past the last of {len(static)}")
         cuts = sorted({t for t0, t1, _, _ in self.overrides
                        for t in (t0, t1) if 0.0 < t < t_end})
         edges = [0.0, *cuts, t_end]

@@ -378,6 +378,29 @@ class TestRun:
                                       getattr(other, name))
             assert ts.metadata == other.metadata
 
+    def test_pool_starts_at_most_one_worker_per_job(self, monkeypatch):
+        # a process pool forks all its workers at once, so no more are
+        # asked for than there are jobs; the pool here maps in-process
+        import concurrent.futures
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("RYDSIM_THREADS", "64")
+        assert list(experiments._pool_map(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert asked == [3]
+
 
 @pytest.mark.parametrize("key", FLAGS)
 def test_flag_parses_to_its_keys_kind(key):

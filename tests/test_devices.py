@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,85 @@ def test_output_sites_must_not_overlap_excited_inputs():
         type(dev)(network=dev.network,
                   initial=Configuration((1, 0, 0, 0, 0, 0)),
                   output_sites=(0, 1))
+
+
+def device_digest(dev) -> str:
+    """Positions and detunings bytes, initial bits, output sites, schedule
+    and name of a built device."""
+    h = hashlib.sha256()
+    for a in (dev.network.positions, dev.network.static_detunings):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(np.array(dev.initial.bits + (-1,) + tuple(dev.output_sites),
+                      dtype=np.int64).tobytes())
+    h.update(repr((dev.schedule.overrides, dev.name)).encode())
+    return h.hexdigest()
+
+
+# every builder's output at a few arguments, pinned bit for bit
+BUILDS = {
+    "switch-0.3": (build_switch_chain, (0.3 * DELTA_F,)),
+    "switch-1": (build_switch_chain, (DELTA_F,)),
+    "switch-2.7": (build_switch_chain, (2.7 * DELTA_F,)),
+    "transport-3": (build_transport_chain, (3,)),
+    "transport-6-c6-5": (build_transport_chain, (6, 5.0)),
+    "diode-forward-1.3": (build_diode, ("forward", 1.3 * DELTA_F)),
+    "diode-forward-2": (build_diode, ("forward", 2.0 * DELTA_F)),
+    "diode-reverse-1.3": (build_diode, ("reverse", 1.3 * DELTA_F)),
+    "diode-reverse-2": (build_diode, ("reverse", 2.0 * DELTA_F)),
+    "and-00": (build_and_gate, ((0, 0),)),
+    "and-01": (build_and_gate, ((0, 1),)),
+    "and-10": (build_and_gate, ((1, 0),)),
+    "and-11": (build_and_gate, ((1, 1),)),
+    "nand-00": (build_nand_gate, ((0, 0),)),
+    "nand-01": (build_nand_gate, ((0, 1),)),
+    "nand-10": (build_nand_gate, ((1, 0),)),
+    "nand-11": (build_nand_gate, ((1, 1),)),
+    "gas-on-400": (build_gas_switch, (True, 7, 400)),
+    "gas-off-400": (build_gas_switch, (False, 7, 400)),
+}
+BUILD_DIGESTS = {
+    "switch-0.3":
+        "0b915dc3dfd2a4ce33709e50c9c1688d4af91409ad4c478ed4322f6320d680f7",
+    "switch-1":
+        "12a244959e4dc8410631c20a22b30fc594a25f1f4ea78c598427cd1995f16d28",
+    "switch-2.7":
+        "8868d2fde09e3b07b6e28e7994f7be7e8a9cbdc9585bec84172a8fd1c7dc23a1",
+    "transport-3":
+        "301f86b936bc3f23b54b5c1832a7ecc1975678620a9512f7753304a04cd6664f",
+    "transport-6-c6-5":
+        "db4ca574062abfc8bfdda583cd8f0ee31a76281680ba0edaa37d9bd5cf28409b",
+    "diode-forward-1.3":
+        "fd7c9833207e2705c3723118904cee62b437b2542dec15174c972ff206f8d683",
+    "diode-forward-2":
+        "2f8a20a9890582de39c2badaac335f65600af99052139d2cc9ed3350bfd5eecc",
+    "diode-reverse-1.3":
+        "55cfb5826e0f884f8a305da6b23d94fe44cf30482a877c55ceeaf00a628a7fd3",
+    "diode-reverse-2":
+        "06ac7fad2721c5b817c1a48a00b3f2dad0ebf517c33bc20d19a09503c87dcd1d",
+    "and-00":
+        "bf9f29728afdcf59dde3536556917cff5e1b05e2c3edb81ec9d5242128b35099",
+    "and-01":
+        "90cf2e28850fb56247331669b3b8e99d736c24b4ea0821a5ef8385f20f173100",
+    "and-10":
+        "036e1e59938d56ff88bfc4da19d9ecec06f09c7838fb7b20a7187907b2640e85",
+    "and-11":
+        "366db0afd62b90a722bd499bd0a8d675b45575ca6cb7079127f0c5618911fc9b",
+    "nand-00":
+        "537796303df3883154b0b63fe4e51f61845f636da138d2bb1f1685b571f22dc3",
+    "nand-01":
+        "9709f66128cdaa2f5333900c48e39658583896588d2011d3945baed1071a4760",
+    "nand-10":
+        "811032b56ed6438b19a4a7fb3478f7c237386ef9a4bd99442a42cbfff7b42cf9",
+    "nand-11":
+        "c4f63a06b7b7db07f85ee1c0827d5b309ab0196f77686c0d3dd96477d33f879e",
+    "gas-on-400":
+        "eb8aed07ba3c2ecddbfa41fcaa03e6eb1651d4d576a98403986f6efcbce2ec95",
+    "gas-off-400":
+        "a31e607ce333f3fc11f1a93efd735e6ebf20ee05ff6c14c28a3e98125b94f022",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDS))
+def test_builder_output_pinned(case):
+    build, args = BUILDS[case]
+    assert device_digest(build(*args)) == BUILD_DIGESTS[case]

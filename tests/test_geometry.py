@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from rydsim import geometry
 from rydsim.devices import (GAS_D_MIN, GAS_N_ATOMS, GAS_RADIUS,
                             GAS_REGION_LENGTHS)
 from rydsim.geometry import (CylinderSpec, GeometryError, PackingError,
@@ -37,11 +38,12 @@ class TestSampleCylinder:
         c = sample_cylinder(spec, seed=6)
         assert not np.array_equal(a, c)
 
-    def test_infeasible_packing_fails(self):
+    def test_infeasible_packing_fails(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_ATTEMPTS_PER_ATOM", 50)
         with pytest.warns(UserWarning):
             spec = CylinderSpec(length=2.0, radius=1.0, n_atoms=300, d_min=1.0)
         with pytest.raises(PackingError):
-            sample_cylinder(spec, seed=0, max_attempts_per_atom=50)
+            sample_cylinder(spec, seed=0)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(GeometryError):
@@ -133,9 +135,10 @@ class TestSampleCylinderPinned:
                             d_min=GAS_D_MIN)
         assert digest(sample_cylinder(spec, 7)) == self.SHRUNK
 
-    def test_packing_error_message(self):
+    def test_packing_error_message(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_ATTEMPTS_PER_ATOM", 50)
         with pytest.warns(UserWarning):
             spec = CylinderSpec(length=2.0, radius=1.0, n_atoms=300, d_min=1.0)
         with pytest.raises(PackingError) as err:
-            sample_cylinder(spec, seed=0, max_attempts_per_atom=50)
+            sample_cylinder(spec, seed=0)
         assert str(err.value) == "placed 9/300 atoms after 15000 attempts"

@@ -114,10 +114,24 @@ class TestDetuningSchedule:
     def test_rejects_overlap(self):
         with pytest.raises(ModelError):
             DetuningSchedule(((0.0, 2.0, 0, 1.0), (1.0, 3.0, 0, 2.0)))
+        # the overlapping intervals are apart in start order
+        with pytest.raises(ModelError):
+            DetuningSchedule(((0.0, 2.0, 0, 1.0), (0.5, 1.0, 1, 2.0),
+                              (1.5, 3.0, 0, 2.0)))
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ModelError):
             DetuningSchedule(((1.0, 1.0, 0, 1.0),))
+
+    def test_rejects_negative_atom(self):
+        # atom -1 would override the last atom
+        with pytest.raises(ModelError, match="is negative"):
+            DetuningSchedule(((0.0, 1.0, -1, 0.0),))
+
+    def test_rejects_atom_past_the_network(self):
+        sched = DetuningSchedule(((0.0, 1.0, 5, 0.0),))
+        with pytest.raises(ModelError, match="past the last of 3"):
+            sched.segments(2.0, np.array([-10.0, -10.0, -10.0]))
 
     def test_lookup(self):
         sched = DetuningSchedule(((1.0, 2.0, 1, 5.0),))
