@@ -26,6 +26,9 @@ GENERATOR_CAP = 14
 # Trajectories x atoms in one lockstep block: bounds the sampler's memory
 # at O(BLOCK_ELEMENTS) for any ensemble size.
 BLOCK_ELEMENTS = 2 ** 20
+# Atoms per block of the sampler's two-level draw (see `_draw`): a row of
+# at most this many atoms is searched flat.
+DRAW_BLOCK = 64
 
 
 class ClassicalEngineError(ValueError):
@@ -161,6 +164,48 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
     return rng.exponential(1.0 / total)
 
 
+def _draw(c: np.ndarray, rng) -> np.ndarray:
+    """One atom per row of the rates `c`, each drawn in proportion to its
+    rate from u = rng.uniform(0, total); `c` may be overwritten.
+
+    A row of at most DRAW_BLOCK atoms takes the first atom whose
+    cumulative rate reaches u.  A longer row is searched on two levels:
+    the first block of DRAW_BLOCK atoms whose cumulative block sum reaches
+    u, then the first atom of that block whose cumulative rate reaches u
+    less the blocks before it.  That is the same partition of [0, total)
+    into one interval of each atom's rate, so the distribution is
+    unchanged (Gillespie's direct method, with the grouped search of Blue,
+    Beichl & Sullivan); only a u within rounding of a cut may fall on the
+    other side of it.  Where rounding leaves the block's own cumulative
+    rate short of its share of u, the block's last atom with a positive
+    rate is taken, which is the atom owning the interval's top."""
+    n = c.shape[1]
+    if n <= DRAW_BLOCK:
+        np.cumsum(c, axis=1, out=c)
+        u = rng.uniform(0.0, c[:, -1])[:, None]
+        return (c >= u).argmax(axis=1)
+    k = c.shape[0]
+    # cumulative block sums after a leading 0: ends[:, b] is what the
+    # blocks before block b hold
+    ends = np.zeros((k, -(-n // DRAW_BLOCK) + 1))
+    np.add.reduceat(c, np.arange(0, n, DRAW_BLOCK), axis=1, out=ends[:, 1:])
+    np.cumsum(ends, axis=1, out=ends)
+    u = rng.uniform(0.0, ends[:, -1])
+    rows = np.arange(k)
+    block = (ends[:, 1:] >= u[:, None]).argmax(axis=1)
+    u -= ends[rows, block]
+    cols = block[:, None] * DRAW_BLOCK + np.arange(DRAW_BLOCK)
+    # a partial last block is padded with zero rates
+    inner = c[rows[:, None], np.minimum(cols, n - 1)]
+    inner[cols >= n] = 0.0
+    cum = np.cumsum(inner, axis=1)
+    atom = (cum >= u[:, None]).argmax(axis=1)
+    short = cum[:, -1] < u
+    if short.any():
+        atom[short] = DRAW_BLOCK - 1 - (inner[short, ::-1] > 0).argmax(axis=1)
+    return cols[rows, atom]
+
+
 def _lockstep_block(network: AtomNetwork, params: SimParams,
                     config0: Configuration, schedule: DetuningSchedule,
                     m: int, rng, times: np.ndarray, out: np.ndarray,
@@ -202,11 +247,11 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     rates = np.empty((m, n))
     events = np.zeros(m, dtype=np.int64)
     counts = np.full(m, float(bits0 @ out))
-    # scratch for the event steps, firing rows first: cumulative rates,
+    # scratch for the event steps, firing rows first: rates for the draw,
     # then the pair energies' workspace; pair energies, then new rates;
-    # mismatches; the draw's comparison, then occupations
-    cum, pairs, local = (np.empty((m, n)) for _ in range(3))
-    hit = np.empty((m, n), dtype=bool)
+    # mismatches; occupations
+    work, pairs, local = (np.empty((m, n)) for _ in range(3))
+    occ = np.empty((m, n), dtype=bool)
     steps = 0
     for start, stop, new_det in schedule.segments(times[-1],
                                                    network.static_detunings):
@@ -217,12 +262,8 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
         while (fire := np.flatnonzero(pending < stop)).size:
             k = fire.size
             # take writes `out` unbuffered in `clip` mode; fire is in range
-            c = np.take(rates, fire, axis=0, out=cum[:k], mode="clip")
-            np.cumsum(c, axis=1, out=c)
-            # c rises along each row: the atom drawn is the first whose
-            # cumulative rate reaches the uniform draw
-            u = rng.uniform(0.0, c[:, -1])[:, None]
-            atom = np.greater_equal(c, u, out=hit[:k]).argmax(axis=1)
+            c = np.take(rates, fire, axis=0, out=work[:k], mode="clip")
+            atom = _draw(c, rng)
             new = ~bits[fire, atom]
             bits[fire, atom] = new
             sign = 2.0 * new - 1.0
@@ -231,7 +272,7 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
             mism_k = np.take(mism, fire, axis=0, out=local[:k], mode="clip")
             mism_k += step
             mism[fire] = mism_k
-            bits_k = np.take(bits, fire, axis=0, out=hit[:k], mode="clip")
+            bits_k = np.take(bits, fire, axis=0, out=occ[:k], mode="clip")
             rates_k = _rates(mism_k, bits_k, params, out=step)
             rates[fire] = rates_k
             tau = pending[fire]

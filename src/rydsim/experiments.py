@@ -218,15 +218,17 @@ def run_fig4(config: dict) -> dict:
     # an undersized gas is refused before any job starts
     gas_scale(config["n_atoms"], ExperimentError)
     # instance i samples its gas from seed + i and its trajectories from
-    # 1000 seed + i; fig4 writes no per-site columns, so no run keeps them
+    # 1000 seed + i; its on and off jobs are adjacent, so that a worker
+    # that builds both samples the gas once.  fig4 writes no per-site
+    # columns, so no run keeps them
     jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
              config["t_end"],
              {"engine": "kmc", "seed": 1000 * seed + i,
               "trajectories": config["trajectories"], "site_density": False})
-            for on in (True, False) for i in range(n)]
+            for i in range(n) for on in (True, False)]
     runs = list(_pool_map(_run_job, jobs))
     out = {"series": {}}
-    for key, part in (("on", runs[:n]), ("off", runs[n:])):
+    for key, part in (("on", runs[0::2]), ("off", runs[1::2])):
         meta = [ts.metadata for ts in part]
         out["series"][key] = TimeSeries(
             part[0].times, part[0].site_density,

@@ -423,6 +423,79 @@ class TestGillespieEnsemble:
                                np.array(times), output_sites=(2,))
 
 
+class GivenU:
+    """Stands in for the sampler's rng in `classical._draw`: uniform(0,
+    total) returns u(total) for each row's total."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, low, high):
+        assert low == 0.0
+        return self.u(np.asarray(high, dtype=float))
+
+
+class TestDraw:
+    """The sampler's atom draw: past DRAW_BLOCK atoms a block, then an atom
+    inside it, against the flat search of one cumulative sum."""
+
+    @staticmethod
+    def draw(rates, u):
+        return classical._draw(np.array(rates, dtype=float), GivenU(u))
+
+    @staticmethod
+    def block_ends(rates):
+        """Cumulative block sums, as the draw takes them."""
+        starts = np.arange(0, rates.shape[1], classical.DRAW_BLOCK)
+        return np.cumsum(np.add.reduceat(rates, starts, axis=1), axis=1)
+
+    @pytest.mark.parametrize("n", [65, 200, 3000])
+    def test_two_level_matches_flat_search(self, n):
+        # each n ends in a partial block (65 = 64 + 1, 200 = 3 x 64 + 8,
+        # 3000 = 46 x 64 + 56)
+        assert n > classical.DRAW_BLOCK and n % classical.DRAW_BLOCK
+        rng = np.random.default_rng(n)
+        rates = rng.exponential(size=(400, n)) * rng.uniform(0.1, 10.0, n)
+        frac = rng.random(400)
+        flat = np.cumsum(rates, axis=1)
+        expect = (flat >= (frac * flat[:, -1])[:, None]).argmax(axis=1)
+        atoms = self.draw(rates, lambda total: frac * total)
+        np.testing.assert_array_equal(atoms, expect)
+
+    def test_block_end_picks_its_last_atom_with_a_positive_rate(self):
+        # u at block 0's and block 1's cumulative ends, and at the total
+        # (the end of the partial last block); block 1 ends in three atoms
+        # of rate 0
+        rng = np.random.default_rng(3)
+        rates = rng.exponential(size=(3, 200))
+        rates[1, 125:128] = 0.0
+        ends = self.block_ends(rates)
+        u = np.array([ends[0, 0], ends[1, 1], ends[2, -1]])
+        np.testing.assert_array_equal(self.draw(rates, lambda total: u),
+                                      [63, 124, 199])
+
+    def test_rounding_shortfall_picks_the_last_atom_with_a_positive_rate(self):
+        # row 0, block 0: a rate of 1, then 59 of 2^-53, then 4 of 0; row
+        # 1: rates only in the partial last block (atoms 192-199), 1 and
+        # then 7 of 2^-53.  Added in order the small rates round away (the
+        # block's cumulative rate ends at 1.0), while its block sum keeps
+        # them, so u at the block's cumulative end lies past every
+        # cumulative rate inside the block
+        tiny = 2.0 ** -53
+        rates = np.zeros((2, 200))
+        rates[0] = 1.0
+        rates[0, 1:60] = tiny
+        rates[0, 60:64] = 0.0
+        rates[1, 192] = 1.0
+        rates[1, 193:] = tiny
+        ends = self.block_ends(rates)
+        u = np.array([ends[0, 0], ends[1, -1]])
+        assert u[0] > np.cumsum(rates[0, :64])[-1]
+        assert u[1] > np.cumsum(rates[1, 192:])[-1]
+        np.testing.assert_array_equal(self.draw(rates, lambda total: u),
+                                      [59, 199])
+
+
 class TestEnsembleAverage:
     def test_single_trajectory_mean(self):
         traj = Trajectory(Configuration((1, 0)), [(0.5, 1, 1)], 2.0)

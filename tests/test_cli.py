@@ -2,13 +2,10 @@ import json
 import subprocess
 import sys
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-
-import rydsim
 
 from rydsim import classical, cli, experiments, quantum
 from rydsim.cli import build_parser, main, run_validation
@@ -67,6 +64,23 @@ class TestRun:
             assert counters["blocks"] == 1
             # the lockstep steps once per event of its busiest trajectory
             assert counters["steps"] >= counters["events_max"]
+
+    def test_fig4_samples_each_instances_gas_once(self, monkeypatch):
+        # in one process an instance's on and off runs are built one after
+        # the other and share the gas of its seed
+        from rydsim import devices, geometry
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+        devices._gas_positions.cache_clear()
+        seeds = []
+        sample = geometry.sample_cylinder
+
+        def counted(spec, seed):
+            seeds.append(seed)
+            return sample(spec, seed)
+        monkeypatch.setattr(geometry, "sample_cylinder", counted)
+        run_experiment(make_config("fig4", n_atoms=400, instances=2,
+                                   trajectories=2, t_end=20.0, seed=11))
+        assert seeds == [11, 12]
 
     def test_summary_holds_exact_engine_counters(self, tmp_path):
         config = make_config("fig7-and", engine="classical-exact")
@@ -437,14 +451,15 @@ class TestReductions:
 
     @pytest.fixture
     def fig4(self, monkeypatch):
-        """fig4's jobs, its runs (on instances, then off) and its result."""
+        """fig4's jobs, its runs (each instance's on run, then its off
+        run) and its result."""
         rng = np.random.default_rng(5)
         times = experiments._kmc_times(20.0)
         runs = [TimeSeries(times, np.zeros((times.size, 0)),
                            rng.uniform(0.0, 3.0, times.size),
                            rng.uniform(0.1, 0.5, times.size),
                            {"events_mean": 1.0 + k, "blocks": 1, "steps": 9,
-                            "events_max": (30, 10, 20, 60, 40, 50)[k]})
+                            "events_max": (30, 40, 20, 60, 10, 50)[k]})
                 for k in range(2 * self.N)]
         jobs = []
 
@@ -455,7 +470,7 @@ class TestReductions:
         result = run_experiment(make_config(
             "fig4", n_atoms=400, instances=self.N, trajectories=5,
             t_end=20.0))
-        return jobs, {"on": runs[:self.N], "off": runs[self.N:]}, result
+        return jobs, {"on": runs[0::2], "off": runs[1::2]}, result
 
     def test_fig4_stderr_adds_instances_in_quadrature(self, fig4):
         _, parts, result = fig4
@@ -484,14 +499,14 @@ class TestReductions:
         jobs, _, _ = fig4
         gases = [job[0](*job[1]) for job in jobs]
         for i in range(self.N):
-            on, off = gases[i], gases[self.N + i]
+            on, off = gases[2 * i], gases[2 * i + 1]
             assert (on.name, off.name) == ("gas-switch-on", "gas-switch-off")
             np.testing.assert_array_equal(on.network.positions,
                                           off.network.positions)
             # and the same trajectory seed
-            assert jobs[i][4] == jobs[self.N + i][4]
+            assert jobs[2 * i][4] == jobs[2 * i + 1][4]
         assert not np.array_equal(gases[0].network.positions,
-                                  gases[1].network.positions)
+                                  gases[2].network.positions)
 
     def test_appB_row_is_max_abs_site_density_difference(self, monkeypatch):
         # per gamma a quantum run, then a classical one: the row is the
@@ -661,12 +676,12 @@ print(json.dumps([new, sorted(m for m in sys.modules
 """
 
 
-def test_serial_runs_import_nothing_and_no_scipy_module(tmp_path):
+def test_serial_runs_import_nothing_and_no_scipy_module(tmp_path,
+                                                        child_env):
     (tmp_path / "fig3.json").write_text(json.dumps(
         {"experiment": "fig3", "scan": [1.0], "t_end": 5.0}))
-    src = str(Path(rydsim.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", MODULE_CHECK], cwd=tmp_path,
-                          env={"PYTHONPATH": src, "RYDSIM_THREADS": "1"},
+                          env={**child_env, "RYDSIM_THREADS": "1"},
                           capture_output=True, text=True, check=True)
     new, scipy = json.loads(done.stdout.splitlines()[-1])
     assert new == [[]] * 4

@@ -481,7 +481,6 @@ assert sys.modules["scipy.sparse._sparsetools"].csr_matvec is prop.csr_matvec
     ("rydsim.propagate", "scipy.sparse"),
     ("scipy.sparse", "rydsim.propagate")],
     ids=["kernel-first", "scipy-first"])
-def test_kernel_matches_scipy_products(first, second):
-    src = str(Path(rydsim.__file__).parents[1])
+def test_kernel_matches_scipy_products(first, second, child_env):
     subprocess.run([sys.executable, "-c", KERNEL_CHECK.format(first, second)],
-                   check=True, env={"PYTHONPATH": src})
+                   check=True, env=child_env)
