@@ -161,7 +161,7 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
     total = rates.sum(axis=1)
     if not np.all(total > 0):
         raise ClassicalEngineError("total rate vanished; omega must be > 0")
-    return rng.exponential(1.0 / total)
+    return rng.standard_exponential(total.size) * (1.0 / total)
 
 
 def _draw(c: np.ndarray, rng) -> np.ndarray:

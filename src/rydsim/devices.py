@@ -4,7 +4,6 @@ AND/NAND logic gates.  How a device is read out is the experiments'."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,42 +85,33 @@ def gas_scale(n_atoms: int, error) -> float:
     return scale
 
 
-@lru_cache(maxsize=1)
-def _gas_positions(spec: geometry.CylinderSpec, seed: int) -> np.ndarray:
-    """The gas sampled from `seed`, read-only.  The last one is kept, so
-    that a switch's on and off states built one after the other (as fig4
-    orders its jobs) share one sample."""
-    positions = geometry.sample_cylinder(spec, seed)
-    positions.setflags(write=False)
-    return positions
-
-
-def build_gas_switch(on: bool, seed: int,
-                     n_atoms: int = GAS_N_ATOMS) -> DeviceInstance:
-    """Cylindrical-gas switch with input/gate/output detuning regions.
+def build_gas_switch(seed: int, n_atoms: int = GAS_N_ATOMS
+                     ) -> tuple[DeviceInstance, DeviceInstance]:
+    """Cylindrical-gas switch with input/gate/output detuning regions: its
+    on and off devices, in one gas sampled once from `seed`.
 
     For n_atoms below the full-scale 3000 the geometry is shrunk uniformly
     so the gas density is preserved; a gate narrower than the facilitation
-    radius is refused before a gas is sampled.  The on and off states of
-    one seed and size sit in the same gas.
+    radius is refused before a gas is sampled.
     """
     scale = gas_scale(n_atoms, DeviceError)
     lengths = tuple(l * scale for l in GAS_REGION_LENGTHS)
     spec = geometry.CylinderSpec(length=sum(lengths),
                                  radius=GAS_RADIUS * scale,
                                  n_atoms=n_atoms, d_min=GAS_D_MIN)
-    positions = _gas_positions(spec, seed)
-    delta_g = GAS_DELTA_F if on else -GAS_DELTA_F
-    detunings = geometry.assign_regions(positions, lengths,
-                                        (0.0, delta_g, GAS_DELTA_F))
-    network = AtomNetwork(positions, detunings, GAS_C6)
+    positions = geometry.sample_cylinder(spec, seed)
     output_start = lengths[0] + lengths[1]
     output_sites = tuple(np.nonzero(positions[:, 0] >= output_start)[0])
-    return DeviceInstance(
-        network=network,
-        initial=Configuration.ground(n_atoms),
-        output_sites=output_sites,
-        name=f"gas-switch-{'on' if on else 'off'}")
+    devices = []
+    for state, delta_g in (("on", GAS_DELTA_F), ("off", -GAS_DELTA_F)):
+        detunings = geometry.assign_regions(positions, lengths,
+                                            (0.0, delta_g, GAS_DELTA_F))
+        devices.append(DeviceInstance(
+            network=AtomNetwork(positions, detunings, GAS_C6),
+            initial=Configuration.ground(n_atoms),
+            output_sites=output_sites,
+            name=f"gas-switch-{state}"))
+    return tuple(devices)
 
 
 def build_diode(direction: str, delta_g: float = 2 * DELTA_F) -> DeviceInstance:

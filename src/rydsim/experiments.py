@@ -144,11 +144,9 @@ def _kmc_times(t_end: float) -> np.ndarray:
 
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                engine: str = "quantum", seed: int = 0,
-               trajectories: int = 1000,
-               site_density: bool = True) -> TimeSeries:
-    """Run one device on the requested engine.  seed, trajectories and
-    site_density are kmc's: without site_density the sampler keeps no
-    per-site sums and the series has no site columns."""
+               trajectories: int = 1000) -> TimeSeries:
+    """Run one device on the requested engine; seed and trajectories are
+    kmc's."""
     if engine == "quantum":
         ts = evolve_quantum(device.network, params, device.initial, t_end,
                             schedule=device.schedule,
@@ -160,8 +158,7 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     elif engine == "kmc":
         ts = classical.gillespie_ensemble(
             device.network, params, device.initial, trajectories, seed,
-            _kmc_times(t_end), device.output_sites, schedule=device.schedule,
-            site_density=site_density)
+            _kmc_times(t_end), device.output_sites, schedule=device.schedule)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
     ts.metadata["device"] = device.name
@@ -212,23 +209,30 @@ def run_fig3(config: dict) -> dict:
     return {"scan_rows": rows, "series": series}
 
 
+def _gas_instance(job):
+    """One gas instance: (seed, n_atoms, t_end, trajectory seed,
+    trajectories) -> its on and off series, both in the one gas sampled
+    from seed.  fig4 writes no per-site columns, so neither run keeps
+    them."""
+    seed, n_atoms, t_end, kmc_seed, trajectories = job
+    return tuple(classical.gillespie_ensemble(
+        device.network, GAS_PARAMS, device.initial, trajectories, kmc_seed,
+        _kmc_times(t_end), device.output_sites, site_density=False)
+        for device in build_gas_switch(seed, n_atoms))
+
+
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
     n, seed = config["instances"], config["seed"]
     # an undersized gas is refused before any job starts
     gas_scale(config["n_atoms"], ExperimentError)
     # instance i samples its gas from seed + i and its trajectories from
-    # 1000 seed + i; its on and off jobs are adjacent, so that a worker
-    # that builds both samples the gas once.  fig4 writes no per-site
-    # columns, so no run keeps them
-    jobs = [(build_gas_switch, (on, seed + i, config["n_atoms"]), GAS_PARAMS,
-             config["t_end"],
-             {"engine": "kmc", "seed": 1000 * seed + i,
-              "trajectories": config["trajectories"], "site_density": False})
-            for i in range(n) for on in (True, False)]
-    runs = list(_pool_map(_run_job, jobs))
+    # 1000 seed + i
+    jobs = [(seed + i, config["n_atoms"], config["t_end"], 1000 * seed + i,
+             config["trajectories"]) for i in range(n)]
     out = {"series": {}}
-    for key, part in (("on", runs[0::2]), ("off", runs[1::2])):
+    for key, part in zip(("on", "off"),
+                         zip(*_pool_map(_gas_instance, jobs))):
         meta = [ts.metadata for ts in part]
         out["series"][key] = TimeSeries(
             part[0].times, part[0].site_density,

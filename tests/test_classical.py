@@ -63,7 +63,7 @@ class TestTransitionRate:
 
     def test_large_gas_needs_no_interaction_matrix(self, monkeypatch):
         from rydsim.devices import GAS_PARAMS, build_gas_switch
-        net = build_gas_switch(True, seed=1).network
+        net = build_gas_switch(seed=1)[0].network
 
         def refuse(self):
             raise AssertionError("(N, N) interaction matrix built")
@@ -240,7 +240,7 @@ class TestNeighborTable:
         # compared with summing the interaction over every pair
         from rydsim.classical import _rates
         from rydsim.devices import GAS_PARAMS, build_gas_switch
-        dev = build_gas_switch(on=True, seed=2, n_atoms=3000)
+        dev, _ = build_gas_switch(seed=2, n_atoms=3000)
         net, params = dev.network, GAS_PARAMS
         rng = np.random.default_rng(4)
         bits = (rng.uniform(size=net.n_atoms) < 0.05).astype(float)
@@ -603,7 +603,7 @@ class TestLockstepPinned:
         assert self.pin(ts) == NAND_PINS[bits]
 
     def test_gas_over_blocks(self, monkeypatch):
-        dev = build_gas_switch(True, 7, 400)
+        dev, _ = build_gas_switch(7, 400)
         monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 3 * 400)
         times = np.linspace(100.0 / 200, 100.0, 200)
         ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 8, 11,
@@ -623,7 +623,7 @@ class TestLockstepPinned:
         # 10 trajectories, so does a second copy.
         if block:
             monkeypatch.setattr(classical, "BLOCK_ELEMENTS", block)
-        dev = build_gas_switch(True, 7)
+        dev, _ = build_gas_switch(7)
         times = np.linspace(100.0 / 200, 100.0, 200)
         tracemalloc.start()
         try:

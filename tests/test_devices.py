@@ -161,7 +161,7 @@ class TestNandGate:
 
 class TestGasSwitch:
     def test_structure(self):
-        dev = build_gas_switch(on=True, seed=3, n_atoms=500)
+        dev, _ = build_gas_switch(seed=3, n_atoms=500)
         n = dev.network.n_atoms
         assert n == 500
         assert all(b == 0 for b in dev.initial.bits)
@@ -174,20 +174,19 @@ class TestGasSwitch:
         assert 0 < len(dev.output_sites) < n
 
     def test_gate_region_detuning(self):
-        on = build_gas_switch(on=True, seed=3, n_atoms=500)
-        off = build_gas_switch(on=False, seed=3, n_atoms=500)
+        on, off = build_gas_switch(seed=3, n_atoms=500)
         scale = (500 / 3000) ** (1 / 3)
         x = on.network.positions[:, 0]
         gate = (x >= 5.0 * scale) & (x < 15.0 * scale)
         assert gate.any()
         assert np.all(on.network.static_detunings[gate] == GAS_DELTA_F)
         assert np.all(off.network.static_detunings[gate] == -GAS_DELTA_F)
-        # same geometry for matched seeds
+        # the two states sit in one gas
         np.testing.assert_array_equal(on.network.positions,
                                       off.network.positions)
 
     def test_input_region_resonant(self):
-        dev = build_gas_switch(on=True, seed=3, n_atoms=500)
+        dev, _ = build_gas_switch(seed=3, n_atoms=500)
         scale = (500 / 3000) ** (1 / 3)
         x = dev.network.positions[:, 0]
         assert np.all(dev.network.static_detunings[x < 5.0 * scale] == 0.0)
@@ -222,7 +221,7 @@ class TestGasSwitch:
             raise AssertionError("sampled a gas for a refused gate")
         monkeypatch.setattr(geometry, "sample_cylinder", sample)
         with pytest.raises(DeviceError, match="narrower than the facilitation"):
-            build_gas_switch(on=True, seed=0, n_atoms=2)
+            build_gas_switch(seed=0, n_atoms=2)
 
 
 class TestReadout:
@@ -331,8 +330,8 @@ BUILDS = {
     "nand-01": (build_nand_gate, ((0, 1),)),
     "nand-10": (build_nand_gate, ((1, 0),)),
     "nand-11": (build_nand_gate, ((1, 1),)),
-    "gas-on-400": (build_gas_switch, (True, 7, 400)),
-    "gas-off-400": (build_gas_switch, (False, 7, 400)),
+    "gas-on-400": (lambda: build_gas_switch(7, 400)[0], ()),
+    "gas-off-400": (lambda: build_gas_switch(7, 400)[1], ()),
 }
 BUILD_DIGESTS = {
     "switch-0.3":
