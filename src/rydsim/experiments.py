@@ -209,16 +209,14 @@ def run_fig3(config: dict) -> dict:
     return {"scan_rows": rows, "series": series}
 
 
-def _gas_instance(job):
-    """One gas instance: (seed, n_atoms, t_end, trajectory seed,
-    trajectories) -> its on and off series, both in the one gas sampled
-    from seed.  fig4 writes no per-site columns, so neither run keeps
-    them."""
-    seed, n_atoms, t_end, kmc_seed, trajectories = job
-    return tuple(classical.gillespie_ensemble(
+def _gas_run(job):
+    """One state of one gas instance: (device, t_end, trajectory seed,
+    trajectories) -> its kmc series.  fig4 writes no per-site columns, so
+    no run keeps them."""
+    device, t_end, kmc_seed, trajectories = job
+    return classical.gillespie_ensemble(
         device.network, GAS_PARAMS, device.initial, trajectories, kmc_seed,
         _kmc_times(t_end), device.output_sites, site_density=False)
-        for device in build_gas_switch(seed, n_atoms))
 
 
 def run_fig4(config: dict) -> dict:
@@ -226,13 +224,15 @@ def run_fig4(config: dict) -> dict:
     n, seed = config["instances"], config["seed"]
     # an undersized gas is refused before any job starts
     gas_scale(config["n_atoms"], ExperimentError)
-    # instance i samples its gas from seed + i and its trajectories from
-    # 1000 seed + i
-    jobs = [(seed + i, config["n_atoms"], config["t_end"], 1000 * seed + i,
-             config["trajectories"]) for i in range(n)]
+    # instance i samples its gas from seed + i, here, once for its on and
+    # off devices; each device is one job, with trajectories from
+    # 1000 seed + i, so the pool has two runs per instance to spread
+    jobs = [(device, config["t_end"], 1000 * seed + i, config["trajectories"])
+            for i in range(n)
+            for device in build_gas_switch(seed + i, config["n_atoms"])]
+    runs = list(_pool_map(_gas_run, jobs))
     out = {"series": {}}
-    for key, part in zip(("on", "off"),
-                         zip(*_pool_map(_gas_instance, jobs))):
+    for key, part in (("on", runs[0::2]), ("off", runs[1::2])):
         meta = [ts.metadata for ts in part]
         out["series"][key] = TimeSeries(
             part[0].times, part[0].site_density,

@@ -84,8 +84,9 @@ class TestRun:
 
     def test_fig4_samples_each_gas_once_over_two_workers(self, monkeypatch,
                                                          tmp_path):
-        # the forked workers inherit the patch and log each sample to a
-        # file: one sample per instance, however the pool splits the jobs
+        # every process that samples a gas logs it to a file: one sample
+        # per instance, taken here before the on and off runs go to the
+        # workers
         from rydsim import geometry
         monkeypatch.setenv("RYDSIM_THREADS", "2")
         log = tmp_path / "samples.log"
@@ -100,8 +101,7 @@ class TestRun:
                                    trajectories=2, t_end=20.0, seed=11))
         calls = [line.split() for line in log.read_text().splitlines()]
         assert sorted(int(seed) for _, seed in calls) == [11, 12]
-        # sampled in the workers, not in this process
-        assert str(os.getpid()) not in {pid for pid, _ in calls}
+        assert {pid for pid, _ in calls} == {str(os.getpid())}
 
     def test_summary_holds_exact_engine_counters(self, tmp_path):
         config = make_config("fig7-and", engine="classical-exact")
@@ -472,8 +472,8 @@ class TestReductions:
 
     @pytest.fixture
     def fig4(self, monkeypatch):
-        """fig4's jobs, its runs (each instance's on and off run, one pair
-        per job) and its result."""
+        """fig4's jobs, its runs (each instance's on run, then its off
+        run) and its result."""
         rng = np.random.default_rng(5)
         times = experiments._kmc_times(20.0)
         runs = [TimeSeries(times, np.zeros((times.size, 0)),
@@ -486,7 +486,7 @@ class TestReductions:
 
         def pool_map(fn, given):
             jobs.extend(given)
-            return zip(runs[0::2], runs[1::2])
+            return iter(runs)
         monkeypatch.setattr(experiments, "_pool_map", pool_map)
         result = run_experiment(make_config(
             "fig4", n_atoms=400, instances=self.N, trajectories=5,
@@ -516,32 +516,25 @@ class TestReductions:
         assert result["on_off_ratio"] == pytest.approx(
             result["plateau_on"] / result["plateau_off"], rel=1e-12)
 
-    def test_fig4_on_and_off_instance_share_their_gas(self, fig4,
-                                                      monkeypatch):
-        # each job runs its instance's on device, then its off device, in
-        # one gas and from one trajectory seed
+    def test_fig4_on_and_off_instance_share_their_gas(self, fig4):
+        # instance i's on job, then its off job: one gas, one trajectory
+        # seed, each device as build_gas_switch makes it
         jobs, _, _ = fig4
-        runs = []
-
-        def ensemble(network, params, initial, trajectories, seed, *args,
-                     **kwargs):
-            runs.append((network, seed))
-        monkeypatch.setattr(classical, "gillespie_ensemble", ensemble)
-        for job in jobs:
-            experiments._gas_instance(job)
-        assert len(jobs) == self.N and len(runs) == 2 * self.N
-        for i, job in enumerate(jobs):
-            on, off = experiments.build_gas_switch(*job[:2])
+        seed = make_config("fig4")["seed"]
+        assert len(jobs) == 2 * self.N
+        for i in range(self.N):
+            (on, *on_rest), (off, *off_rest) = jobs[2 * i:2 * i + 2]
             assert (on.name, off.name) == ("gas-switch-on", "gas-switch-off")
-            (on_net, on_seed), (off_net, off_seed) = runs[2 * i:2 * i + 2]
-            for net, dev in ((on_net, on), (off_net, off)):
-                np.testing.assert_array_equal(net.static_detunings,
+            np.testing.assert_array_equal(on.network.positions,
+                                          off.network.positions)
+            for built, dev in zip(experiments.build_gas_switch(seed + i, 400),
+                                  (on, off)):
+                np.testing.assert_array_equal(built.network.static_detunings,
                                               dev.network.static_detunings)
-            np.testing.assert_array_equal(on_net.positions,
-                                          off_net.positions)
             # and the same trajectory seed
-            assert on_seed == off_seed
-        assert not np.array_equal(runs[0][0].positions, runs[2][0].positions)
+            assert on_rest == off_rest == [20.0, 1000 * seed + i, 5]
+        assert not np.array_equal(jobs[0][0].network.positions,
+                                  jobs[2][0].network.positions)
 
     def test_appB_row_is_max_abs_site_density_difference(self, monkeypatch):
         # per gamma a quantum run, then a classical one: the row is the
