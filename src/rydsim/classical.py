@@ -166,7 +166,7 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
 
 def _draw(c: np.ndarray, rng) -> np.ndarray:
     """One atom per row of the rates `c`, each drawn in proportion to its
-    rate from u = rng.uniform(0, total); `c` may be overwritten.
+    rate from u = rng.random() * total; `c` may be overwritten.
 
     A row of at most DRAW_BLOCK atoms takes the first atom whose
     cumulative rate reaches u.  A longer row is searched on two levels:
@@ -179,18 +179,16 @@ def _draw(c: np.ndarray, rng) -> np.ndarray:
     other side of it.  Where rounding leaves the block's own cumulative
     rate short of its share of u, the block's last atom with a positive
     rate is taken, which is the atom owning the interval's top."""
-    n = c.shape[1]
+    k, n = c.shape
     if n <= DRAW_BLOCK:
         np.cumsum(c, axis=1, out=c)
-        u = rng.uniform(0.0, c[:, -1])[:, None]
-        return (c >= u).argmax(axis=1)
-    k = c.shape[0]
+        return (c >= (rng.random(k) * c[:, -1])[:, None]).argmax(axis=1)
     # cumulative block sums after a leading 0: ends[:, b] is what the
     # blocks before block b hold
     ends = np.zeros((k, -(-n // DRAW_BLOCK) + 1))
     np.add.reduceat(c, np.arange(0, n, DRAW_BLOCK), axis=1, out=ends[:, 1:])
     np.cumsum(ends, axis=1, out=ends)
-    u = rng.uniform(0.0, ends[:, -1])
+    u = rng.random(k) * ends[:, -1]
     rows = np.arange(k)
     block = (ends[:, 1:] >= u[:, None]).argmax(axis=1)
     u -= ends[rows, block]

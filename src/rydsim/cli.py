@@ -22,6 +22,8 @@ import numpy as np
 from . import __version__
 from .experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS, ExperimentError,
                           run_experiment)
+from . import classical, quantum  # after experiments: 0.5 MB less peak RSS
+from .model import AtomNetwork, Configuration, SimParams
 from .timeseries import write_csv
 
 
@@ -92,84 +94,93 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, report: list) -> None:
-    report.append((name, ok, detail))
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+_ATOM = AtomNetwork([[0.0, 0.0, 0.0]], [0.0], 10.0)
+
+
+def _rabi():
+    ts = quantum.evolve_quantum(_ATOM, SimParams(1.0, 0.0, 0.0),
+                                Configuration((0,)), 5.0, output_sites=(0,))
+    err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
+    return err < 1e-6, f"max |<n> - sin^2(t)| = {err:.2e}"
+
+
+def _decay():
+    m, expect = 40000, np.exp(-1.0)
+    frac = float(classical.gillespie_ensemble(
+        _ATOM, SimParams(1e-4, 1.0, 1.0), Configuration((1,)), m, 42,
+        np.array([1.0]), (0,)).output_count[0])
+    bound = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
+    return abs(frac - expect) < bound, (
+        f"excited fraction at t = 1/kappa {frac:.4f} vs e^-1 = "
+        f"{expect:.4f} (3-sigma {bound:.4f})")
+
+
+def _two_state_relaxation():
+    ts = classical.evolve_classical_exact(
+        _ATOM, SimParams(1.0, 1.0, 0.0), Configuration((0,)), 2.0,
+        output_sites=(0,))
+    err = float(np.max(np.abs(ts.output_count - 0.5 * (1 - np.exp(-8 * ts.times)))))
+    return err < 1e-8, f"max error {err:.2e}"
+
+
+# six significant digits: at gamma = 10 the difference is 2e-5 under 0.05
+def _agreement(appB):
+    diff = dict(appB["scan_rows"])[10.0]
+    return diff < 0.05, f"max density diff {diff:.6g} (< 0.05)"
+
+
+def _divergence(appB):
+    diff = dict(appB["scan_rows"])[0.1]
+    return diff > 0.05, (f"max density diff {diff:.6g} (> 0.05, divergence "
+                         f"expected)")
+
+
+# the worst residuals `propagate` recorded over appB's six runs (negativity
+# reads only rho's diagonal), and the least eigenvalue of a noisy final rho
+def _conservation(appB):
+    drift, negativity = (max(ts.metadata[key] for ts in appB["series"].values())
+                         for key in ("norm_drift", "negativity"))
+    rho = quantum.from_real(appB["series"]["quantum_gamma_1"].final_state)
+    least = float(np.linalg.eigvalsh(rho)[0])
+    return drift < 1e-8 and least >= -1e-8 and negativity < 1e-8, (
+        f"norm drift {drift:.1e}, least eigenvalue {least:.3g}, "
+        f"negativity {negativity:.1e}")
+
+
+def _column_sums(appB):
+    leak = max(ts.metadata["trace_leak"] for ts in appB["series"].values())
+    return leak < 1e-12, f"max |column sum| = {leak:.1e}"
+
+
+# validate's checks in print order: (name, reads appB, check -> (ok, detail))
+CHECKS = (("rabi", False, _rabi), ("decay", False, _decay),
+          ("two-state-relaxation", False, _two_state_relaxation),
+          ("cross-engine-gamma-10", True, _agreement),
+          ("cross-engine-gamma-0.1-expected-divergent", True, _divergence),
+          ("conservation", True, _conservation),
+          ("generator-column-sums", True, _column_sums))
 
 
 def run_validation() -> bool:
-    """Analytic oracles, cross-engine agreement and conservation checks.
-
-    Returns True if everything passed.
-    """
-    from .classical import evolve_classical_exact, gillespie_ensemble
-    from .model import AtomNetwork, Configuration, SimParams
-    from .quantum import evolve_quantum, from_real
-
-    report = []
-    single = AtomNetwork([[0.0, 0.0, 0.0]], [0.0], 10.0)
-
-    # analytic Rabi oscillation
-    try:
-        ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
-                            Configuration((0,)), 5.0, output_sites=(0,))
-        err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
-        _check("rabi", err < 1e-6, f"max |<n> - sin^2(t)| = {err:.2e}", report)
-    except Exception as exc:
-        _check("rabi", False, f"{type(exc).__name__}: {exc}", report)
-
-    # pure decay from the sampler: the excited fraction of 40 000 atoms at
-    # t = 1/kappa against e^-1, within 3 binomial standard errors
-    m, expect = 40000, np.exp(-1.0)
-    frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
-                                    Configuration((1,)), m, 42,
-                                    np.array([1.0]), (0,)).output_count[0])
-    bound = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
-    _check("decay", abs(frac - expect) < bound,
-           f"excited fraction at t = 1/kappa {frac:.4f} vs e^-1 = "
-           f"{expect:.4f} (3-sigma {bound:.4f})", report)
-
-    # two-state classical relaxation
-    ts = evolve_classical_exact(single, SimParams(1.0, 1.0, 0.0),
-                                Configuration((0,)), 2.0, output_sites=(0,))
-    err = float(np.max(np.abs(ts.output_count - 0.5 * (1 - np.exp(-8 * ts.times)))))
-    _check("two-state-relaxation", err < 1e-8, f"max error {err:.2e}", report)
-
-    # cross-engine agreement on the 3-atom chain, and conservation on its
-    # six runs: both read from appB
-    appB = run_experiment({"experiment": "appB"})
-    diff = dict(appB["scan_rows"])
-    # six significant digits: the gamma = 10 difference sits within 2e-5
-    # of the bound, which four decimals round onto
-    _check("cross-engine-gamma-10", diff[10.0] < 0.05,
-           f"max density diff {diff[10.0]:.6g} (< 0.05)", report)
-    # strong coherence regime: divergence is the expected outcome
-    _check("cross-engine-gamma-0.1-expected-divergent", diff[0.1] > 0.05,
-           f"max density diff {diff[0.1]:.6g} (> 0.05, divergence "
-           f"expected)", report)
-
-    # conservation and every generator's column sums: the worst residuals
-    # `propagate` recorded over appB's three quantum and three classical
-    # runs (negativity reads only rho's diagonal), and the least eigenvalue
-    # of a noisy run's final rho
-    worst = {key: max(ts.metadata[key] for ts in appB["series"].values())
-             for key in ("norm_drift", "negativity", "trace_leak")}
-    rho = from_real(appB["series"]["quantum_gamma_1"].final_state)
-    least = float(np.linalg.eigvalsh(rho)[0])
-    _check("conservation", worst["norm_drift"] < 1e-8 and least >= -1e-8
-           and worst["negativity"] < 1e-8,
-           f"norm drift {worst['norm_drift']:.1e}, least eigenvalue "
-           f"{least:.3g}, negativity {worst['negativity']:.1e}", report)
-    _check("generator-column-sums", worst["trace_leak"] < 1e-12,
-           f"max |column sum| = {worst['trace_leak']:.1e}", report)
-
-    return all(ok for _, ok, _ in report)
+    """Print a PASS or FAIL line for each of CHECKS (the list the acceptance
+    suite and the engine unit tests assert), running appB once, then the
+    verdict.  A check that raises fails.  Returns True if all passed."""
+    appB, passed = None, True
+    for name, reads_appB, check in CHECKS:
+        try:
+            if reads_appB and appB is None:
+                appB = run_experiment({"experiment": "appB"})
+            ok, detail = check(appB) if reads_appB else check()
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        passed = passed and ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    print("validation " + ("passed" if passed else "FAILED"))
+    return passed
 
 
 def cmd_validate(args) -> int:
-    ok = run_validation()
-    print("validation " + ("passed" if ok else "FAILED"))
-    return 0 if ok else 1
+    return 0 if run_validation() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -115,11 +115,10 @@ def _check_value(key: str, value) -> None:
 def worker_count() -> int:
     env = os.environ.get("RYDSIM_THREADS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
+        if not (env.strip().isdecimal() and int(env) > 0):
             raise ExperimentError(
-                f"RYDSIM_THREADS must be an integer, got {env!r}") from None
+                f"RYDSIM_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 

@@ -1,24 +1,32 @@
 """End-to-end acceptance suite for the reference device behaviors.
 
-Each test prints a single PASS/FAIL line for its criterion (visible in the
-run report via the -rP summary configured in pyproject.toml).
+Each test prints a PASS/FAIL line per check (visible in the run report via
+the -rP summary configured in pyproject.toml); criteria 1 and 2 run
+`rydsim validate`'s own checks.
 """
 
 import numpy as np
 import pytest
 
 from rydsim.classical import evolve_classical_exact, gillespie_ensemble
+from rydsim.cli import CHECKS
 from rydsim.devices import (DELTA_F, build_and_gate, build_diode,
                             build_switch_chain, build_transport_chain)
 from rydsim.experiments import make_config, run_experiment, run_logic_gate
 from rydsim.geometry import build_chain
-from rydsim.model import AtomNetwork, Configuration, SimParams
+from rydsim.model import Configuration, SimParams
 from rydsim.quantum import evolve_quantum, from_real
 
 
 def report(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def run_check(name, *args):
+    """Run and report the entry `name` of `rydsim validate`'s checks."""
+    [check] = [check for key, _, check in CHECKS if key == name]
+    report(name, *check(*args))
 
 
 @pytest.fixture(scope="module")
@@ -61,41 +69,16 @@ def small_chain_devices():
 
 class TestCriterion1:
     def test_analytic_oracles(self):
-        single = AtomNetwork([[0.0, 0.0, 0.0]], [0.0], 10.0)
-
-        ts = evolve_quantum(single, SimParams(1.0, 0.0, 0.0),
-                            Configuration((0,)), 5.0, output_sites=(0,))
-        rabi_err = float(np.max(np.abs(ts.output_count - np.sin(ts.times) ** 2)))
-
-        # excited fraction of 40 000 decaying atoms at t = 1/kappa against
-        # e^-1, within 3 binomial standard errors
-        m, expect = 40000, np.exp(-1.0)
-        frac = float(gillespie_ensemble(single, SimParams(1e-4, 1.0, 1.0),
-                                        Configuration((1,)), m, 42,
-                                        np.array([1.0]), (0,)).output_count[0])
-        decay_tol = 3.0 * np.sqrt(expect * (1.0 - expect) / m)
-        decay_err = abs(frac - expect)
-
-        tsc = evolve_classical_exact(single, SimParams(1.0, 1.0, 0.0),
-                                     Configuration((0,)), 2.0,
-                                     output_sites=(0,))
-        relax_err = float(np.max(np.abs(
-            tsc.output_count - 0.5 * (1 - np.exp(-8 * tsc.times)))))
-
-        ok = rabi_err < 1e-6 and decay_err < decay_tol and relax_err < 1e-8
-        report("analytic-oracles", ok,
-               f"rabi {rabi_err:.1e} (<1e-6), decay |fraction-e^-1| "
-               f"{decay_err:.4f} (3-sigma {decay_tol:.4f}), relaxation "
-               f"{relax_err:.1e} (<1e-8)")
+        for name, reads_appB, check in CHECKS:
+            if not reads_appB:
+                report(name, *check())
 
 
 class TestCriterion2:
     def test_engine_agreement_regimes(self, appB_result):
-        diffs = {gamma: diff for gamma, diff in appB_result["scan_rows"]}
-        ok = diffs[10.0] < 0.05 and diffs[0.1] > 0.05
-        report("strong-dephasing-agreement", ok,
-               f"max density diff at gamma=10: {diffs[10.0]:.6g} (<0.05); "
-               f"at gamma=0.1: {diffs[0.1]:.6g} (>0.05 expected)")
+        for name, _, check in CHECKS:
+            if name.startswith("cross-engine-"):
+                report(name, *check(appB_result))
 
 
 class TestCriterion3:

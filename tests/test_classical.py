@@ -18,6 +18,7 @@ from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
                           SimParams, basis_bits, pair_energies)
 from rydsim.propagate import CSR, propagate
 from records import to_record, to_scipy
+from test_acceptance import run_check
 
 
 def single_atom(detuning=0.0):
@@ -144,12 +145,7 @@ class TestClassicalGenerator:
 
 class TestEvolveClassicalExact:
     def test_two_state_relaxation(self):
-        ts = evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.0),
-                                    Configuration((0,)), 2.0,
-                                    output_sites=(0,))
-        np.testing.assert_allclose(ts.output_count,
-                                   0.5 * (1 - np.exp(-8 * ts.times)),
-                                   atol=1e-8)
+        run_check("two-state-relaxation")
 
     def test_uniform_is_stationary_without_decay(self):
         net = build_chain([1.0, 1.1], [-10.0, -4.0, 2.0], 10.0)
@@ -424,15 +420,18 @@ class TestGillespieEnsemble:
 
 
 class GivenU:
-    """Stands in for the sampler's rng in `classical._draw`: uniform(0,
-    total) returns u(total) for each row's total."""
+    """Stands in for the sampler's rng in `classical._draw`, which takes u
+    as rng.random(k) * total: random(k) returns the stand-in, whose product
+    with the rows' totals is u(total)."""
 
     def __init__(self, u):
         self.u = u
 
-    def uniform(self, low, high):
-        assert low == 0.0
-        return self.u(np.asarray(high, dtype=float))
+    def random(self, k):
+        return self
+
+    def __mul__(self, total):
+        return self.u(total)
 
 
 class TestDraw:

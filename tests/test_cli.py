@@ -164,7 +164,8 @@ class TestRun:
 
 
     @pytest.mark.parametrize("case", ["invalid-json", "no-experiment",
-                                      "bad-threads",
+                                      "bad-threads", "zero-threads",
+                                      "negative-threads",
                                       "no-gas-instances", "negative-t-end",
                                       "nan-t-end", "text-t-end",
                                       "no-gas-trajectories",
@@ -271,9 +272,11 @@ class TestRun:
         elif case == "no-experiment":
             del config["experiment"]
             cfg_path.write_text(json.dumps(config))
-        elif case == "bad-threads":
-            monkeypatch.setenv("RYDSIM_THREADS", "abc")
-            cfg_path.write_text(json.dumps(config))
+        elif case.endswith("-threads"):
+            # with a t_end the runner takes: refused as the jobs start
+            threads = {"bad": "abc", "zero": "0", "negative": "-2"}
+            monkeypatch.setenv("RYDSIM_THREADS", threads[case[:-8]])
+            cfg_path.write_text(json.dumps({**config, "t_end": 5.0}))
         elif case == "gas-too-small":
             # under 336 atoms the shrunk gate is narrower than the
             # facilitation radius
@@ -288,6 +291,9 @@ class TestRun:
         assert err.startswith("error:") and "engine failure" not in err
         if case.startswith("unknown-engine"):
             assert err.startswith("error: unknown engine 'qutip'")
+        if case.endswith("-threads"):
+            assert err == ("error: RYDSIM_THREADS must be a positive integer,"
+                           f" got {threads[case[:-8]]!r}\n")
 
     @pytest.mark.parametrize("target, flags", [
         ("fig5c", ["--gamma", "3"]), ("fig5c", ["--n-atoms", "4"]),
@@ -601,6 +607,20 @@ class TestValidate:
                      "conservation", "generator-column-sums"):
             assert f"PASS  {name}: " in out
         assert "FAIL" not in out
+
+    def test_raising_check_reported_as_failure(self, capsys, monkeypatch):
+        # a check that raises fails with the exception as its detail, and
+        # every other check still runs
+        monkeypatch.setenv("RYDSIM_THREADS", "1")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no sampler")
+        monkeypatch.setattr(classical, "gillespie_ensemble", broken)
+        assert not run_validation()
+        out = capsys.readouterr().out
+        assert "FAIL  decay: RuntimeError: no sampler\n" in out
+        assert out.count("PASS  ") == len(cli.CHECKS) - 1 == 6
+        assert out.endswith("validation FAILED\n")
 
     def test_coarse_tol_reported_as_failure(self, capsys, monkeypatch):
         # a drive 10% too strong fails the Rabi oracle, which reports it

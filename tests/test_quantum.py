@@ -13,6 +13,7 @@ from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
                             density_from_configuration, evolve_quantum,
                             from_real, lindblad_rhs, liouvillian, to_real)
 from records import to_record, to_scipy
+from test_acceptance import run_check
 
 
 def single_atom(detuning=0.0):
@@ -242,10 +243,7 @@ class TestLindbladRhs:
 
 class TestEvolveQuantum:
     def test_rabi_oscillation(self):
-        ts = evolve_quantum(single_atom(), SimParams(1.0, 0.0, 0.0),
-                            Configuration((0,)), 5.0, output_sites=(0,))
-        np.testing.assert_allclose(ts.output_count, np.sin(ts.times) ** 2,
-                                   atol=1e-6)
+        run_check("rabi")
 
     def test_strong_dephasing_steady_state(self):
         ts = evolve_quantum(single_atom(), SimParams(1.0, 20.0, 0.0),
