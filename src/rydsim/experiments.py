@@ -112,30 +112,6 @@ def _check_value(key: str, value) -> None:
                               f"to 6 significant digits, got {value!r}")
 
 
-def worker_count() -> int:
-    env = os.environ.get("RYDSIM_THREADS")
-    if env:
-        if not (env.strip().isdecimal() and int(env) > 0):
-            raise ExperimentError(
-                f"RYDSIM_THREADS must be a positive integer, got {env!r}")
-        return int(env)
-    return os.cpu_count() or 1
-
-
-def _pool_map(fn, jobs):
-    """Map jobs through a process pool, yielding results in job order, so
-    that a runner can reduce each result before it holds the next."""
-    # at most one worker per job: the pool forks all of them at once
-    workers = min(worker_count(), len(jobs))
-    if workers <= 1:
-        yield from map(fn, jobs)
-        return
-    # imported here: a serial run never pays for it (~18 ms)
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, jobs)
-
-
 def _kmc_times(t_end: float) -> np.ndarray:
     """kmc's record grid: RECORD_POINTS times from t_end / RECORD_POINTS."""
     return np.linspace(t_end / RECORD_POINTS, t_end, RECORD_POINTS)
@@ -143,9 +119,10 @@ def _kmc_times(t_end: float) -> np.ndarray:
 
 def run_device(device: DeviceInstance, params: SimParams, t_end: float,
                engine: str = "quantum", seed: int = 0,
-               trajectories: int = 1000) -> TimeSeries:
-    """Run one device on the requested engine; seed and trajectories are
-    kmc's."""
+               trajectories: int = 1000,
+               site_density: bool = True) -> TimeSeries:
+    """Run one device on the requested engine; seed, trajectories and
+    site_density (False: keep no per-site sums) are kmc's."""
     if engine == "quantum":
         ts = evolve_quantum(device.network, params, device.initial, t_end,
                             schedule=device.schedule,
@@ -157,7 +134,8 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
     elif engine == "kmc":
         ts = classical.gillespie_ensemble(
             device.network, params, device.initial, trajectories, seed,
-            _kmc_times(t_end), device.output_sites, schedule=device.schedule)
+            _kmc_times(t_end), device.output_sites, schedule=device.schedule,
+            site_density=site_density)
     else:
         raise ExperimentError(f"unknown engine {engine!r}")
     ts.metadata["device"] = device.name
@@ -165,17 +143,33 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
 
 
 def _run_job(job):
-    """One device run: (builder, its arguments, params, t_end, run_device
-    keywords) -> its series."""
-    build, args, params, t_end, keywords = job
-    return run_device(build(*args), params, t_end, **keywords)
+    """One device run: (device, params, t_end, run_device keywords) -> its
+    series."""
+    device, params, t_end, keywords = job
+    return run_device(device, params, t_end, **keywords)
+
+
+def _run_all(jobs: dict) -> dict:
+    """Each job's series under its key, in the jobs' order, the jobs spread
+    over RYDSIM_THREADS worker processes (default: the CPU count)."""
+    env = os.environ.get("RYDSIM_THREADS")
+    if env and not (env.strip().isdecimal() and int(env) > 0):
+        raise ExperimentError(
+            f"RYDSIM_THREADS must be a positive integer, got {env!r}")
+    # at most one worker per job: the pool forks all of them at once
+    workers = min(int(env) if env else os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
+        return {key: _run_job(job) for key, job in jobs.items()}
+    # imported here: a serial run never pays for it (~18 ms)
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return dict(zip(jobs, pool.map(_run_job, jobs.values())))
 
 
 def _work_times(config: dict) -> list:
     """The readout time of the chain switch and diode at each of the
-    config's gammas (or its gamma);
-    where the record grid (kmc's starts after 0) misses one, an
-    ExperimentError before anything runs."""
+    config's gammas (or its gamma); where the record grid (kmc's starts
+    after 0) misses one, an ExperimentError before anything runs."""
     t_end = config["t_end"]
     t_ws = [T_WORK_NOISY if gamma > 0 else T_WORK_IDEAL
             for gamma in config.get("gammas", [config.get("gamma")])]
@@ -199,23 +193,13 @@ def run_fig3(config: dict) -> dict:
     """Switch gate-detuning scan: N_o at the work time against dg/df."""
     [t_w] = _work_times(config)
     params = SimParams(1.0, config["gamma"], config["kappa"])
-    jobs = [(build_switch_chain, (r * DELTA_F,), params, config["t_end"],
-             _sampling(config)) for r in config["scan"]]
-    rows, series = [], {}
-    for ts, r in zip(_pool_map(_run_job, jobs), config["scan"]):
-        rows.append((r, ts.value_at(t_w), t_w))
-        series[f"dg_ratio_{r:g}"] = ts
-    return {"scan_rows": rows, "series": series}
-
-
-def _gas_run(job):
-    """One state of one gas instance: (device, t_end, trajectory seed,
-    trajectories) -> its kmc series.  fig4 writes no per-site columns, so
-    no run keeps them."""
-    device, t_end, kmc_seed, trajectories = job
-    return classical.gillespie_ensemble(
-        device.network, GAS_PARAMS, device.initial, trajectories, kmc_seed,
-        _kmc_times(t_end), device.output_sites, site_density=False)
+    name = "dg_ratio_{:g}".format
+    series = _run_all({name(r): (build_switch_chain(r * DELTA_F), params,
+                                 config["t_end"], _sampling(config))
+                       for r in config["scan"]})
+    return {"scan_rows": [(r, series[name(r)].value_at(t_w), t_w)
+                          for r in config["scan"]],
+            "series": series}
 
 
 def run_fig4(config: dict) -> dict:
@@ -224,14 +208,18 @@ def run_fig4(config: dict) -> dict:
     # an undersized gas is refused before any job starts
     gas_scale(config["n_atoms"], ExperimentError)
     # instance i samples its gas from seed + i, here, once for its on and
-    # off devices; each device is one job, with trajectories from
-    # 1000 seed + i, so the pool has two runs per instance to spread
-    jobs = [(device, config["t_end"], 1000 * seed + i, config["trajectories"])
-            for i in range(n)
-            for device in build_gas_switch(seed + i, config["n_atoms"])]
-    runs = list(_pool_map(_gas_run, jobs))
+    # off devices; each device is one kmc job, with trajectories from
+    # 1000 seed + i, so the pool has two runs per instance to spread.
+    # fig4 writes no per-site columns, so no run keeps them.
+    runs = _run_all({(device.name, i): (
+        device, GAS_PARAMS, config["t_end"],
+        {"engine": "kmc", "seed": 1000 * seed + i,
+         "trajectories": config["trajectories"], "site_density": False})
+        for i in range(n)
+        for device in build_gas_switch(seed + i, config["n_atoms"])})
     out = {"series": {}}
-    for key, part in (("on", runs[0::2]), ("off", runs[1::2])):
+    for key in ("on", "off"):
+        part = [runs[f"gas-switch-{key}", i] for i in range(n)]
         meta = [ts.metadata for ts in part]
         out["series"][key] = TimeSeries(
             part[0].times, part[0].site_density,
@@ -263,12 +251,12 @@ def _diode_scan(config: dict, ratios) -> list:
     points = [(gamma, ratio, t_w)
               for gamma, t_w in zip(config["gammas"], _work_times(config))
               for ratio in ratios]
-    runs = list(_pool_map(_run_job, [
-        (build_diode, (side, ratio * DELTA_F), _noisy_params(gamma),
-         config["t_end"], _sampling(config))
-        for gamma, ratio, _ in points for side in ("forward", "reverse")]))
-    return [(*point, forward, reverse) for point, forward, reverse
-            in zip(points, runs[::2], runs[1::2])]
+    runs = _run_all({(side, gamma, ratio): (
+        build_diode(side, ratio * DELTA_F), _noisy_params(gamma),
+        config["t_end"], _sampling(config))
+        for gamma, ratio, _ in points for side in ("forward", "reverse")})
+    return [(gamma, ratio, t_w, runs["forward", gamma, ratio],
+             runs["reverse", gamma, ratio]) for gamma, ratio, t_w in points]
 
 
 def run_fig5c(config: dict) -> dict:
@@ -282,18 +270,19 @@ def run_fig5c(config: dict) -> dict:
     return {"scan_rows": rows, "series": series}
 
 
-def _gate_work_time(series_by_input: dict, truth_table: dict) -> float:
-    """The record time (the gate's runs share one grid) that maximizes the
-    worst margin over all inputs: N_o - THRESHOLD for an input expected to
-    read 1, THRESHOLD - N_o for one expected to read 0."""
-    margins = [(1.0 if truth_table[key] else -1.0)
-               * (series.output_count - THRESHOLD)
-               for key, series in series_by_input.items()]
-    times = next(iter(series_by_input.values())).times
+def _gate_work_time(series: dict, truth_table: dict) -> float:
+    """The record time (the runs, input_<inputs> in `series`, share one
+    grid) that maximizes the worst margin over all inputs: N_o - THRESHOLD
+    for an input expected to read 1, THRESHOLD - N_o for one to read 0."""
+    margins = [(1.0 if bit else -1.0)
+               * (series[f"input_{inputs}"].output_count - THRESHOLD)
+               for inputs, bit in truth_table.items()]
+    times = next(iter(series.values())).times
     return float(times[int(np.argmax(np.min(margins, axis=0)))])
 
 
-AND_TABLE = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+# input bits, as the builders and scan.csv take them -> expected output bit
+AND_TABLE = {"00": 0, "01": 0, "10": 0, "11": 1}
 NAND_TABLE = {k: 1 - v for k, v in AND_TABLE.items()}
 
 
@@ -302,63 +291,59 @@ def run_logic_gate(config: dict, kind: str) -> dict:
     build = build_and_gate if kind == "and" else build_nand_gate
     table = AND_TABLE if kind == "and" else NAND_TABLE
     params = SimParams(1.0, config["gamma"], config["kappa"])
-    jobs = [(build, (bits,), params, config["t_end"], _sampling(config))
-            for bits in sorted(table)]
-    series = dict(zip(sorted(table), _pool_map(_run_job, jobs)))
+    series = _run_all({f"input_{inputs}": (build(inputs), params,
+                                           config["t_end"], _sampling(config))
+                       for inputs in table})
     t_w = _gate_work_time(series, table)
     rows, truth = [], {}
-    for bits in sorted(table):
+    for inputs, expected in table.items():
         # strictly above the threshold: a tie reads 0
-        n_o = series[bits].value_at(t_w)
-        truth[bits] = int(n_o > THRESHOLD)
-        rows.append((f"{bits[0]}{bits[1]}", n_o, truth[bits], table[bits]))
-    return {"scan_rows": rows,
-            "series": {f"input_{b[0]}{b[1]}": s for b, s in series.items()},
-            "work_time": t_w,
+        n_o = series[f"input_{inputs}"].value_at(t_w)
+        truth[inputs] = int(n_o > THRESHOLD)
+        rows.append((inputs, n_o, truth[inputs], expected))
+    return {"scan_rows": rows, "series": series, "work_time": t_w,
             "truth_table_ok": truth == table}
 
 
 def run_appB(config: dict) -> dict:
     """Quantum vs classical-exact comparison on the 3-atom chain."""
-    kappa = config["kappa"]
-    jobs = [(build_transport_chain, (3,), SimParams(1.0, gamma, kappa),
-             config["t_end"], {"engine": engine})
-            for gamma in config["gammas"]
-            for engine in ("quantum", "classical-exact")]
-    runs = list(_pool_map(_run_job, jobs))
-    series, rows = {}, []
-    # both exact engines record on the same grid
-    for gamma, tsq, tsc in zip(config["gammas"], runs[::2], runs[1::2]):
-        diff = float(np.max(np.abs(tsq.site_density - tsc.site_density)))
-        series[f"quantum_gamma_{gamma:g}"] = tsq
-        series[f"classical_gamma_{gamma:g}"] = tsc
-        rows.append((gamma, diff))
+    engines = {"quantum": "quantum", "classical": "classical-exact"}
+    series = _run_all({f"{name}_gamma_{gamma:g}": (
+        build_transport_chain(3), SimParams(1.0, gamma, config["kappa"]),
+        config["t_end"], {"engine": engine})
+        for gamma in config["gammas"] for name, engine in engines.items()})
+    rows = []
+    for gamma in config["gammas"]:
+        # both exact engines record on the same grid
+        tsq, tsc = (series[f"{name}_gamma_{gamma:g}"] for name in engines)
+        rows.append((gamma, float(np.max(np.abs(tsq.site_density
+                                                - tsc.site_density)))))
     return {"scan_rows": rows, "series": series}
 
 
 def run_appC(config: dict) -> dict:
     """Excitation transport along a 6-atom chain for several C6 values."""
-    keys, jobs = [], []
-    for c6 in config["c6_values"]:
-        for gamma, kappa in ((0.0, 0.0), (config["gamma"], config["kappa"])):
-            keys.append(f"c6_{c6:g}_gamma_{gamma:g}")
-            jobs.append((build_transport_chain, (6, c6),
-                         SimParams(1.0, gamma, kappa), config["t_end"], {}))
-    return {"series": dict(zip(keys, _pool_map(_run_job, jobs)))}
+    return {"series": _run_all({f"c6_{c6:g}_gamma_{gamma:g}": (
+        build_transport_chain(6, c6), SimParams(1.0, gamma, kappa),
+        config["t_end"], {})
+        for c6 in config["c6_values"]
+        for gamma, kappa in ((0.0, 0.0), (config["gamma"], config["kappa"]))})}
 
 
 def run_appD(config: dict) -> dict:
     """Work-time study: time of maximal output density near resonance."""
-    points = [(gamma, ratio) for gamma in config["gammas"]
-              for ratio in config["scan"]]
-    jobs = [(build_switch_chain, (ratio * DELTA_F,),
-             _noisy_params(gamma), config["t_end"], {})
-            for gamma, ratio in points]
-    rows, series = [], {}
-    for ts, (gamma, ratio) in zip(_pool_map(_run_job, jobs), points):
-        series[f"gamma_{gamma:g}_dg_{ratio:g}"] = ts
-        if np.isclose(ratio, 1.0):  # the earliest record of the most N_o
-            rows.append((gamma, float(ts.times[np.argmax(ts.output_count)])))
+    name = "gamma_{:g}_dg_{:g}".format
+    series = _run_all({name(gamma, ratio): (
+        build_switch_chain(ratio * DELTA_F), _noisy_params(gamma),
+        config["t_end"], {})
+        for gamma in config["gammas"] for ratio in config["scan"]})
+    rows = []
+    for gamma in config["gammas"]:
+        for ratio in config["scan"]:
+            ts = series[name(gamma, ratio)]
+            if np.isclose(ratio, 1.0):  # the earliest record of the most N_o
+                rows.append((gamma,
+                             float(ts.times[np.argmax(ts.output_count)])))
     return {"scan_rows": rows, "series": series}
 
 

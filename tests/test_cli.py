@@ -10,8 +10,10 @@ import scipy.sparse as sp
 
 from rydsim import classical, cli, experiments, quantum
 from rydsim.cli import build_parser, main, run_validation
+from rydsim.devices import GAS_PARAMS, build_transport_chain
 from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
                                 make_config, run_experiment)
+from rydsim.model import SimParams
 from rydsim.timeseries import TimeSeries
 from records import to_record, to_scipy
 from test_timeseries import per_value_csv
@@ -26,7 +28,7 @@ NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "directory-target", "undecodable-target", "gas-too-small")
 
 
-def no_jobs(fn, jobs):
+def no_jobs(jobs):
     raise AssertionError("a job list started")
 
 
@@ -186,7 +188,7 @@ class TestRun:
         target, flags = str(cfg_path), []
         if case in NO_JOB_CASES:
             # no runner starts its job list
-            monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+            monkeypatch.setattr(experiments, "_run_all", no_jobs)
         if case == "empty-gammas-appB":
             cfg_path.write_text(json.dumps({**make_config("appB"),
                                             "gammas": []}))
@@ -307,7 +309,7 @@ class TestRun:
                                      target, flags):
         # an override the experiment never reads would change only the
         # config hash; refused before any job starts
-        monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+        monkeypatch.setattr(experiments, "_run_all", no_jobs)
         assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {target} does "
                                                   "not read")
@@ -421,7 +423,10 @@ class TestRun:
 
     def test_pool_starts_at_most_one_worker_per_job(self, monkeypatch):
         # a process pool forks all its workers at once, so no more are
-        # asked for than there are jobs; the pool here maps in-process
+        # asked for than there are jobs.  The pool here runs its jobs
+        # in-process, last first, and hands the results back in job order,
+        # as a process pool does: pooled, each run comes back under its
+        # own key, in the jobs' order, as it does in one process
         import concurrent.futures
         asked = []
 
@@ -436,11 +441,26 @@ class TestRun:
                 return False
 
             def map(self, fn, jobs):
-                return map(fn, jobs)
+                return reversed([fn(job) for job in reversed(list(jobs))])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setenv("RYDSIM_THREADS", "64")
-        assert list(experiments._pool_map(abs, [-1, -2, -3])) == [1, 2, 3]
-        assert asked == [3]
+        chain = build_transport_chain(3)
+        jobs = {(engine, gamma): (chain, SimParams(1.0, gamma, 0.0), 2.0,
+                                  {"engine": engine})
+                for gamma in (2.0, 0.5)
+                for engine in ("classical-exact", "quantum")}
+        jobs["kmc", 0.5] = (chain, SimParams(1.0, 0.5, 0.0), 2.0,
+                            {"engine": "kmc", "seed": 3, "trajectories": 20})
+        runs = {}
+        for workers in ("1", "64"):
+            monkeypatch.setenv("RYDSIM_THREADS", workers)
+            runs[workers] = experiments._run_all(jobs)
+        assert asked == [5]
+        assert list(runs["1"]) == list(runs["64"]) == list(jobs)
+        for key, (device, params, t_end, keywords) in jobs.items():
+            alone = experiments.run_device(device, params, t_end, **keywords)
+            for ts in (runs["1"][key], runs["64"][key]):
+                assert np.array_equal(ts.site_density, alone.site_density)
+                assert ts.metadata == alone.metadata
 
 
 @pytest.mark.parametrize("key", FLAGS)
@@ -478,26 +498,29 @@ class TestReductions:
 
     @pytest.fixture
     def fig4(self, monkeypatch):
-        """fig4's jobs, its runs (each instance's on run, then its off
-        run) and its result."""
+        """fig4's jobs, its runs of each state by instance, and its
+        result."""
         rng = np.random.default_rng(5)
         times = experiments._kmc_times(20.0)
-        runs = [TimeSeries(times, np.zeros((times.size, 0)),
-                           rng.uniform(0.0, 3.0, times.size),
-                           rng.uniform(0.1, 0.5, times.size),
-                           {"events_mean": 1.0 + k, "blocks": 1, "steps": 9,
-                            "events_max": (30, 40, 20, 60, 10, 50)[k]})
-                for k in range(2 * self.N)]
-        jobs = []
+        events_max = {"on": (30, 20, 10), "off": (40, 60, 50)}
+        parts = {state: [TimeSeries(times, np.zeros((times.size, 0)),
+                                    rng.uniform(0.0, 3.0, times.size),
+                                    rng.uniform(0.1, 0.5, times.size),
+                                    {"events_mean": 1.0 + i, "blocks": 1,
+                                     "steps": 9, "events_max": top[i]})
+                         for i in range(self.N)]
+                 for state, top in events_max.items()}
+        jobs = {}
 
-        def pool_map(fn, given):
-            jobs.extend(given)
-            return iter(runs)
-        monkeypatch.setattr(experiments, "_pool_map", pool_map)
+        def run_all(given):
+            jobs.update(given)
+            return {(name, i): parts[name.removeprefix("gas-switch-")][i]
+                    for name, i in given}
+        monkeypatch.setattr(experiments, "_run_all", run_all)
         result = run_experiment(make_config(
             "fig4", n_atoms=400, instances=self.N, trajectories=5,
             t_end=20.0))
-        return jobs, {"on": runs[0::2], "off": runs[1::2]}, result
+        return jobs, parts, result
 
     def test_fig4_stderr_adds_instances_in_quadrature(self, fig4):
         _, parts, result = fig4
@@ -523,13 +546,17 @@ class TestReductions:
             result["plateau_on"] / result["plateau_off"], rel=1e-12)
 
     def test_fig4_on_and_off_instance_share_their_gas(self, fig4):
-        # instance i's on job, then its off job: one gas, one trajectory
-        # seed, each device as build_gas_switch makes it
+        # one kmc job per (device name, instance): instance i's on and off
+        # devices in one gas, as build_gas_switch makes them from seed + i,
+        # with one trajectory seed and no per-site sums
         jobs, _, _ = fig4
         seed = make_config("fig4")["seed"]
-        assert len(jobs) == 2 * self.N
+        assert sorted(jobs) == sorted((f"gas-switch-{state}", i)
+                                      for state in ("on", "off")
+                                      for i in range(self.N))
         for i in range(self.N):
-            (on, *on_rest), (off, *off_rest) = jobs[2 * i:2 * i + 2]
+            (on, *on_rest), (off, *off_rest) = (
+                jobs[f"gas-switch-{state}", i] for state in ("on", "off"))
             assert (on.name, off.name) == ("gas-switch-on", "gas-switch-off")
             np.testing.assert_array_equal(on.network.positions,
                                           off.network.positions)
@@ -537,24 +564,41 @@ class TestReductions:
                                   (on, off)):
                 np.testing.assert_array_equal(built.network.static_detunings,
                                               dev.network.static_detunings)
-            # and the same trajectory seed
-            assert on_rest == off_rest == [20.0, 1000 * seed + i, 5]
-        assert not np.array_equal(jobs[0][0].network.positions,
-                                  jobs[2][0].network.positions)
+            assert on_rest == off_rest == [
+                GAS_PARAMS, 20.0,
+                {"engine": "kmc", "seed": 1000 * seed + i, "trajectories": 5,
+                 "site_density": False}]
+        first, second = (jobs["gas-switch-on", i][0] for i in (0, 1))
+        assert not np.array_equal(first.network.positions,
+                                  second.network.positions)
 
     def test_appB_row_is_max_abs_site_density_difference(self, monkeypatch):
-        # per gamma a quantum run, then a classical one: the row is the
+        # per gamma a quantum run and a classical one: the row is the
         # largest |difference| of any site at any time, not a mean
         times = np.linspace(0.0, 1.0, 5)
         quantum_dens, classical_dens = np.zeros((5, 3)), np.full((5, 3), 0.01)
         quantum_dens[2, 1] = 0.4
         classical_dens[4, 0] = 0.3
-        runs = [TimeSeries(times, dens, dens.sum(axis=1))
-                for dens in (quantum_dens, classical_dens,
-                             quantum_dens, 0.5 * classical_dens)]
-        monkeypatch.setattr(experiments, "_pool_map",
-                            lambda fn, jobs: iter(runs))
+        runs = {key: TimeSeries(times, dens, dens.sum(axis=1))
+                for key, dens in (("quantum_gamma_0.5", quantum_dens),
+                                  ("classical_gamma_0.5", classical_dens),
+                                  ("quantum_gamma_1", quantum_dens),
+                                  ("classical_gamma_1", 0.5 * classical_dens))}
+        jobs = {}
+
+        def run_all(given):
+            jobs.update(given)
+            return {key: runs[key] for key in given}
+        monkeypatch.setattr(experiments, "_run_all", run_all)
         result = run_experiment({"experiment": "appB", "gammas": [0.5, 1.0]})
+        # each series is written under the name of the engine that ran it
+        assert {key: keywords["engine"]
+                for key, (_, _, _, keywords) in jobs.items()} == {
+            "quantum_gamma_0.5": "quantum",
+            "classical_gamma_0.5": "classical-exact",
+            "quantum_gamma_1": "quantum",
+            "classical_gamma_1": "classical-exact"}
+        assert result["series"] == runs
         [(g0, d0), (g1, d1)] = result["scan_rows"]
         assert (g0, g1) == (0.5, 1.0)
         assert d0 == pytest.approx(0.39) and d1 == pytest.approx(0.395)
@@ -590,7 +634,7 @@ class TestScan:
     def test_scan_rejects_non_scan_experiment(self, tmp_path, capsys,
                                               monkeypatch):
         # refused before any job list starts
-        monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+        monkeypatch.setattr(experiments, "_run_all", no_jobs)
         for target in ("appC", "fig4"):
             assert main(["scan", target, "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == (
@@ -679,7 +723,7 @@ def test_run_experiment_rejects_unknown():
 def test_run_experiment_checks_its_config(monkeypatch, scan):
     # a config that did not come from make_config is checked all the same
     from rydsim.experiments import ExperimentError
-    monkeypatch.setattr(experiments, "_pool_map", no_jobs)
+    monkeypatch.setattr(experiments, "_run_all", no_jobs)
     with pytest.raises(ExperimentError, match="scan must not be empty"):
         run_experiment({**make_config("fig3"), "scan": scan})
 

@@ -235,16 +235,17 @@ class TestReadout:
         return TimeSeries(t, v[:, None], v)
 
     def read_gate(self, monkeypatch, kind, values_by_input):
-        # the runs come back in sorted input order, as the runner asks
-        runs = [self.make_series(values_by_input[bits])
-                for bits in sorted(values_by_input)]
-        monkeypatch.setattr(experiments, "_pool_map",
-                            lambda fn, jobs: iter(runs))
+        # each input's run under the series name the runner writes it as
+        runs = {f"input_{a}{b}": self.make_series(values)
+                for (a, b), values in values_by_input.items()}
+        monkeypatch.setattr(experiments, "_run_all",
+                            lambda jobs: {key: runs[key] for key in jobs})
         return run_experiment({"experiment": f"fig7-{kind}"})
 
     def read_appD(self, monkeypatch, values):
-        monkeypatch.setattr(experiments, "_pool_map",
-                            lambda fn, jobs: iter([self.make_series(values)]))
+        monkeypatch.setattr(experiments, "_run_all",
+                            lambda jobs: {key: self.make_series(values)
+                                          for key in jobs})
         result = run_experiment({"experiment": "appD", "gammas": [1.0],
                                  "scan": [1.0]})
         [(_, t_w)] = result["scan_rows"]
