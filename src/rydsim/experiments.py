@@ -94,7 +94,7 @@ def make_config(name: str, /, **overrides) -> dict:
 def _check_value(key: str, value) -> None:
     """Refuse, before anything runs, a value that is not a finite number
     of its KEYS kind at or above its lower bound, or (where KEYS says so)
-    a non-empty list of them, no two alike in their `:g` series names."""
+    a non-empty list of them, no two alike as `:g` names (-0 as 0)."""
     kind, is_list, bound = KEYS[key]
     items = value if is_list and isinstance(value, list) else [value]
     if is_list != isinstance(value, list) or not all(
@@ -106,7 +106,7 @@ def _check_value(key: str, value) -> None:
     if bound and any(item < 0 or (bound == "positive" and item == 0)
                      for item in items):
         raise ExperimentError(f"{key} must be {bound}, got {value!r}")
-    names = [f"{item:g}" for item in items]
+    names = [f"{item + 0.0:g}" for item in items]
     if not names or len(set(names)) < len(names):
         raise ExperimentError(f"{key} must not be empty or repeat an entry "
                               f"to 6 significant digits, got {value!r}")

@@ -17,7 +17,8 @@ make the series real (Kosloff, Annu. Rev. Phys. Chem. 45:145, 1994):
 The terms do not depend on tau, so one series per span serves every
 record time inside it; a record reads only the basis populations, so only
 those are summed at each record time, and the whole state only at the
-span's end.  Each term costs one call of scipy's CSR kernel,
+span's end.  A span is a whole segment, halved only where its terms' rounding
+could reach the result.  Each term is one call of scipy's CSR kernel,
 which adds A (2/f) U_k into the row holding -c (2/f) U_k -+ U_{k-1}.
 
 scipy is used only for that compiled kernel, its extension
@@ -29,7 +30,6 @@ of three arrays, checked by `check_operator` before the kernel reads them.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -118,56 +118,50 @@ RECORD_POINTS = 200
 # A series stops where the rest of its weights, against the size of the
 # result, falls below the unit roundoff.
 TOL = 2.0 ** -53
+# Largest growth of a span's series at its end, sum_k |c_k| rho^k: its
+# terms' largest size against x's.  Each term's rounding is ~2^-53 of its
+# size, so the result's error is ~2^-53 GROWTH = 1.1e-13 of x's size, below
+# the 1e-12 to which the tests compare states.  A span is halved while it
+# grows more; in the default runs it grows at most 28-fold.
+GROWTH = 2.0 ** 10
 # Largest residuals allowed: at a record time (the thresholds of
 # `validate`), and of a segment's generator, whose population column sums
 # change the norm at most that fast.  The default runs' largest column sum
 # is 3.5e-15 (classical generator; 3.5e-18 for the quantum one).
 LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "trace_leak": 1e-10}
-# Most terms of one span's series: on the imaginary axis a series needs ~30
-# terms beyond tau max(a, b), so longer spans save few products, while each
-# record sum takes more of them.
-DEGREE = 80
 # Terms built between two additions into the record sums.
 CHUNK = 8
-# Candidate span lengths tau max(a, b) when a segment starts, longest
-# first.
-REACH = DEGREE * 2.0 ** (-np.arange(320) / 16)
 
 
 def _bessel(x: np.ndarray, real: bool, terms: int) -> np.ndarray:
     """(x.size, terms): (2 - delta_k0) e^-x I_k(x) if `real`, else
     (2 - delta_k0) J_k(x), by backward recurrence of the ratios c_k / c_{k-1}
     (Miller), which cannot overflow at small x, normalised by
-    sum_k (2 - delta_k0) e^-x I_k(x) = 1 or J_0^2 + 2 sum_k J_k^2 = 1."""
-    sign = 1.0 if real else -1.0
+    sum_k (2 - delta_k0) e^-x I_k(x) = 1 or J_0^2 + 2 sum_k J_k^2 = 1;
+    row k of one array holds k / (x/2), then that ratio, in place."""
     half = 0.5 * np.asarray(x, dtype=float)
-    ratios = np.ones((terms, half.size))
-    r = np.zeros(half.size)
+    rows = np.zeros((terms + 22, half.size))
+    step = np.add if real else np.subtract
     with np.errstate(divide="ignore"):
+        np.divide(np.arange(1, terms + 21)[:, None], half, out=rows[1:-1])
         for k in range(terms + 20, 0, -1):
-            den = k / half + sign * r
-            # den is 0 only where J_{k-1}(x) is
-            r = 1.0 / np.where(den == 0.0, 1e-300, den)
-            if k < terms:
-                ratios[k] = r
-    c = np.cumprod(ratios, axis=0)
+            r = rows[k]
+            step(r, rows[k + 1], out=r)
+            np.divide(1.0, r, out=r)
+            # inf only where J_{k-1}(x) is 0: as if its denominator were 1e-300
+            np.minimum(r, 1.0 / 1e-300, out=r)
+    rows[0] = 1.0
+    c = np.cumprod(rows[:terms], axis=0, out=rows[:terms])
     if real:
         c[1:] *= 2.0
-        return (c / c.sum(axis=0)).T
-    c /= np.abs(c).max(axis=0)
-    norm = np.sqrt(c[0] ** 2 + 2.0 * (c[1:] ** 2).sum(axis=0))
+        c /= c.sum(axis=0)
+        return c.T
+    c /= np.maximum(c.max(axis=0), -c.min(axis=0))
+    norm = np.sqrt(c[0] ** 2 + 2.0 * np.einsum("kn,kn->n", c[1:], c[1:]))
     c[1:] *= 2.0
     # J_0 + 2 sum_k J_2k = 1 fixes the sign
-    return (c * (np.sign(c[::2].sum(axis=0)) / norm)).T
-
-
-@functools.cache
-def _reach_table(real: bool) -> np.ndarray:
-    """The Bessel table at every REACH length, DEGREE + 32 terms: it does
-    not depend on the segment, so each process makes it once (read-only)."""
-    table = _bessel(REACH, real, DEGREE + 32)
-    table.setflags(write=False)
-    return table
+    c *= np.sign(c[::2].sum(axis=0)) / norm
+    return c.T
 
 
 class _Series:
@@ -185,32 +179,38 @@ class _Series:
         self.rho = s + np.hypot(1.0, s)
         # e^{shift tau} times the Bessel table is the series' coefficients
         self.shift = self.c + self.f if self.real else self.c
-        self.reach = np.inf
-        if self.f:
-            w = self.weights(_reach_table(self.real), REACH / self.f)
-            ok = w[:, DEGREE:].sum(axis=1) < TOL
-            self.reach = REACH[np.argmax(ok) if ok.any() else -1] / self.f
 
     def weights(self, table: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """|c_k| rho^k against the size e^{tau hi} of the result, from the
-        Bessel table at taus."""
+        """|c_k| rho^k against e^{tau hi}, the result's size, at taus."""
         return (np.abs(table) * self.rho ** np.arange(table.shape[1])
                 * np.exp((self.shift - self.hi) * taus)[:, None])
 
-    def coefficients(self, spans: list):
-        """For each span's taus (ascending, the last one at most `reach`),
-        its coefficient rows and the terms each record needs: one Bessel
-        table over every tau of the segment.  Each record keeps the terms
-        until the rest of its weights falls below TOL, and needs at least
-        as many as the records before it in its span."""
-        taus = np.concatenate(spans)
-        table = _bessel(taus * self.f, self.real, DEGREE)
-        w = self.weights(table, taus)
-        tail = np.cumsum(w[:, ::-1], axis=1) >= TOL
-        counts = np.maximum(tail.sum(axis=1), 1)
-        cuts = np.cumsum([len(s) for s in spans])[:-1]
-        return zip(np.split(table * np.exp(self.shift * taus)[:, None], cuts),
-                   map(np.maximum.accumulate, np.split(counts, cuts)))
+    def coefficients(self, taus: np.ndarray):
+        """A span's coefficient rows at its taus (ascending, its end last)
+        and the terms each record needs, or None where it grows past
+        GROWTH.  At the end, z = tau f, the Bessel asymptotics give the
+        terms, z + 12 z^(1/3) + 40 (imaginary axis) or 9 sqrt(z) + 24
+        (real), doubled until the weights of the 32 past them fall below
+        TOL.  Each record keeps the terms until the rest of its weights
+        falls below TOL, and at least as many as the records before it."""
+        z = taus[-1] * self.f
+        terms = int(9 * z ** 0.5 + 24 if self.real
+                    else z + 12 * z ** (1 / 3) + 40)
+        while True:
+            table = _bessel(taus * self.f, self.real, terms + 32)
+            end = self.weights(table[-1:], taus[-1:])[0]
+            if not end.sum() * np.exp(self.hi * taus[-1]) <= GROWTH:
+                return None
+            if end[terms:].sum() < TOL:
+                break
+            terms *= 2
+        # the weights of 16 records at a time, so that none is held whole
+        counts = np.concatenate([
+            (np.cumsum(self.weights(table[i:i + 16], taus[i:i + 16])[:, ::-1],
+                       axis=1) >= TOL).sum(axis=1)
+            for i in range(0, taus.size, 16)])
+        table *= np.exp(self.shift * taus)[:, None]
+        return table, np.maximum.accumulate(np.maximum(counts, 1))
 
     def span(self, a, x: np.ndarray, coef: np.ndarray, need: np.ndarray,
              populations):
@@ -255,12 +255,10 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
     (Bendixson: Gershgorin bounds on A's Hermitian and skew-Hermitian
     parts); `check_operator` refuses one the kernel cannot read.
 
-    Each segment is walked in spans, each ending at the first of: the
-    longest length whose series stays within DEGREE terms, and the
-    segment's end; one series per span gives x[populations] at the span's
-    record times and the whole x at its end.  All of a segment's spans are
-    planned before its first product, so one Bessel table serves them all.
-    The metadata counts the spans and the products A @ x.
+    Each segment is one span, halved while its series grows past GROWTH;
+    one series and one Bessel table per span give x[populations] at its
+    record times and the whole x at its end.  The metadata counts the
+    spans and the products A @ x.
 
     x[populations] are the 2^N basis populations.  Each segment's A must
     conserve their sum: its `trace_leak`, the largest column sum of
@@ -304,24 +302,24 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
         leak = np.zeros(x.size)
         csc_matvec(x.size, x.size, *a, counted, leak)
         check([t], trace_leak=np.abs(leak).max(keepdims=True))
-        series = _Series(rect)
-        # a span's end depends only on reach and the segment's end, so the
-        # whole segment is planned first
-        plan, taus = [], []
-        while t < end:
-            stop = min(end, t + series.reach)
-            inside = np.searchsorted(times, stop, side="right") - rec
-            plan.append((rec, inside))
-            taus.append(times[rec:rec + inside] - t)
-            if not inside or times[rec + inside - 1] != stop:
-                taus[-1] = np.append(taus[-1], stop - t)
-            rec, t = rec + inside, stop
-        for (first, inside), (coef, need) in zip(plan,
-                                                  series.coefficients(taus)):
-            pops, x, used = series.span(a, x, coef, need, populations)
+        # the ends of the spans still to walk, the next one last
+        series, stops = _Series(rect), [end]
+        while stops:
+            inside = np.searchsorted(times, stops[-1], side="right") - rec
+            taus = times[rec:rec + inside] - t
+            if not inside or times[rec + inside - 1] != stops[-1]:
+                taus = np.append(taus, stops[-1] - t)
+            if (fit := series.coefficients(taus)) is None:
+                stops.append(t + (stops[-1] - t) / 2)
+                if stops[-1] == t:
+                    raise error(f"at t={t:.3f}: no span keeps the series' "
+                                f"growth within {GROWTH:g}")
+                continue
+            pops, x, used = series.span(a, x, *fit, populations)
             products, spans = products + used, spans + 1
             if inside:
-                record(times[first:first + inside], pops[:inside])
+                record(times[rec:rec + inside], pops[:inside])
+            rec, t = rec + inside, stops.pop()
     dens = np.concatenate(dens)
     sites = np.asarray(list(output_sites), dtype=int)
     ts = TimeSeries(times, dens, dens[:, sites].sum(axis=1),

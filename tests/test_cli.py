@@ -22,6 +22,7 @@ from test_timeseries import per_value_csv
 # malformed input refused before any job list starts
 NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "repeated-scan-close", "repeated-scan-equal",
+                "signed-zero-gammas",
                 "unknown-engine", "unknown-engine-seed", "list-experiment",
                 "name-key",
                 "null-gamma", "null-scan", "null-engine",
@@ -200,6 +201,11 @@ class TestRun:
             scan = [1.0, 1.0] if case.endswith("equal") else [1.0, 1.0000001]
             cfg_path.write_text(json.dumps({**make_config("fig3"),
                                             "scan": scan}))
+        elif case == "signed-zero-gammas":
+            # both would be one diode point, named "0" and "-0"
+            cfg_path.write_text(json.dumps({"experiment": "fig5c",
+                                            "gammas": [0.0, -0.0],
+                                            "t_end": 5.0}))
         elif case == "unknown-engine":
             cfg_path.write_text(json.dumps({**make_config("fig7-and"),
                                             "engine": "qutip"}))

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import block_diag, expm
+from scipy.special import ive, jv
 
 import rydsim
 from rydsim import classical, propagate as prop
@@ -63,6 +64,14 @@ def rate_generator(rng, dim=16, scale=1.0):
     np.fill_diagonal(g, 0.0)
     g -= np.diag(g.sum(axis=0))
     return g
+
+
+def normal_generator(lo, hi, b, dim=16):
+    """Block-diagonal normal generator with eigenvalues hi, lo and
+    (lo + hi) / 2 +- i b: its Bendixson rectangle is (lo, hi, b), and its
+    Chebyshev terms grow as fast as that rectangle lets them."""
+    c = (lo + hi) / 2
+    return block_diag([[hi]], [[lo]], *[[[c, b], [-b, c]]] * (dim // 2 - 1))
 
 
 def start(dim=16):
@@ -150,19 +159,21 @@ def test_rejects_non_positive_t_end(t_end):
 
 
 def test_one_span_covers_dozens_of_record_times():
-    # a real spectrum in [-2, 0]: a span runs until its series would need
-    # more than DEGREE terms, ~45 time units or ~60 record times here
+    # a real spectrum in [-2, 0]: the terms do not grow (rho = 1), so one
+    # span covers the segment, all 200 record times, and its series needs
+    # only the ~8.6 sqrt(z) terms after which e^-z I_k(z) < 2^-53, at
+    # z = t_end f = 270
     rng = np.random.default_rng(3)
     g = rate_generator(rng)
     g = (g + g.T) / 2
     g -= np.diag(g.sum(axis=0))
     g /= -np.linalg.eigvalsh(g).min() / 2
     t_end = 150.0
-    reach = prop._Series(bendixson(sp.csr_matrix(g))).reach
-    assert reach * (prop.RECORD_POINTS - 1) / t_end > 48
+    series = prop._Series(bendixson(sp.csr_matrix(g)))
+    assert series.real and series.rho == 1.0
     ts = run([g], [0.0], t_end, start())
-    assert ts.metadata["spans"] == np.ceil(t_end / reach)
-    assert ts.metadata["products"] < ts.metadata["spans"] * prop.DEGREE
+    assert ts.metadata["spans"] == 1
+    assert ts.metadata["products"] < 9 * np.sqrt(t_end * series.f)
     np.testing.assert_allclose(ts.site_density,
                                densities(reference([g], [0.0], t_end, start())),
                                atol=1e-12)
@@ -171,9 +182,12 @@ def test_one_span_covers_dozens_of_record_times():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), split=st.floats(0.01, 0.99),
        scale=st.floats(0.1, 30.0))
+@example(seed=5399406, split=0.5, scale=7.0)
 def test_extra_breakpoint_keeps_the_series(seed, split, scale):
     # cutting a segment where the generator does not change gives the same
-    # states, up to rounding
+    # states, up to rounding; in the pinned example the rectangle's hi is
+    # 10.6, so a whole-run span whose growth were measured against
+    # e^{tau hi} (755) and not against x (1.1e12) would be off by 4.6e-8
     g = rate_generator(np.random.default_rng(seed), scale=scale)
     t_end = 2.0
     whole = run([g], [0.0], t_end, start())
@@ -218,8 +232,8 @@ def test_record_sums_stay_within_64_mb_at_the_caps():
         assert prop.RECORD_POINTS * 2 ** cap * 8 <= 64 * 2 ** 20
 
 
-@pytest.mark.parametrize("engine, most", [("quantum", 700),
-                                          ("classical-exact", 250)])
+@pytest.mark.parametrize("engine, most", [("quantum", 450),
+                                          ("classical-exact", 125)])
 def test_switch_products_repeat_and_stay_low(engine, most):
     dev = build_switch_chain(DELTA_F)
     counts = [run_device(dev, SimParams(1.0, 1.0, 0.003), 8.0,
@@ -256,17 +270,22 @@ def test_rates_rectangle_refuses_what_the_kernel_cannot_take(convert, got):
 
 
 @pytest.mark.parametrize("case", ["real", "imaginary", "one-term",
-                                  "zero-width"])
+                                  "zero-width", "short-estimate"])
 def test_span_matches_expm(case):
     # one span straight from its coefficients: the real series (a >= b),
-    # the imaginary one (a < b), a span whose series stops after U_1, and
-    # a rectangle of zero width, where no 1 / f may be taken; every fifth
+    # the imaginary one (a < b), a span whose series stops after U_1, a
+    # rectangle of zero width, where no 1 / f may be taken, and a nearly
+    # square tall one (rho = 2.2) whose terms past the first estimate and
+    # the 32 after it, 285 at z = 150, still weigh 2e-10; every fifth
     # entry is summed at each tau, the whole vector at the last one
     rng = np.random.default_rng(6)
     taus = np.array([0.3, 1.1, 2.0])
     if case == "imaginary":
         skew = rng.normal(scale=0.3, size=(16, 16))
         g = skew - skew.T - 0.2 * np.eye(16)
+    elif case == "short-estimate":
+        g = normal_generator(-1.8, 0.0, 1.0)
+        taus = np.array([60.0, 110.0, 150.0])
     elif case == "zero-width":
         g = -0.7 * np.eye(16)
     else:
@@ -275,7 +294,7 @@ def test_span_matches_expm(case):
         taus = np.array([1e-10])
     x = rng.uniform(size=16)
     series = prop._Series(bendixson(sp.csr_matrix(g)))
-    (coef, need), = series.coefficients([taus])
+    coef, need = series.coefficients(taus)
     with np.errstate(divide="raise", invalid="raise"):
         pops, end, used = series.span(to_record(g), x, coef, need,
                                       slice(None, None, 5))
@@ -283,14 +302,53 @@ def test_span_matches_expm(case):
     assert pops.shape == (taus.size, 4)
     np.testing.assert_allclose(pops, exact[:, ::5], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(end, exact[-1], rtol=0.0, atol=1e-12)
-    assert series.real == (case != "imaginary")
+    assert series.real == (case not in ("imaginary", "short-estimate"))
     assert (series.f == 0.0) == (case == "zero-width")
     if case == "one-term":
         assert used == 1
     elif case == "zero-width":
         assert used == 0
+    elif case == "short-estimate":
+        assert used > 285
     else:
         assert used >= 10
+
+
+def test_span_is_halved_where_its_series_grows_past_the_bound():
+    # a wide rectangle of b = a (rho = 1 + sqrt 2) with hi = 0: over the
+    # whole run the series grows to sum_k (2 - delta_k0) e^-z I_k(z) rho^k
+    # = 1.5e3, whose rounding, 2^-53 x 1.5e3 = 1.7e-13, the bound does not
+    # allow; over half of it, to 55.  The one population is x[0], which
+    # the eigenvalue 0 keeps.
+    g = normal_generator(-2.0, 0.0, 1.0)
+    t_end, k = 16.0, np.arange(200)
+
+    def growth(tau):
+        return ((2 - (k == 0)) * ive(k, tau) * (1 + np.sqrt(2)) ** k).sum()
+
+    assert 2.0 ** -53 * growth(t_end) > 1.2e-13 > 2.0 ** -53 * growth(
+        t_end / 2)
+    x = np.random.default_rng(11).uniform(size=16)
+    x[0] = 1.0
+    ts = prop.propagate(x, lambda g: (to_record(g), bendixson(g)),
+                        [(0.0, t_end, sp.csr_matrix(g))], "test",
+                        RuntimeError, populations=slice(0, 1))
+    assert ts.metadata["spans"] == 2
+    np.testing.assert_allclose(ts.final_state, expm(g * t_end) @ x,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_span_too_short_to_halve_is_refused():
+    # on the second segment, a rectangle whose series no span keeps within
+    # GROWTH (hi = NaN): the halving stops where a half no longer moves t,
+    # ~53 halvings past t = 1, and names that time, in place of walking
+    # empty spans for ever
+    g = sp.csr_matrix(rate_generator(np.random.default_rng(12)))
+    rects = {"kept": bendixson(g), "nan": (-1.0, np.nan, 0.0)}
+    with pytest.raises(RuntimeError, match=r"at t=1\.000: no span keeps "):
+        prop.propagate(start(), lambda key: (to_record(g), rects[key]),
+                       [(0.0, 1.0, "kept"), (1.0, 2.0, "nan")], "test",
+                       RuntimeError)
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical-exact"])
@@ -375,15 +433,18 @@ def record_residuals(states):
 
 def test_error_names_the_first_broken_record_time():
     g, t_end = negative_rate_generator(), 4.0
-    # the whole run is one span
+    # the first broken record time comes after dozens that pass in the
+    # run's first span: a quarter of the run, whose 49 record times one
+    # series covers
     rect = bendixson(sp.csr_matrix(g))
-    assert prop._Series(rect).reach > t_end
+    times = np.linspace(0.0, t_end, prop.RECORD_POINTS)
+    assert prop._Series(rect).coefficients(times[1:50]) is not None
     res = record_residuals(reference([g], [0.0], t_end, start()))
     broken = np.logical_or.reduce([res[k] >= prop.LIMITS[k] for k in res])
     first = int(np.argmax(broken))
-    assert 1 < first < prop.RECORD_POINTS - 1
-    t = np.linspace(0.0, t_end, prop.RECORD_POINTS)[first]
-    with pytest.raises(RuntimeError, match=re.escape(f"at t={t:.3f}: ")):
+    assert 1 < first < 49
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"at t={times[first]:.3f}: ")):
         run([g], [0.0], t_end, start())
 
 
@@ -407,8 +468,8 @@ def test_metadata_keeps_each_residuals_largest_value(monkeypatch):
 @pytest.mark.parametrize("device, segments", [
     (build_nand_gate((1, 0)), 3), (build_switch_chain(DELTA_F), 1)])
 def test_one_bessel_table_per_segment(monkeypatch, device, segments):
-    # the reach tables come once per process, and each segment's spans
-    # share one table
+    # each segment is one span, whose table's first estimate of its terms
+    # suffices
     calls = []
     bessel = prop._bessel
 
@@ -417,20 +478,52 @@ def test_one_bessel_table_per_segment(monkeypatch, device, segments):
         return bessel(*args)
 
     monkeypatch.setattr(prop, "_bessel", counted)
-    prop._reach_table.cache_clear()
-    for most in (segments + 2, segments):
-        calls.clear()
-        run_device(device, SimParams(1.0, 1.0, 0.003), 8.0,
-                   engine="classical-exact")
-        assert len(calls) <= most
+    ts = run_device(device, SimParams(1.0, 1.0, 0.003), 8.0,
+                    engine="classical-exact")
+    assert len(calls) == ts.metadata["spans"] == segments
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_reach_tables_are_read_only(real):
-    table = prop._reach_table(real)
-    assert table is prop._reach_table(real)
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 0.0
+    # a span's Bessel table and its record sums are built in place in
+    # arrays of its own: its taus, the state and the operator stay as they
+    # were, and each is read-only here, so a write into one would raise
+    rng = np.random.default_rng(10)
+    if real:
+        g = rate_generator(rng)
+    else:
+        skew = rng.normal(size=(16, 16))
+        g = skew - skew.T - 0.1 * np.eye(16)
+    series = prop._Series(bendixson(sp.csr_matrix(g)))
+    assert series.real == real
+    op, x = to_record(g), rng.uniform(size=16)
+    taus = np.array([0.1, 0.25, 0.5])
+    for array in (taus, x, *op):
+        array.setflags(write=False)
+    coef, need = series.coefficients(taus)
+    pops, end, used = series.span(op, x, coef, need, slice(None, None, 5))
+    np.testing.assert_allclose(end, expm(g * taus[-1]) @ x, rtol=0.0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_bessel_table_matches_scipy_up_to_a_thousand(real):
+    # a span's table runs to ~1.1 z + 60 terms at z = tau f in the
+    # hundreds; scipy's jv is itself off by up to ~4e-14 at x = 1000, so
+    # the identities e^-x (I_0 + 2 sum_k I_2k) = (1 + e^-2x) / 2 and
+    # J_0 - 2 J_2 + 2 J_4 - ... = cos x, which the table's normalisation
+    # does not use, check it more closely
+    x = np.array([0.5, 30.0, 300.0, 1000.0])
+    k = np.arange(int(1.2 * x.max() + 60))
+    table = prop._bessel(x, real, k.size)
+    assert table.shape == (x.size, k.size)
+    exact = (2.0 - (k == 0)) * (ive if real else jv)(k, x[:, None])
+    np.testing.assert_allclose(table, exact, rtol=0.0,
+                               atol=1e-15 if real else 1e-13)
+    even = table[:, ::2] @ (1.0 if real else -1.0) ** k[:(k.size + 1) // 2]
+    np.testing.assert_allclose(
+        even, (1.0 + np.exp(-2.0 * x)) / 2.0 if real else np.cos(x),
+        rtol=0.0, atol=1e-14)
 
 
 # Any scipy import: `import scipy.sparse` alone takes ~210 ms, most of it
