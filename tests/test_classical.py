@@ -551,6 +551,11 @@ NAND_PINS = {
 }
 GAS_PIN = ("8060d07af8cc18b716ed4ce34b597bcd"
            "70707f243c9d62c5f7f793eb6d4d62c1", 45.75, 79, 3, 176)
+# The off gas with its gate opened from t = 30 to 60, over three blocks:
+# rows of 400 atoms take the two-level draw, and the pulse's two
+# breakpoints redraw every pending event mid-run.
+PULSE_PIN = ("47362d176356d14f79ac33d081a292d3"
+             "acb297637e9e39dc3286b3bf41142a8b", 55.3, 73, 3, 220)
 EVENT_LOG_PIN = (72, "65bc675172053946ce92f0e7ca1e65d4"
                      "d8feb9e02dcb880f630a322716716347")
 
@@ -608,6 +613,17 @@ class TestLockstepPinned:
         ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 8, 11,
                          times, dev.output_sites)
         assert self.pin(ts) == GAS_PIN
+
+    def test_gas_gate_pulse_over_blocks(self, monkeypatch):
+        _, dev = build_gas_switch(7, 400)
+        gate = np.flatnonzero(dev.network.static_detunings == -GAS_DELTA_F)
+        schedule = DetuningSchedule(tuple((30.0, 60.0, int(atom), GAS_DELTA_F)
+                                          for atom in gate))
+        monkeypatch.setattr(classical, "BLOCK_ELEMENTS", 4 * 400)
+        times = np.linspace(100.0 / 200, 100.0, 200)
+        ts = self.sample(dev.network, GAS_PARAMS, dev.initial, 10, 13,
+                         times, dev.output_sites, schedule=schedule)
+        assert self.pin(ts) == PULSE_PIN
 
     @pytest.mark.parametrize(
         "site_density, trajectories, bound_mib, block",
