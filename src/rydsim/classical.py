@@ -164,9 +164,10 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
     return rng.standard_exponential(total.size) * (1.0 / total)
 
 
-def _draw(c: np.ndarray, rng) -> np.ndarray:
+def _draw(c: np.ndarray, rng, out: np.ndarray | None = None) -> np.ndarray:
     """One atom per row of the rates `c`, each drawn in proportion to its
-    rate from u = rng.random() * total; `c` may be overwritten.
+    rate from u = rng.random() * total.  `c` is only read; the flat
+    search's cumulative rates go into `out` (c's shape) if given.
 
     A row of at most DRAW_BLOCK atoms takes the first atom whose
     cumulative rate reaches u.  A longer row is searched on two levels:
@@ -181,8 +182,8 @@ def _draw(c: np.ndarray, rng) -> np.ndarray:
     rate is taken, which is the atom owning the interval's top."""
     k, n = c.shape
     if n <= DRAW_BLOCK:
-        np.cumsum(c, axis=1, out=c)
-        return (c >= (rng.random(k) * c[:, -1])[:, None]).argmax(axis=1)
+        cum = np.cumsum(c, axis=1, out=out)
+        return (cum >= (rng.random(k) * cum[:, -1])[:, None]).argmax(axis=1)
     # cumulative block sums after a leading 0: ends[:, b] is what the
     # blocks before block b hold
     ends = np.zeros((k, -(-n // DRAW_BLOCK) + 1))
@@ -204,6 +205,19 @@ def _draw(c: np.ndarray, rng) -> np.ndarray:
     return cols[rows, atom]
 
 
+def _gather(order: np.ndarray, arrays, scratch: np.ndarray) -> None:
+    """Row order[i] of each of `arrays` into its row i, for i < order.size.
+    A float table of `scratch`'s row shape goes through `scratch` (free
+    rows), so that none is copied whole."""
+    k = order.size
+    for a in arrays:
+        if a.shape[1:] == scratch.shape[1:] and a.dtype == scratch.dtype:
+            # take writes `out` unbuffered in `clip` mode; order is in range
+            a[:k] = np.take(a, order, axis=0, out=scratch[:k], mode="clip")
+        else:
+            a[:k] = a[order]
+
+
 def _lockstep_block(network: AtomNetwork, params: SimParams,
                     config0: Configuration, schedule: DetuningSchedule,
                     m: int, rng, times: np.ndarray, out: np.ndarray,
@@ -219,6 +233,14 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     every trajectory whose event comes earlier fires it in one vectorised
     step: the atom is drawn in proportion to its rate, the mismatches move
     by its pair energies and a new wait is drawn.
+
+    A trajectory whose event falls past the segment's end fires no more
+    in it, so the firing ones only dwindle.  They are kept as the prefix
+    [:k] of the rows, in trajectory order: a step after which some
+    trajectory drops out moves the rest forward in a stable partition, and
+    each step works in place on views of the prefix.  Every segment starts
+    with the rows back in trajectory order, so each step draws from `rng`
+    in that order, as one over the firing trajectories' indices would.
 
     Each event is filed at the first record time after it (every event
     comes before times[-1]), so the state at times[r] is the state after
@@ -242,54 +264,59 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(pairs0, (m, 1))
     # detunings the mismatches hold; each segment shifts them to its own
     det = 0.0
-    rates = np.empty((m, n))
+    # rates, which a step's pair energies take as workspace once the atoms
+    # are drawn; the pair energies, and the scratch of the draw and of
+    # every reordering of the rows
+    rates, pairs = np.empty((m, n)), np.empty((m, n))
+    # row i holds trajectory traj[i], with its events and output count
+    traj, rows = np.arange(m), np.arange(m)
     events = np.zeros(m, dtype=np.int64)
     counts = np.full(m, float(bits0 @ out))
-    # scratch for the event steps, firing rows first: rates for the draw,
-    # then the pair energies' workspace; pair energies, then new rates;
-    # mismatches; occupations
-    work, pairs, local = (np.empty((m, n)) for _ in range(3))
-    occ = np.empty((m, n), dtype=bool)
     steps = 0
     for start, stop, new_det in schedule.segments(times[-1],
                                                    network.static_detunings):
+        # back in trajectory order, in which the new waits are drawn
+        _gather(np.argsort(traj), (bits, mism, counts, events, traj), rates)
         mism += new_det - det
         det = new_det
         _rates(mism, bits, params, out=rates)
         pending = start + _waits(rates, rng)
-        while (fire := np.flatnonzero(pending < stop)).size:
-            k = fire.size
-            # take writes `out` unbuffered in `clip` mode; fire is in range
-            c = np.take(rates, fire, axis=0, out=work[:k], mode="clip")
-            atom = _draw(c, rng)
-            new = ~bits[fire, atom]
-            bits[fire, atom] = new
+        k = m
+        while True:
+            live = pending[:k] < stop
+            if not live.all():
+                # a stable partition: the live rows first, in their order
+                order = np.argsort(~live, kind="stable")
+                _gather(order, (bits, mism, counts, events, traj), pairs)
+                k = int(np.count_nonzero(live))
+                _gather(order[:k], (rates, pending), pairs)
+                if not k:
+                    break
+            c = rates[:k]
+            atom = _draw(c, rng, out=pairs[:k])
+            at_atom = rows[:k], atom
+            new = ~bits[at_atom]
+            bits[at_atom] = new
             sign = 2.0 * new - 1.0
-            step = pair_energies(network, atom, out=pairs[:k], work=c)
-            step *= sign[:, None]
-            mism_k = np.take(mism, fire, axis=0, out=local[:k], mode="clip")
-            mism_k += step
-            mism[fire] = mism_k
-            bits_k = np.take(bits, fire, axis=0, out=occ[:k], mode="clip")
-            rates_k = _rates(mism_k, bits_k, params, out=step)
-            rates[fire] = rates_k
-            tau = pending[fire]
+            mism[:k] += pair_energies(network, atom, out=pairs[:k], work=c,
+                                      sign=sign)
+            _rates(mism[:k], bits[:k], params, out=c)
+            tau = pending[:k]
             at = np.searchsorted(times, tau, side="right")
             if flips is not None:
                 # ufunc.at's fast path takes one flat index
                 np.add.at(flips.reshape(-1), at * n + atom, sign)
             delta = sign * out[atom]
-            before = counts[fire]
             np.add.at(moments[0], at, delta)
-            np.add.at(moments[1], at, delta * (2.0 * before + delta))
-            counts[fire] = before + delta
+            np.add.at(moments[1], at, delta * (2.0 * counts[:k] + delta))
+            counts[:k] += delta
             if log is not None:
                 log += zip(tau.tolist(), atom.tolist(),
                            new.astype(int).tolist())
-            pending[fire] = tau + _waits(rates_k, rng)
-            events[fire] += 1
+            pending[:k] += _waits(c, rng)
+            events[:k] += 1
             steps += 1
-    return events, steps
+    return events[np.argsort(traj)], steps
 
 
 def gillespie_run(network: AtomNetwork, params: SimParams,

@@ -177,16 +177,20 @@ def basis_bits(n_atoms: int) -> np.ndarray:
 
 def pair_energies(network: AtomNetwork, atoms: np.ndarray,
                   out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
+                  work: np.ndarray | None = None,
+                  sign: np.ndarray | None = None) -> np.ndarray:
     """C6 / r^6 from each of `atoms` to every atom, zero for an atom and
     itself: shape (len(atoms), N), taken from the positions and written
-    into `out` if given, with `work` (same shape) as its workspace.
+    into `out` if given, with `work` (same shape) as its workspace.  With
+    `sign` (+-1 per atom), row i is sign[i] C6 / r^6: the sign goes into
+    the divide's numerator, which IEEE division makes the same bits as a
+    product after it, with no pass of its own.
 
     r^2 is summed coordinate by coordinate in place, and r^6 is r^2 times
-    r^4 from two in-place multiplies, with `work` (free once the sum is
-    done) holding r^4.  That is about four times faster on a 20 x 3000
-    block than `r2**3` (the power ufunc), and moves the last bit of about
-    a quarter of its entries, yet no sampled trajectory moved with it:
+    r^4, with `work` (free once the sum is done) holding r^4 from
+    `np.square`.  That is about four times faster on a 20 x 3000 block
+    than `r2**3` (the power ufunc), and moves the last bit of about a
+    quarter of its entries, yet no sampled trajectory moved with it:
     every CSV and summary.json of the default runs, of fig3 and fig7-nand
     on kmc and of a 400-atom fig4 stayed byte-identical."""
     coords = network.positions.T
@@ -197,10 +201,11 @@ def pair_energies(network: AtomNetwork, atoms: np.ndarray,
         np.subtract(coords[c], coords[c, atoms][:, None], out=d)
         np.square(d, out=d)
         r2 += d
-    np.multiply(r2, r2, out=d)
+    np.square(r2, out=d)
     r2 *= d
+    c6 = network.c6 if sign is None else network.c6 * sign[:, None]
     with np.errstate(divide="ignore"):
-        np.divide(network.c6, r2, out=r2)
+        np.divide(c6, r2, out=r2)
     r2[np.arange(atoms.size), atoms] = 0.0
     return r2
 

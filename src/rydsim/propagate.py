@@ -124,6 +124,19 @@ TOL = 2.0 ** -53
 # the 1e-12 to which the tests compare states.  A span is halved while it
 # grows more; in the default runs it grows at most 28-fold.
 GROWTH = 2.0 ** 10
+# Largest term of a span's series against x: the terms, and the rho^k of
+# their weights, grow as rho^k, and past 2^1024 they leave the float range
+# whatever their coefficients (where |c_k| has rounded to 0, a weight
+# would be inf x 0).  2^1000 leaves 2^24 for x's own size and the
+# recurrence's doubling.  A span whose terms would pass it is halved.
+TERM_GROWTH = 2.0 ** 1000
+# Largest Bessel table of a span, in bytes: (record times) x (terms)
+# doubles.  A span past it is halved, and each new span pays again the
+# ~12 z^(1/3) + 40 terms past z = tau f that its series takes to converge.
+# At 200 record times 2^23 bytes hold ~5200 terms (z ~ 5000), where one
+# halving adds ~200 terms, 4% of the span's products; the default runs'
+# largest table, 200 x 692 doubles (1.1 MB), stays whole.
+TABLE_BYTES = 2 ** 23
 # Largest residuals allowed: at a record time (the thresholds of
 # `validate`), and of a segment's generator, whose population column sums
 # change the norm at most that fast.  The default runs' largest column sum
@@ -188,7 +201,8 @@ class _Series:
     def coefficients(self, taus: np.ndarray):
         """A span's coefficient rows at its taus (ascending, its end last)
         and the terms each record needs, or None where it grows past
-        GROWTH.  At the end, z = tau f, the Bessel asymptotics give the
+        GROWTH, its terms past TERM_GROWTH or its table past TABLE_BYTES.
+        At the end, z = tau f, the Bessel asymptotics give the
         terms, z + 12 z^(1/3) + 40 (imaginary axis) or 9 sqrt(z) + 24
         (real), doubled until the weights of the 32 past them fall below
         TOL.  Each record keeps the terms until the rest of its weights
@@ -197,6 +211,9 @@ class _Series:
         terms = int(9 * z ** 0.5 + 24 if self.real
                     else z + 12 * z ** (1 / 3) + 40)
         while True:
+            if (taus.size * (terms + 32) * 8 > TABLE_BYTES
+                    or (terms + 32) * np.log(self.rho) > np.log(TERM_GROWTH)):
+                return None
             table = _bessel(taus * self.f, self.real, terms + 32)
             end = self.weights(table[-1:], taus[-1:])[0]
             if not end.sum() * np.exp(self.hi * taus[-1]) <= GROWTH:
@@ -316,6 +333,8 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
                                 f"growth within {GROWTH:g}")
                 continue
             pops, x, used = series.span(a, x, *fit, populations)
+            # the table goes before the next span's is built
+            del fit
             products, spans = products + used, spans + 1
             if inside:
                 record(times[rec:rec + inside], pops[:inside])

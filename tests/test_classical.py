@@ -440,7 +440,10 @@ class TestDraw:
 
     @staticmethod
     def draw(rates, u):
-        return classical._draw(np.array(rates, dtype=float), GivenU(u))
+        # read-only, so a draw that wrote its rates would raise
+        rates = np.array(rates, dtype=float)
+        rates.setflags(write=False)
+        return classical._draw(rates, GivenU(u))
 
     @staticmethod
     def block_ends(rates):
@@ -460,6 +463,18 @@ class TestDraw:
         expect = (flat >= (frac * flat[:, -1])[:, None]).argmax(axis=1)
         atoms = self.draw(rates, lambda total: frac * total)
         np.testing.assert_array_equal(atoms, expect)
+
+    @pytest.mark.parametrize("n", [6, 64])
+    def test_flat_search_reads_its_rates_only(self, n):
+        # a row of at most DRAW_BLOCK atoms takes the first atom whose
+        # cumulative rate reaches u, with the sums in scratch of its own
+        rng = np.random.default_rng(n)
+        rates = rng.exponential(size=(50, n))
+        frac = rng.random(50)
+        flat = np.cumsum(rates, axis=1)
+        expect = (flat >= (frac * flat[:, -1])[:, None]).argmax(axis=1)
+        np.testing.assert_array_equal(
+            self.draw(rates, lambda total: frac * total), expect)
 
     def test_block_end_picks_its_last_atom_with_a_positive_rate(self):
         # u at block 0's and block 1's cumulative ends, and at the total
@@ -627,15 +642,17 @@ class TestLockstepPinned:
 
     @pytest.mark.parametrize(
         "site_density, trajectories, bound_mib, block",
-        [(False, 30, 6, None), (True, 30, 10, None), (True, 2, 6, None),
+        [(False, 30, 3, None), (True, 30, 10, None), (True, 2, 6, None),
          (True, 30, 8, 3000 * 10)],
-        ids=["False-30-6", "True-30-10", "True-2-6", "True-30-8-3-blocks"])
+        ids=["False-30-3", "True-30-10", "True-2-6", "True-30-8-3-blocks"])
     def test_full_scale_gas_peak_memory(self, monkeypatch, site_density,
                                         trajectories, bound_mib, block):
         # fig4's sampler at 3000 atoms: its per-site sums alone are
         # 200 x 3000 doubles (4.6 MiB).  At 2 trajectories they are nearly
         # all of its memory, so one copy of them shows; in three blocks of
-        # 10 trajectories, so does a second copy.
+        # 10 trajectories, so does a second copy.  Without them, 30
+        # trajectories hold three (30, 3000) float tables (rates, pair
+        # energies, mismatches: 2.1 MiB), so a fourth shows.
         if block:
             monkeypatch.setattr(classical, "BLOCK_ELEMENTS", block)
         dev, _ = build_gas_switch(7)

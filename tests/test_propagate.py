@@ -2,6 +2,7 @@ import ast
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,60 @@ def test_span_too_short_to_halve_is_refused():
         prop.propagate(start(), lambda key: (to_record(g), rects[key]),
                        [(0.0, 1.0, "kept"), (1.0, 2.0, "nan")], "test",
                        RuntimeError)
+
+
+def normal_exp(lo, hi, b, t, x):
+    """exp(t G) x for G = normal_generator(lo, hi, b, x.size), in closed
+    form: e^{t hi}, e^{t lo}, and rotations by t b scaled by e^{t c}."""
+    c, cos, sin = (lo + hi) / 2, np.cos(t * b), np.sin(t * b)
+    return block_diag([[np.exp(t * hi)]], [[np.exp(t * lo)]],
+                      *[np.exp(t * c) * np.array([[cos, sin], [-sin, cos]])]
+                      * (x.size // 2 - 1)) @ x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_long_segment_is_halved_to_keep_its_tables_in_budget():
+    # a rotation at rate b = 20 over t = 400 (z = 8000, rho = 1): as one
+    # span its table would hold 199 x ~8300 doubles (13 MB), past
+    # TABLE_BYTES, so the segment runs as two spans of ~100 x 4300
+    g = normal_generator(0.0, 0.0, 20.0)
+    x = np.random.default_rng(14).uniform(size=16)
+    x[0] = 1.0
+    tracemalloc.start()
+    try:
+        ts = prop.propagate(x, lambda g: (to_record(g), bendixson(g)),
+                            [(0.0, 400.0, sp.csr_matrix(g))], "test",
+                            RuntimeError, populations=slice(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.metadata["spans"] == 2
+    # one ~3.4 MB table and its weights at a time (4.4 MiB): the first
+    # span's table held while the second's is built would pass the bound
+    assert peak <= 6 * 2**20
+    np.testing.assert_allclose(ts.final_state,
+                               normal_exp(0.0, 0.0, 20.0, 400.0, x),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_long_span_keeps_its_terms_in_the_float_range():
+    # rho = 1.196 over t = 1000 (z = 10 000): the terms grow as rho^k and
+    # leave the float range past k ~ 3900, while the coefficients, rounded
+    # to 0 there, keep their weighted growth at ~2.  Spans are halved
+    # until rho^k stays within TERM_GROWTH, so neither a term nor a
+    # weight overflows, and no inf x 0 makes a NaN.
+    lo, b, t_end = -3.6, 10.0, 1000.0
+    g = normal_generator(lo, 0.0, b)
+    x = np.random.default_rng(15).uniform(size=16)
+    x[0] = 1.0
+    ts = prop.propagate(x, lambda g: (to_record(g), bendixson(g)),
+                        [(0.0, t_end, sp.csr_matrix(g))], "test",
+                        RuntimeError, populations=slice(0, 1))
+    assert ts.metadata["spans"] > 4
+    np.testing.assert_allclose(ts.final_state,
+                               normal_exp(lo, 0.0, b, t_end, x),
+                               rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical-exact"])
