@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits, pair_energies)
-from .propagate import CSR, propagate
+from .model import (AtomNetwork, Configuration, DetuningSchedule, InputError,
+                    SimParams, basis_bits, pair_energies)
+from .propagate import CSR, IntegrationError, propagate
 from .timeseries import TimeSeries
 
 # Most atoms of the exact engine.  A span's record sums take
@@ -29,10 +29,6 @@ BLOCK_ELEMENTS = 2 ** 20
 # Atoms per block of the sampler's two-level draw (see `_draw`): a row of
 # at most this many atoms is searched flat.
 DRAW_BLOCK = 64
-
-
-class ClassicalEngineError(ValueError):
-    pass
 
 
 def _rates(mismatch: np.ndarray, bits, params: SimParams, out=None):
@@ -61,11 +57,10 @@ def classical_generator(network: AtomNetwork, params: SimParams,
     skew-Hermitian parts are d_s -+ sum_k |in + out| / 2 and
     sum_k |in - out| / 2."""
     if params.gamma <= 0:
-        raise ClassicalEngineError("classical rates require gamma > 0")
+        raise InputError("classical rates require gamma > 0")
     n = network.n_atoms
     if n > GENERATOR_CAP:
-        raise ClassicalEngineError(
-            f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
+        raise InputError(f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
     det = network.static_detunings if detunings is None else np.asarray(detunings, float)
     bits = basis_bits(n)
     v = network.interaction_matrix()
@@ -95,18 +90,17 @@ def evolve_classical_exact(network: AtomNetwork, params: SimParams,
     time."""
     n = network.n_atoms
     if len(initial) != n:
-        raise ClassicalEngineError("initial configuration length mismatch")
+        raise InputError("initial configuration length mismatch")
     # refused before the 2^N vector is made, not by classical_generator
     # after it
     if n > GENERATOR_CAP:
-        raise ClassicalEngineError(
-            f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
+        raise InputError(f"N={n} exceeds exact-propagator cap {GENERATOR_CAP}")
     p = np.zeros(1 << n)
     p[initial.to_index()] = 1.0
     return propagate(
         p, lambda det: classical_generator(network, params, det),
         schedule.segments(t_end, network.static_detunings),
-        "classical-exact", ClassicalEngineError, output_sites)
+        "classical-exact", output_sites)
 
 
 class NeighborTable:
@@ -119,7 +113,7 @@ class NeighborTable:
 
     def __init__(self, network: AtomNetwork, interaction_floor: float):
         if interaction_floor <= 0:
-            raise ClassicalEngineError("interaction_floor must be positive")
+            raise InputError("interaction_floor must be positive")
         self.interaction_floor = float(interaction_floor)
         self.cutoff = (network.c6 / interaction_floor) ** (1.0 / 6.0)
         v = network.interaction_matrix()
@@ -152,7 +146,7 @@ class Trajectory:
         last = 0.0
         for t, _, _ in self.events:
             if t <= last:
-                raise ClassicalEngineError("event times must be increasing")
+                raise InputError("event times must be increasing")
             last = t
 
 
@@ -160,7 +154,7 @@ def _waits(rates: np.ndarray, rng) -> np.ndarray:
     """Exponential waiting times at the total rate of each row."""
     total = rates.sum(axis=1)
     if not np.all(total > 0):
-        raise ClassicalEngineError("total rate vanished; omega must be > 0")
+        raise IntegrationError("total rate vanished; omega must be > 0")
     return rng.standard_exponential(total.size) * (1.0 / total)
 
 
@@ -255,10 +249,10 @@ def _lockstep_block(network: AtomNetwork, params: SimParams,
     `log` collects (time, atom, new_bit) of every event.
     """
     if params.gamma <= 0:
-        raise ClassicalEngineError("Gillespie sampling requires gamma > 0")
+        raise InputError("Gillespie sampling requires gamma > 0")
     n = network.n_atoms
     if len(config0) != n:
-        raise ClassicalEngineError("configuration length mismatch")
+        raise InputError("configuration length mismatch")
     bits0 = config0.as_array()
     pairs0 = pair_energies(network, np.flatnonzero(bits0)).sum(axis=0)
     bits, mism = np.tile(bits0 > 0, (m, 1)), np.tile(pairs0, (m, 1))
@@ -364,7 +358,7 @@ def ensemble_average(trajectories, times: np.ndarray, output_sites,
     with the standard error of the output count."""
     trajectories = list(trajectories)
     if not trajectories:
-        raise ClassicalEngineError("empty trajectory ensemble")
+        raise InputError("empty trajectory ensemble")
     times = np.asarray(times, dtype=float)
     out_mask = np.zeros(n_atoms, dtype=bool)
     sites = np.asarray(list(output_sites), dtype=int)
@@ -375,7 +369,7 @@ def ensemble_average(trajectories, times: np.ndarray, output_sites,
     no_sq = np.zeros(times.size)
     for traj in trajectories:
         if traj.t_end < times[-1]:
-            raise ClassicalEngineError("trajectory shorter than time grid")
+            raise InputError("trajectory shorter than time grid")
         bits = traj.initial.as_array()
         no_traj = np.empty(times.size)
         gi = 0
@@ -413,13 +407,13 @@ def gillespie_ensemble(network: AtomNetwork, params: SimParams,
     blocks, the event steps and the events per trajectory (mean and max).
     """
     if n_trajectories < 1:
-        raise ClassicalEngineError("empty trajectory ensemble")
+        raise InputError("empty trajectory ensemble")
     times = np.asarray(times, dtype=float)
     # an event is filed at the first record time after it, which only an
     # increasing grid from t >= 0 on gives
     if (times.ndim != 1 or not times.size or not times[0] >= 0
             or not np.all(times[1:] > times[:-1])):
-        raise ClassicalEngineError(
+        raise InputError(
             "record times must be strictly increasing from t >= 0")
     n = network.n_atoms
     sites = np.asarray(list(output_sites), dtype=int)

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS, ExperimentError,
-                          run_experiment)
+from .experiments import ENGINES, EXPERIMENTS, FLAGS, KEYS, run_experiment
 from . import classical, quantum  # after experiments: 0.5 MB less peak RSS
-from .model import AtomNetwork, Configuration, SimParams
+from .model import AtomNetwork, Configuration, InputError, SimParams
 from .timeseries import write_csv
 
 
@@ -36,12 +35,12 @@ def _load_config(target: str, flags: dict) -> dict:
         try:  # decoding errors are ValueErrors too
             data = json.loads(Path(target).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
-            raise ExperimentError(f"{target!r} is neither a known experiment "
-                                  f"nor a readable JSON file ({exc})") from None
+            raise InputError(f"{target!r} is neither a known experiment "
+                             f"nor a readable JSON file ({exc})") from None
         if isinstance(data, dict) and "config" in data:  # replay a summary
             data = data["config"]
         if not isinstance(data, dict):
-            raise ExperimentError(f"{target}: config is not a JSON object")
+            raise InputError(f"{target}: config is not a JSON object")
     return {**data, **{k: v for k, v in flags.items() if v is not None}}
 
 
@@ -86,7 +85,7 @@ def cmd_run(args) -> int:
     # refused before anything runs (run_experiment checks the name)
     if (scan_only and isinstance(name, str) and name in EXPERIMENTS
             and not EXPERIMENTS[name][3]):
-        raise ExperimentError(f"experiment {name!r} has no scan output")
+        raise InputError(f"experiment {name!r} has no scan output")
     result = run_experiment(config)
     out_dir = Path(args.out) / result["config"]["experiment"]
     for path in _write_results(result, out_dir, scan_only):
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExperimentError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

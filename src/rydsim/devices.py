@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    facilitation_detuning, facilitation_radius)
+from .model import (AtomNetwork, Configuration, DetuningSchedule, InputError,
+                    SimParams, facilitation_detuning, facilitation_radius)
 
 # Chain devices: dimensionless units, facilitation distance 1.
 C6 = 10.0
@@ -29,10 +29,6 @@ GAS_N_ATOMS = 3000
 GAS_D_MIN = 0.1
 
 
-class DeviceError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DeviceInstance:
     """What the engines and runners read of a device: how to run it (engine,
@@ -46,10 +42,10 @@ class DeviceInstance:
 
     def __post_init__(self):
         if not self.output_sites:
-            raise DeviceError("output_sites must be nonempty")
+            raise InputError("output_sites must be nonempty")
         excited = {i for i, b in enumerate(self.initial.bits) if b}
         if excited & set(self.output_sites):
-            raise DeviceError("output sites overlap initially excited inputs")
+            raise InputError("output sites overlap initially excited inputs")
 
 
 def _chain(gaps, detunings, output_sites, name: str, c6=C6) -> DeviceInstance:
@@ -73,28 +69,21 @@ def build_transport_chain(n_atoms: int = 6, c6: float = C6) -> DeviceInstance:
                   (n_atoms - 1,), "transport-chain", c6)
 
 
-def gas_scale(n_atoms: int, error) -> float:
-    """Length scale of an n_atoms gas against the full-scale 3000 atoms,
-    which keeps the gas density.  Raises `error` where the shrunk gate is
-    too narrow to block direct input-to-output facilitation (no wider than
-    GAS_R_F: below 336 atoms)."""
-    scale = (n_atoms / GAS_N_ATOMS) ** (1.0 / 3.0)
-    if GAS_REGION_LENGTHS[1] * scale <= GAS_R_F:
-        raise error(f"n_atoms {n_atoms} is too few for the gas switch: its "
-                    "gate region is narrower than the facilitation radius")
-    return scale
-
-
 def build_gas_switch(seed: int, n_atoms: int = GAS_N_ATOMS
                      ) -> tuple[DeviceInstance, DeviceInstance]:
     """Cylindrical-gas switch with input/gate/output detuning regions: its
     on and off devices, in one gas sampled once from `seed`.
 
     For n_atoms below the full-scale 3000 the geometry is shrunk uniformly
-    so the gas density is preserved; a gate narrower than the facilitation
-    radius is refused before a gas is sampled.
+    so the gas density is preserved.  A gate too narrow to block direct
+    input-to-output facilitation (no wider than GAS_R_F: below 336 atoms)
+    is refused before a gas is sampled.
     """
-    scale = gas_scale(n_atoms, DeviceError)
+    scale = (n_atoms / GAS_N_ATOMS) ** (1.0 / 3.0)
+    if GAS_REGION_LENGTHS[1] * scale <= GAS_R_F:
+        raise InputError(f"n_atoms {n_atoms} is too few for the gas switch: "
+                         "its gate region is narrower than the facilitation "
+                         "radius")
     lengths = tuple(l * scale for l in GAS_REGION_LENGTHS)
     spec = geometry.CylinderSpec(length=sum(lengths),
                                  radius=GAS_RADIUS * scale,
@@ -118,9 +107,9 @@ def build_diode(direction: str, delta_g: float = 2 * DELTA_F) -> DeviceInstance:
     """Six-atom diode: a gate atom whose off-spacing gap r_g satisfies the
     facilitation condition only when approached from the input side."""
     if delta_g >= 0:
-        raise DeviceError("gate detuning must be negative")
+        raise InputError("gate detuning must be negative")
     if direction not in ("forward", "reverse"):
-        raise DeviceError(f"unknown direction {direction!r}")
+        raise InputError(f"unknown direction {direction!r}")
     gaps = [R_F] * 5
     # r_g on the gate's input side going forward, its output side in reverse
     gaps[1 if direction == "forward" else 2] = facilitation_radius(delta_g, C6)
@@ -134,7 +123,7 @@ def _and_atoms(input_bits, gate: str):
     input-input interaction is negligible (~0.04 |Delta_f|)."""
     bits = tuple(int(b) for b in input_bits)
     if len(bits) != 2:
-        raise DeviceError(f"{gate} gate takes two input bits")
+        raise InputError(f"{gate} gate takes two input bits")
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     positions = [[R_F * c, R_F * s, 0.0], [R_F * c, -R_F * s, 0.0],
                  [0.0, 0.0, 0.0]]

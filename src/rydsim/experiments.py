@@ -18,15 +18,11 @@ import numpy as np
 from . import classical
 from .devices import (DELTA_F, GAS_PARAMS, DeviceInstance, build_and_gate,
                       build_diode, build_gas_switch, build_nand_gate,
-                      build_switch_chain, build_transport_chain, gas_scale)
-from .model import SimParams
+                      build_switch_chain, build_transport_chain)
+from .model import InputError, SimParams
 from .propagate import RECORD_POINTS
 from .quantum import evolve_quantum
 from .timeseries import TimeSeries, config_hash
-
-class ExperimentError(ValueError):
-    pass
-
 
 # Logic readout: an output count above this reads as bit 1.
 THRESHOLD = 0.5
@@ -65,18 +61,18 @@ def make_config(name: str, /, **overrides) -> dict:
     it, and no classical engine (appB's included) at a gamma of 0.  Given
     its own output, it returns an equal dict."""
     if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ExperimentError(f"unknown experiment {name!r}; choose from "
-                              f"{sorted(EXPERIMENTS)}")
+        raise InputError(f"unknown experiment {name!r}; choose from "
+                         f"{sorted(EXPERIMENTS)}")
     _, defaults, optional, _ = EXPERIMENTS[name]
     if "engine" in overrides and overrides["engine"] not in ENGINES:
-        raise ExperimentError(f"unknown engine {overrides['engine']!r}; "
-                              f"choose from {list(ENGINES)}")
+        raise InputError(f"unknown engine {overrides['engine']!r}; "
+                         f"choose from {list(ENGINES)}")
     config = {"experiment": name, **defaults}
     unread = set(overrides) - set(config) - set(optional)
     if overrides.get("engine") != "kmc":
         unread |= set(overrides) & set(SAMPLING[1:]) - set(config)
     if unread:
-        raise ExperimentError(f"{name} does not read {sorted(unread)}")
+        raise InputError(f"{name} does not read {sorted(unread)}")
     for key, value in overrides.items():
         if key != "engine":
             _check_value(key, value)
@@ -86,8 +82,8 @@ def make_config(name: str, /, **overrides) -> dict:
     engine = "classical-exact" if name == "appB" else config.get("engine")
     if (engine in ENGINES[1:]
             and 0 in config.get("gammas", [config.get("gamma")])):
-        raise ExperimentError(f"{name} runs gamma = 0, which the {engine} "
-                              "engine does not take (it needs gamma > 0)")
+        raise InputError(f"{name} runs gamma = 0, which the {engine} "
+                         "engine does not take (it needs gamma > 0)")
     return config
 
 
@@ -102,14 +98,14 @@ def _check_value(key: str, value) -> None:
             and -np.inf < item < np.inf for item in items):
         what = ("a list of finite numbers" if is_list else
                 "a finite integer" if kind is int else "a finite number")
-        raise ExperimentError(f"{key} must be {what}, got {value!r}")
+        raise InputError(f"{key} must be {what}, got {value!r}")
     if bound and any(item < 0 or (bound == "positive" and item == 0)
                      for item in items):
-        raise ExperimentError(f"{key} must be {bound}, got {value!r}")
+        raise InputError(f"{key} must be {bound}, got {value!r}")
     names = [f"{item + 0.0:g}" for item in items]
     if not names or len(set(names)) < len(names):
-        raise ExperimentError(f"{key} must not be empty or repeat an entry "
-                              f"to 6 significant digits, got {value!r}")
+        raise InputError(f"{key} must not be empty or repeat an entry "
+                         f"to 6 significant digits, got {value!r}")
 
 
 def _kmc_times(t_end: float) -> np.ndarray:
@@ -137,7 +133,7 @@ def run_device(device: DeviceInstance, params: SimParams, t_end: float,
             _kmc_times(t_end), device.output_sites, schedule=device.schedule,
             site_density=site_density)
     else:
-        raise ExperimentError(f"unknown engine {engine!r}")
+        raise InputError(f"unknown engine {engine!r}")
     ts.metadata["device"] = device.name
     return ts
 
@@ -154,7 +150,7 @@ def _run_all(jobs: dict) -> dict:
     over RYDSIM_THREADS worker processes (default: the CPU count)."""
     env = os.environ.get("RYDSIM_THREADS")
     if env and not (env.strip().isdecimal() and int(env) > 0):
-        raise ExperimentError(
+        raise InputError(
             f"RYDSIM_THREADS must be a positive integer, got {env!r}")
     # at most one worker per job: the pool forks all of them at once
     workers = min(int(env) if env else os.cpu_count() or 1, len(jobs))
@@ -169,18 +165,18 @@ def _run_all(jobs: dict) -> dict:
 def _work_times(config: dict) -> list:
     """The readout time of the chain switch and diode at each of the
     config's gammas (or its gamma); where the record grid (kmc's starts
-    after 0) misses one, an ExperimentError before anything runs."""
+    after 0) misses one, an InputError before anything runs."""
     t_end = config["t_end"]
     t_ws = [T_WORK_NOISY if gamma > 0 else T_WORK_IDEAL
             for gamma in config.get("gammas", [config.get("gamma")])]
     first = _kmc_times(t_end)[0] if config.get("engine") == "kmc" else 0.0
     if t_end < max(t_ws):
-        raise ExperimentError(f"t_end {t_end:g} is below the device work "
-                              f"time {max(t_ws):g}")
+        raise InputError(f"t_end {t_end:g} is below the device work "
+                         f"time {max(t_ws):g}")
     if first > min(t_ws):
-        raise ExperimentError(f"t_end {t_end:g} puts kmc's first record time "
-                              f"{first:g} after the device work time "
-                              f"{min(t_ws):g}")
+        raise InputError(f"t_end {t_end:g} puts kmc's first record time "
+                         f"{first:g} after the device work time "
+                         f"{min(t_ws):g}")
     return t_ws
 
 
@@ -205,11 +201,10 @@ def run_fig3(config: dict) -> dict:
 def run_fig4(config: dict) -> dict:
     """3D-gas switch: ensemble on/off output dynamics and plateau ratio."""
     n, seed = config["instances"], config["seed"]
-    # an undersized gas is refused before any job starts
-    gas_scale(config["n_atoms"], ExperimentError)
     # instance i samples its gas from seed + i, here, once for its on and
-    # off devices; each device is one kmc job, with trajectories from
-    # 1000 seed + i, so the pool has two runs per instance to spread.
+    # off devices (so an undersized gas is refused before any job starts);
+    # each device is one kmc job, with trajectories from 1000 seed + i, so
+    # the pool has two runs per instance to spread.
     # fig4 writes no per-site columns, so no run keeps them.
     runs = _run_all({(device.name, i): (
         device, GAS_PARAMS, config["t_end"],
@@ -331,19 +326,23 @@ def run_appC(config: dict) -> dict:
 
 
 def run_appD(config: dict) -> dict:
-    """Work-time study: time of maximal output density near resonance."""
+    """Work-time study: time of maximal output density near resonance,
+    read out on resonance (dg/df = 1) only; a scan without it, which
+    would read out nothing, is refused before anything runs."""
     name = "gamma_{:g}_dg_{:g}".format
+    read = [ratio for ratio in config["scan"] if np.isclose(ratio, 1.0)]
+    if not read:
+        raise InputError(f"appD reads out at dg/df = 1 only, which scan "
+                         f"{config['scan']} lacks")
     series = _run_all({name(gamma, ratio): (
         build_switch_chain(ratio * DELTA_F), _noisy_params(gamma),
         config["t_end"], {})
         for gamma in config["gammas"] for ratio in config["scan"]})
     rows = []
     for gamma in config["gammas"]:
-        for ratio in config["scan"]:
+        for ratio in read:  # the earliest record of the most N_o
             ts = series[name(gamma, ratio)]
-            if np.isclose(ratio, 1.0):  # the earliest record of the most N_o
-                rows.append((gamma,
-                             float(ts.times[np.argmax(ts.output_count)])))
+            rows.append((gamma, float(ts.times[np.argmax(ts.output_count)])))
     return {"scan_rows": rows, "series": series}
 
 

@@ -9,11 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .model import AtomNetwork
-
-
-class GeometryError(ValueError):
-    pass
+from .model import AtomNetwork, InputError
 
 
 class PackingError(RuntimeError):
@@ -32,7 +28,7 @@ class CylinderSpec:
 
     def __post_init__(self):
         if min(self.length, self.radius, self.d_min) <= 0 or self.n_atoms < 1:
-            raise GeometryError("cylinder parameters must be positive")
+            raise InputError("cylinder parameters must be positive")
         sphere_vol = self.n_atoms * (4.0 / 3.0) * np.pi * (self.d_min / 2) ** 3
         if sphere_vol >= 0.3 * np.pi * self.radius**2 * self.length:
             warnings.warn("cylinder packing fraction above 30%; sampling may "
@@ -102,7 +98,7 @@ def assign_regions(positions: np.ndarray, lengths, detunings) -> np.ndarray:
     An atom exactly on a cut belongs to the region on the right."""
     x = np.asarray(positions)[:, 0]
     if np.any(x < 0) or np.any(x > float(sum(lengths))):
-        raise GeometryError("position outside [0, L_x]")
+        raise InputError("position outside [0, L_x]")
     region = np.searchsorted(np.cumsum(lengths)[:-1], x, side="right")
     return np.array(detunings, dtype=float)[region]
 
@@ -111,7 +107,7 @@ def build_chain(spacings, detunings, c6: float) -> AtomNetwork:
     """Collinear chain along x with the given inter-atom gaps."""
     spacings = np.asarray(spacings, dtype=float)
     if np.any(spacings <= 0):
-        raise GeometryError("spacings must be positive")
+        raise InputError("spacings must be positive")
     x = np.concatenate([[0.0], np.cumsum(spacings)])
     positions = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
     return AtomNetwork(positions, np.asarray(detunings, dtype=float), c6)

@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 
-class ModelError(ValueError):
-    """Invalid physical model input."""
+class InputError(ValueError):
+    """A value passed in is refused: malformed input, not a failed run.
+    `rydsim.cli` exits 2 on it, and 1 on any other exception."""
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,21 @@ class AtomNetwork:
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ModelError("positions must be an (N, 3) array")
+            raise InputError("positions must be an (N, 3) array")
         det = np.asarray(self.static_detunings, dtype=float)
         if det.shape != (pos.shape[0],):
-            raise ModelError("static_detunings length must match positions")
+            raise InputError("static_detunings length must match positions")
         if pos.shape[0] < 1:
-            raise ModelError("need at least one atom")
+            raise InputError("need at least one atom")
         if self.c6 <= 0:
-            raise ModelError("c6 must be positive")
+            raise InputError("c6 must be positive")
         if not np.all(np.isfinite(pos)):
-            raise ModelError("positions must be finite")
+            raise InputError("positions must be finite")
         # a zero pairwise distance is a repeated row, which sorting puts
         # next to its copy
         rows = pos[np.lexsort(pos.T)]
         if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise ModelError("all pairwise distances must be positive")
+            raise InputError("all pairwise distances must be positive")
         # column-major, so that positions.T, the (3, N) coordinate rows
         # pair_energies reads, is contiguous
         pos = np.asfortranarray(pos)
@@ -81,11 +82,11 @@ class SimParams:
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.omega, self.gamma, self.kappa])):
-            raise ModelError("omega, gamma and kappa must be finite")
+            raise InputError("omega, gamma and kappa must be finite")
         if self.omega <= 0:
-            raise ModelError("omega must be positive")
+            raise InputError("omega must be positive")
         if self.gamma < 0 or self.kappa < 0:
-            raise ModelError("gamma and kappa must be non-negative")
+            raise InputError("gamma and kappa must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class Configuration:
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
-            raise ModelError("configuration bits must be 0 or 1")
+            raise InputError("configuration bits must be 0 or 1")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
     @classmethod
@@ -134,15 +135,15 @@ class DetuningSchedule:
         entries = []
         for t0, t1, atom, value in self.overrides:
             if not t0 < t1:
-                raise ModelError("schedule interval needs t_start < t_end")
+                raise InputError("schedule interval needs t_start < t_end")
             if int(atom) < 0:
-                raise ModelError(f"schedule atom {atom} is negative")
+                raise InputError(f"schedule atom {atom} is negative")
             entries.append((float(t0), float(t1), int(atom), float(value)))
         # by atom, then start: if any two overlap, some neighbours do
         entries.sort(key=lambda entry: (entry[2], entry[0]))
         for (_, s1, a, _), (t0, _, b, _) in zip(entries, entries[1:]):
             if a == b and t0 < s1:
-                raise ModelError(f"overlapping overrides for atom {a}")
+                raise InputError(f"overlapping overrides for atom {a}")
         object.__setattr__(self, "overrides", tuple(entries))
 
     def segments(self, t_end: float, static: np.ndarray) -> list:
@@ -151,7 +152,7 @@ class DetuningSchedule:
         overrides in force on it (an override holds from its start up to,
         not including, its end)."""
         if any(atom >= len(static) for _, _, atom, _ in self.overrides):
-            raise ModelError(f"schedule atom past the last of {len(static)}")
+            raise InputError(f"schedule atom past the last of {len(static)}")
         cuts = sorted({t for t0, t1, _, _ in self.overrides
                        for t in (t0, t1) if 0.0 < t < t_end})
         edges = [0.0, *cuts, t_end]
@@ -213,12 +214,12 @@ def pair_energies(network: AtomNetwork, atoms: np.ndarray,
 def facilitation_detuning(r_f: float, c6: float) -> float:
     """Detuning that puts a neighbor at distance r_f on resonance: -c6/r_f^6."""
     if r_f <= 0 or c6 <= 0:
-        raise ModelError("r_f and c6 must be positive")
+        raise InputError("r_f and c6 must be positive")
     return -c6 / r_f**6
 
 
 def facilitation_radius(delta_f: float, c6: float) -> float:
     """Distance at which detuning delta_f (< 0) is the facilitation detuning."""
     if delta_f >= 0 or c6 <= 0:
-        raise ModelError("delta_f must be negative and c6 positive")
+        raise InputError("delta_f must be negative and c6 positive")
     return (-c6 / delta_f) ** (1.0 / 6.0)

@@ -37,8 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import basis_bits
+from .model import InputError, basis_bits
 from .timeseries import TimeSeries
+
+
+class IntegrationError(RuntimeError):
+    """A failed run, not refused input: an exact engine's state or
+    generator broke an invariant past its `LIMITS` entry, or no span kept
+    its series within GROWTH; or the kmc sampler's total rate vanished."""
 
 
 def _load_sparsetools():
@@ -137,10 +143,12 @@ TERM_GROWTH = 2.0 ** 1000
 # halving adds ~200 terms, 4% of the span's products; the default runs'
 # largest table, 200 x 692 doubles (1.1 MB), stays whole.
 TABLE_BYTES = 2 ** 23
-# Largest residuals allowed: at a record time (the thresholds of
-# `validate`), and of a segment's generator, whose population column sums
-# change the norm at most that fast.  The default runs' largest column sum
-# is 3.5e-15 (classical generator; 3.5e-18 for the quantum one).
+# Largest residuals a run may reach before it fails: at a record time, and
+# of a segment's generator, whose population column sums change the norm
+# at most that fast.  `validate` holds appB's recorded residuals to
+# tighter bounds (drift and negativity < 1e-8, leak < 1e-12), so a run can
+# pass here and still fail there.  The default runs' largest column sum is
+# 3.5e-15 (classical generator; 3.5e-18 for the quantum one).
 LIMITS = {"norm_drift": 1e-6, "negativity": 1e-8, "trace_leak": 1e-10}
 # Terms built between two additions into the record sums.
 CHUNK = 8
@@ -261,8 +269,8 @@ class _Series:
         return pops, end, terms - 1
 
 
-def propagate(x: np.ndarray, build, segments, engine: str, error,
-              output_sites=(), populations=slice(None)) -> TimeSeries:
+def propagate(x: np.ndarray, build, segments, engine: str, output_sites=(),
+              populations=slice(None)) -> TimeSeries:
     """Advance x' = A x from t = 0 onto the RECORD_POINTS grid up to t_end,
     the end of the last of the `segments` (t0, t1, detunings) that tile
     [0, t_end] (`DetuningSchedule.segments`): the `engine`'s TimeSeries of
@@ -281,12 +289,12 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
     conserve their sum: its `trace_leak`, the largest column sum of
     A[populations], and the populations' normalisation drift and
     negativity at each record time must stay below their LIMITS entries,
-    or `error` is raised at the first time one does not; the largest of
-    each goes to the metadata.
+    or an IntegrationError names the first time one does not; the largest
+    of each goes to the metadata.
     """
     t_end = segments[-1][1]
     if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+        raise InputError(f"t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, RECORD_POINTS)
     worst, dens = {}, []
     counted = np.zeros(x.size)
@@ -294,13 +302,13 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
     bits = basis_bits(int(counted.sum()).bit_length() - 1)
 
     def check(at, **residuals):
-        """Raise `error` at the first of times `at` where a residual (an
-        array over `at`) is not below its limit; else keep the largest."""
+        """Fail at the first of times `at` where a residual (an array over
+        `at`) is not below its limit; else keep the largest."""
         ok = np.logical_and.reduce(
             [value < LIMITS[key] for key, value in residuals.items()])
         if not ok.all():
             i = int(np.argmin(ok))
-            raise error(f"at t={at[i]:.3f}: " + ", ".join(
+            raise IntegrationError(f"at t={at[i]:.3f}: " + ", ".join(
                 f"{key} {value[i]:.1e}" for key, value in residuals.items()))
         for key, value in residuals.items():
             worst[key] = max(worst.get(key, 0.0), float(value.max()))
@@ -329,8 +337,9 @@ def propagate(x: np.ndarray, build, segments, engine: str, error,
             if (fit := series.coefficients(taus)) is None:
                 stops.append(t + (stops[-1] - t) / 2)
                 if stops[-1] == t:
-                    raise error(f"at t={t:.3f}: no span keeps the series' "
-                                f"growth within {GROWTH:g}")
+                    raise IntegrationError(
+                        f"at t={t:.3f}: no span keeps the series' growth "
+                        f"within {GROWTH:g}")
                 continue
             pops, x, used = series.span(a, x, *fit, populations)
             # the table goes before the next span's is built

@@ -15,8 +15,8 @@ from math import isqrt
 
 import numpy as np
 
-from .model import (AtomNetwork, Configuration, DetuningSchedule, SimParams,
-                    basis_bits)
+from .model import (AtomNetwork, Configuration, DetuningSchedule, InputError,
+                    SimParams, basis_bits)
 from .propagate import CSR, propagate
 from .timeseries import TimeSeries
 
@@ -25,14 +25,6 @@ from .timeseries import TimeSeries
 # refused.  A span's record sums take RECORD_POINTS x 2^N doubles.
 ATOM_CAP = 10
 SQRT2 = np.sqrt(2.0)
-
-
-class CapacityError(ValueError):
-    """Too many atoms for the memory the engine may allocate."""
-
-
-class IntegrationError(RuntimeError):
-    """The state left the physical manifold (beyond `propagate.LIMITS`)."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +43,7 @@ class SparseHamiltonian:
 def _check_cap(n_atoms: int):
     """Raise before allocating for more than ATOM_CAP atoms."""
     if n_atoms > ATOM_CAP:
-        raise CapacityError(
-            f"N={n_atoms} exceeds quantum-engine cap {ATOM_CAP}")
+        raise InputError(f"N={n_atoms} exceeds quantum-engine cap {ATOM_CAP}")
 
 
 def build_hamiltonian(network: AtomNetwork, detunings: np.ndarray,
@@ -166,7 +157,7 @@ def lindblad_rhs(rho: np.ndarray, ham: SparseHamiltonian,
     any rho: its Hermitian parts h1 and h2 of rho = h1 + i h2 each go
     through the real Liouvillian."""
     if rho.shape != (ham.dim, ham.dim):
-        raise ValueError("rho shape does not match Hamiltonian dimension")
+        raise InputError("rho shape does not match Hamiltonian dimension")
     r, _ = liouvillian(ham, params)
     h1, h2 = (rho + rho.conj().T) / 2, (rho - rho.conj().T) / 2j
     return from_real(r @ to_real(h1)) + 1j * from_real(r @ to_real(h2))
@@ -191,7 +182,7 @@ def evolve_quantum(network: AtomNetwork, params: SimParams,
     n = network.n_atoms
     _check_cap(n)
     if len(initial) != n:
-        raise ValueError("initial configuration length mismatch")
+        raise InputError("initial configuration length mismatch")
     dim = 1 << n
     # to_real(|c><c|): rho[c, c] = 1 sits at the vec index c (2^N + 1)
     x = np.zeros(dim * dim)
@@ -199,4 +190,4 @@ def evolve_quantum(network: AtomNetwork, params: SimParams,
     return propagate(x, lambda det: liouvillian(
         build_hamiltonian(network, det, params.omega), params),
         schedule.segments(t_end, network.static_detunings), "quantum",
-        IntegrationError, output_sites, slice(None, None, dim + 1))
+        output_sites, slice(None, None, dim + 1))

@@ -9,9 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class TimeSeriesError(ValueError):
-    pass
+from .model import InputError
 
 
 def config_hash(config: dict) -> str:
@@ -50,11 +48,11 @@ class TimeSeries:
         self.site_density = np.atleast_2d(np.asarray(self.site_density, dtype=float))
         self.output_count = np.asarray(self.output_count, dtype=float)
         if self.site_density.shape[0] != self.times.size:
-            raise TimeSeriesError("site_density rows must match time grid")
+            raise InputError("site_density rows must match time grid")
         if self.output_count.shape != self.times.shape:
-            raise TimeSeriesError("output_count must match time grid")
+            raise InputError("output_count must match time grid")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
-            raise TimeSeriesError("times must be strictly increasing")
+            raise InputError("times must be strictly increasing")
 
     @property
     def n_sites(self) -> int:
@@ -63,7 +61,7 @@ class TimeSeries:
     def value_at(self, t: float) -> float:
         """Output count linearly interpolated at time t (t within range)."""
         if t < self.times[0] or t > self.times[-1]:
-            raise TimeSeriesError(f"t={t} outside recorded range")
+            raise InputError(f"t={t} outside recorded range")
         return float(np.interp(t, self.times, self.output_count))
 
     def resample(self, times: np.ndarray) -> "TimeSeries":

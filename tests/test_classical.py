@@ -6,17 +6,16 @@ import pytest
 import scipy.sparse as sp
 
 from rydsim import classical
-from rydsim.classical import (ClassicalEngineError, NeighborTable, Trajectory,
-                              classical_generator, ensemble_average,
-                              evolve_classical_exact, gillespie_ensemble,
-                              gillespie_run)
+from rydsim.classical import (NeighborTable, Trajectory, classical_generator,
+                              ensemble_average, evolve_classical_exact,
+                              gillespie_ensemble, gillespie_run)
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS,
                             GAS_R_F, build_gas_switch, build_nand_gate,
                             build_switch_chain, build_transport_chain)
 from rydsim.geometry import build_chain
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
-                          SimParams, basis_bits, pair_energies)
-from rydsim.propagate import CSR, propagate
+                          InputError, SimParams, basis_bits, pair_energies)
+from rydsim.propagate import CSR, IntegrationError, propagate
 from records import to_record, to_scipy
 from test_acceptance import run_check
 
@@ -58,7 +57,7 @@ class TestTransitionRate:
             assert 0 < rate <= cap + 1e-12
 
     def test_gamma_zero_rejected(self):
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="require gamma > 0"):
             transition_rate(0, Configuration((0,)), single_atom(),
                             SimParams(1.0, 0.0, 0.0))
 
@@ -139,7 +138,7 @@ class TestClassicalGenerator:
         n = 15
         pos = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
         net = AtomNetwork(pos, np.zeros(n), 10.0)
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="N=15 exceeds exact-propagator"):
             classical_generator(net, SimParams(1.0, 1.0, 0.0))
 
 
@@ -165,13 +164,13 @@ class TestEvolveClassicalExact:
         pair = classical_generator(single_atom(), SimParams(1.0, 1.0, 0.0))
         for p0, residual in (([0.7, 0.0], "norm_drift"),
                              ([1.2, -0.2], "negativity")):
-            with pytest.raises(ClassicalEngineError,
+            with pytest.raises(IntegrationError,
                                match=f"at t=0.000: .*{residual}"):
                 propagate(np.array(p0), lambda det: pair, [(0.0, 1.0, None)],
-                          "classical-exact", ClassicalEngineError)
+                          "classical-exact")
 
     def test_rejects_configuration_of_other_length(self):
-        with pytest.raises(ClassicalEngineError, match="length mismatch"):
+        with pytest.raises(InputError, match="length mismatch"):
             evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.0),
                                    Configuration((0, 0)), 1.0)
 
@@ -179,7 +178,7 @@ class TestEvolveClassicalExact:
         # 2^40 doubles would take 8 TiB: the cap is checked before any
         # such allocation
         dev = build_transport_chain(40)
-        with pytest.raises(ClassicalEngineError, match="exceeds"):
+        with pytest.raises(InputError, match="exceeds"):
             evolve_classical_exact(dev.network, SimParams(1.0, 1.0, 0.0),
                                    dev.initial, 1.0)
 
@@ -188,11 +187,10 @@ class TestEvolveClassicalExact:
         # check also catches a leak far too slow for the norm drift to reveal
         for loss in (0.5, 1e-6):
             leak = to_record([[-1.0, 0.0], [1.0 - loss, 0.0]])
-            with pytest.raises(ClassicalEngineError, match="trace_leak"):
+            with pytest.raises(IntegrationError, match="trace_leak"):
                 propagate(np.array([1.0, 0.0]),
                           lambda det: (leak, (-1.5, 0.5, 0.5)),
-                          [(0.0, 1.0, None)], "classical-exact",
-                          ClassicalEngineError)
+                          [(0.0, 1.0, None)], "classical-exact")
 
     def test_residuals_in_metadata(self):
         ts = evolve_classical_exact(single_atom(), SimParams(1.0, 1.0, 0.1),
@@ -228,7 +226,7 @@ class TestNeighborTable:
         assert table.cutoff == pytest.approx(1.0)
 
     def test_rejects_bad_floor(self):
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="floor must be positive"):
             NeighborTable(single_atom(), interaction_floor=0.0)
 
     def test_cutoff_rates_match_full_sum(self):
@@ -295,8 +293,16 @@ class TestGillespie:
         assert t1.events == t2.events
 
     def test_gamma_zero_rejected(self):
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="requires gamma > 0"):
             gillespie_run(single_atom(), SimParams(1.0, 0.0, 0.0),
+                          Configuration((0,)), 1.0, seed=0)
+
+    def test_vanished_total_rate_fails_the_run(self):
+        # a detuning whose square overflows leaves every flip at rate 0:
+        # the sampler cannot draw a wait, and the run fails
+        with np.errstate(over="ignore"), pytest.raises(
+                IntegrationError, match="total rate vanished"):
+            gillespie_run(single_atom(1e200), SimParams(1.0, 1.0, 0.0),
                           Configuration((0,)), 1.0, seed=0)
 
     def test_schedule_changes_rates(self):
@@ -414,7 +420,7 @@ class TestGillespieEnsemble:
     def test_refuses_bad_record_times(self, times):
         # each event is filed at the first record time after it, which
         # only an increasing grid from t >= 0 gives
-        with pytest.raises(ClassicalEngineError, match="strictly increasing"):
+        with pytest.raises(InputError, match="strictly increasing"):
             gillespie_ensemble(self.net, self.params, self.config0, 10, 0,
                                np.array(times), output_sites=(2,))
 
@@ -539,12 +545,12 @@ class TestEnsembleAverage:
         assert mean_err[120] / mean_err[480] == pytest.approx(2.0, rel=0.2)
 
     def test_empty_ensemble_rejected(self):
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="empty trajectory ensemble"):
             ensemble_average([], np.array([1.0]), (0,), 1)
 
 
 def test_trajectory_rejects_decreasing_times():
-    with pytest.raises(ClassicalEngineError):
+    with pytest.raises(InputError, match="times must be increasing"):
         Trajectory(Configuration((0,)), [(1.0, 0, 1), (0.5, 0, 0)], 2.0)
 
 

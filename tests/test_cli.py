@@ -13,7 +13,8 @@ from rydsim.cli import build_parser, main, run_validation
 from rydsim.devices import GAS_PARAMS, build_transport_chain
 from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
                                 make_config, run_experiment)
-from rydsim.model import SimParams
+from rydsim.model import InputError, SimParams
+from rydsim.propagate import IntegrationError
 from rydsim.timeseries import TimeSeries
 from records import to_record, to_scipy
 from test_timeseries import per_value_csv
@@ -26,7 +27,13 @@ NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "unknown-engine", "unknown-engine-seed", "list-experiment",
                 "name-key",
                 "null-gamma", "null-scan", "null-engine",
-                "directory-target", "undecodable-target", "gas-too-small")
+                "directory-target", "undecodable-target", "gas-too-small",
+                "diode-gate-not-negative", "diode-gap-overflow",
+                "appD-scan-off-resonance")
+# what the builders and runners refuse, by the message they refuse it with
+REFUSALS = {"diode-gate-not-negative": "gate detuning must be negative",
+            "diode-gap-overflow": "spacings must be positive",
+            "appD-scan-off-resonance": "appD reads out at dg/df = 1 only"}
 
 
 def no_jobs(jobs):
@@ -290,6 +297,21 @@ class TestRun:
             # facilitation radius
             cfg_path.write_text(json.dumps(make_config(
                 "fig4", n_atoms=300, instances=1, trajectories=2, t_end=5.0)))
+        elif case == "diode-gate-not-negative":
+            # dg/df = -1 puts the gate at +10, which no diode takes
+            cfg_path.write_text(json.dumps({"experiment": "appE",
+                                            "gammas": [1.0], "scan": [-1.0]}))
+        elif case == "diode-gap-overflow":
+            # dg = -inf: the gate's gap r_g comes out 0
+            cfg_path.write_text(json.dumps({"experiment": "fig5c",
+                                            "gammas": [1.0],
+                                            "delta_g_ratio": 1e308}))
+        elif case == "appD-scan-off-resonance":
+            # appD reads out dg/df = 1 alone: this scan would write a
+            # scan.csv of its header only
+            cfg_path.write_text(json.dumps({"experiment": "appD",
+                                            "gammas": [1.0],
+                                            "scan": [0.8, 0.9]}))
         else:
             cfg_path.write_text(json.dumps({**make_config(
                 "fig4", n_atoms=400, trajectories=2, t_end=5.0),
@@ -299,6 +321,8 @@ class TestRun:
         assert err.startswith("error:") and "engine failure" not in err
         if case.startswith("unknown-engine"):
             assert err.startswith("error: unknown engine 'qutip'")
+        if case in REFUSALS:
+            assert REFUSALS[case] in err
         if case.endswith("-threads"):
             assert err == ("error: RYDSIM_THREADS must be a positive integer,"
                            f" got {threads[case[:-8]]!r}\n")
@@ -426,6 +450,28 @@ class TestRun:
                 assert np.array_equal(getattr(ts, name),
                                       getattr(other, name))
             assert ts.metadata == other.metadata
+
+    @pytest.mark.parametrize("error, code, err", [
+        (InputError("refused in a worker"), 2,
+         "error: refused in a worker\n"),
+        (IntegrationError("failed in a worker"), 1,
+         "engine failure: IntegrationError: failed in a worker\n")],
+        ids=["input", "integration"])
+    def test_error_type_survives_the_pool(self, tmp_path, capsys,
+                                          monkeypatch, error, code, err):
+        # the two workers fork with this run_device, so each job raises in
+        # a worker, and the error comes back through the pool as its type:
+        # that type alone decides the exit code
+        monkeypatch.setenv("RYDSIM_THREADS", "2")
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("a job ran in the parent")
+            raise error
+        monkeypatch.setattr(experiments, "run_device", failing)
+        assert main(["run", "fig7-and", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == err
 
     def test_pool_starts_at_most_one_worker_per_job(self, monkeypatch):
         # a process pool forks all its workers at once, so no more are
@@ -720,17 +766,15 @@ class TestValidate:
 
 
 def test_run_experiment_rejects_unknown():
-    from rydsim.experiments import ExperimentError
-    with pytest.raises(ExperimentError):
+    with pytest.raises(InputError, match="unknown experiment 'nope'"):
         run_experiment({"experiment": "nope"})
 
 
 @pytest.mark.parametrize("scan", [[], [1.0, 1.0]], ids=["empty", "repeated"])
 def test_run_experiment_checks_its_config(monkeypatch, scan):
     # a config that did not come from make_config is checked all the same
-    from rydsim.experiments import ExperimentError
     monkeypatch.setattr(experiments, "_run_all", no_jobs)
-    with pytest.raises(ExperimentError, match="scan must not be empty"):
+    with pytest.raises(InputError, match="scan must not be empty"):
         run_experiment({**make_config("fig3"), "scan": scan})
 
 

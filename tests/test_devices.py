@@ -6,12 +6,13 @@ import pytest
 from rydsim import experiments, geometry
 from rydsim.classical import classical_generator
 from rydsim.devices import (DELTA_F, GAS_C6, GAS_DELTA_F, GAS_PARAMS, GAS_R_F,
-                            R_F, DeviceError, build_and_gate, build_diode,
+                            R_F, build_and_gate, build_diode,
                             build_gas_switch, build_nand_gate,
                             build_switch_chain, build_transport_chain)
 from rydsim.experiments import (T_WORK_IDEAL, T_WORK_NOISY, make_config,
                                 run_experiment)
-from rydsim.model import Configuration, SimParams, facilitation_radius
+from rydsim.model import (Configuration, InputError, SimParams,
+                          facilitation_radius)
 from rydsim.quantum import evolve_quantum
 from rydsim.timeseries import TimeSeries
 from records import to_scipy
@@ -98,9 +99,9 @@ class TestDiode:
             assert dev.initial.bits == (1, 0, 0, 0, 0, 0)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(DeviceError):
+        with pytest.raises(InputError, match="unknown direction 'sideways'"):
             build_diode("sideways")
-        with pytest.raises(DeviceError):
+        with pytest.raises(InputError, match="gate detuning must be negative"):
             build_diode("forward", delta_g=5.0)
 
 
@@ -131,7 +132,7 @@ class TestAndGate:
                                    atol=1e-10)
 
     def test_rejects_wrong_arity(self):
-        with pytest.raises(DeviceError):
+        with pytest.raises(InputError, match="AND gate takes two input bits"):
             build_and_gate((1, 0, 1))
 
 
@@ -220,7 +221,7 @@ class TestGasSwitch:
         def sample(*args, **kwargs):
             raise AssertionError("sampled a gas for a refused gate")
         monkeypatch.setattr(geometry, "sample_cylinder", sample)
-        with pytest.raises(DeviceError, match="narrower than the facilitation"):
+        with pytest.raises(InputError, match="narrower than the facilitation"):
             build_gas_switch(seed=0, n_atoms=2)
 
 
@@ -294,7 +295,7 @@ class TestReadout:
 
 def test_output_sites_must_not_overlap_excited_inputs():
     dev = build_switch_chain(DELTA_F)
-    with pytest.raises(DeviceError):
+    with pytest.raises(InputError, match="overlap initially excited inputs"):
         type(dev)(network=dev.network,
                   initial=Configuration((1, 0, 0, 0, 0, 0)),
                   output_sites=(0, 1))

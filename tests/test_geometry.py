@@ -7,8 +7,9 @@ from scipy.spatial import cKDTree
 from rydsim import geometry
 from rydsim.devices import (GAS_D_MIN, GAS_N_ATOMS, GAS_RADIUS,
                             GAS_REGION_LENGTHS)
-from rydsim.geometry import (CylinderSpec, GeometryError, PackingError,
-                             assign_regions, build_chain, sample_cylinder)
+from rydsim.geometry import (CylinderSpec, PackingError, assign_regions,
+                             build_chain, sample_cylinder)
+from rydsim.model import InputError
 
 
 class TestSampleCylinder:
@@ -46,7 +47,7 @@ class TestSampleCylinder:
             sample_cylinder(spec, seed=0)
 
     def test_rejects_bad_spec(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(InputError, match="parameters must be positive"):
             CylinderSpec(length=0.0, radius=1.0, n_atoms=1, d_min=0.1)
 
 
@@ -75,7 +76,7 @@ class TestAssignRegions:
                                    [-10.0])
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(InputError, match=r"outside \[0, L_x\]"):
             assign_regions(np.array([[31.0, 0, 0]]), LENGTHS, DETUNINGS)
 
     def test_idempotent(self):
@@ -102,7 +103,7 @@ class TestBuildChain:
         assert net.n_atoms == 2
 
     def test_rejects_non_positive_spacing(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(InputError, match="spacings must be positive"):
             build_chain([1.0, 0.0], [0.0, 0.0, 0.0], 10.0)
 
 

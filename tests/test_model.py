@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydsim.classical import ClassicalEngineError, gillespie_run
+from rydsim.classical import gillespie_run
 from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
-                          ModelError, SimParams, facilitation_detuning,
+                          InputError, SimParams, facilitation_detuning,
                           facilitation_radius)
 from rydsim.quantum import evolve_quantum
 
@@ -30,9 +30,9 @@ class TestFacilitationDetuning:
         assert facilitation_detuning(4.8, 869e9) == pytest.approx(-71.1e6, rel=1e-3)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="r_f and c6 must be positive"):
             facilitation_detuning(0.0, 10.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="r_f and c6 must be positive"):
             facilitation_detuning(1.0, -1.0)
 
     def test_round_trip_identity(self):
@@ -46,26 +46,27 @@ class TestFacilitationDetuning:
 
 class TestAtomNetwork:
     def test_rejects_coincident_atoms(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="distances must be positive"):
             AtomNetwork([[0, 0, 0], [0, 0, 0]], [0.0, 0.0], 10.0)
 
     def test_rejects_repeated_position_among_many(self):
         pos = np.random.default_rng(3).uniform(0, 10, size=(50, 3))
         pos[37] = pos[3]
-        with pytest.raises(ModelError, match="distances must be positive"):
+        with pytest.raises(InputError, match="distances must be positive"):
             AtomNetwork(pos, np.zeros(50), 10.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_positions(self, bad):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(InputError, match="positions must be finite"):
             AtomNetwork([[0, 0, 0], [bad, 0, 0]], [0.0, 0.0], 1.0)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError,
+                           match="static_detunings length must match"):
             AtomNetwork([[0, 0, 0]], [0.0, 1.0], 10.0)
 
     def test_rejects_bad_c6(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="c6 must be positive"):
             AtomNetwork([[0, 0, 0]], [0.0], 0.0)
 
     def test_immutable_arrays(self):
@@ -76,9 +77,9 @@ class TestAtomNetwork:
 
 class TestSimParams:
     def test_rejects_bad_values(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="omega must be positive"):
             SimParams(0.0, 1.0, 0.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="must be non-negative"):
             SimParams(1.0, -1.0, 0.0)
 
     @pytest.mark.parametrize("values", [
@@ -86,7 +87,7 @@ class TestSimParams:
         (1.0, np.inf, 0.0), (1.0, 1.0, np.nan), (1.0, 1.0, np.inf),
         (np.nan, np.nan, np.inf)])
     def test_rejects_non_finite(self, values):
-        with pytest.raises(ModelError, match="finite"):
+        with pytest.raises(InputError, match="must be finite"):
             SimParams(*values)
 
 
@@ -97,40 +98,40 @@ class TestConfiguration:
         assert Configuration((0, 0, 1)).to_index() == 4
 
     def test_rejects_bad_bits(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="bits must be 0 or 1"):
             Configuration((0, 2))
 
     def test_rejects_length_mismatch(self):
         # the engines need one bit per atom to start from
         net = two_atom_network()
         params = SimParams(1.0, 1.0, 0.0)
-        with pytest.raises(ClassicalEngineError):
+        with pytest.raises(InputError, match="configuration length mismatch"):
             gillespie_run(net, params, Configuration((0, 0, 0)), 1.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="configuration length mismatch"):
             evolve_quantum(net, params, Configuration((0, 0, 0)), 1.0)
 
 
 class TestDetuningSchedule:
     def test_rejects_overlap(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="overlapping overrides"):
             DetuningSchedule(((0.0, 2.0, 0, 1.0), (1.0, 3.0, 0, 2.0)))
         # the overlapping intervals are apart in start order
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="overlapping overrides"):
             DetuningSchedule(((0.0, 2.0, 0, 1.0), (0.5, 1.0, 1, 2.0),
                               (1.5, 3.0, 0, 2.0)))
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError, match="needs t_start < t_end"):
             DetuningSchedule(((1.0, 1.0, 0, 1.0),))
 
     def test_rejects_negative_atom(self):
         # atom -1 would override the last atom
-        with pytest.raises(ModelError, match="is negative"):
+        with pytest.raises(InputError, match="is negative"):
             DetuningSchedule(((0.0, 1.0, -1, 0.0),))
 
     def test_rejects_atom_past_the_network(self):
         sched = DetuningSchedule(((0.0, 1.0, 5, 0.0),))
-        with pytest.raises(ModelError, match="past the last of 3"):
+        with pytest.raises(InputError, match="past the last of 3"):
             sched.segments(2.0, np.array([-10.0, -10.0, -10.0]))
 
     def test_lookup(self):

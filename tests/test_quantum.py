@@ -7,11 +7,12 @@ from rydsim import quantum
 from rydsim.classical import classical_generator
 from rydsim.devices import DELTA_F, build_switch_chain
 from rydsim.geometry import build_chain
-from rydsim.model import AtomNetwork, Configuration, DetuningSchedule, SimParams
-from rydsim.propagate import propagate
-from rydsim.quantum import (CapacityError, IntegrationError, build_hamiltonian,
-                            density_from_configuration, evolve_quantum,
-                            from_real, lindblad_rhs, liouvillian, to_real)
+from rydsim.model import (AtomNetwork, Configuration, DetuningSchedule,
+                          InputError, SimParams)
+from rydsim.propagate import IntegrationError, propagate
+from rydsim.quantum import (build_hamiltonian, density_from_configuration,
+                            evolve_quantum, from_real, lindblad_rhs,
+                            liouvillian, to_real)
 from records import to_record, to_scipy
 from test_acceptance import run_check
 
@@ -59,8 +60,8 @@ def propagate_rho(network, params, rho, t_end, output_sites=()):
     Liouvillian and rectangle, from rho's real coordinates."""
     ham = build_hamiltonian(network, network.static_detunings, params.omega)
     return propagate(to_real(rho), lambda det: liouvillian(ham, params),
-                     [(0.0, t_end, None)], "quantum", IntegrationError,
-                     output_sites, populations=slice(None, None, ham.dim + 1))
+                     [(0.0, t_end, None)], "quantum", output_sites,
+                     populations=slice(None, None, ham.dim + 1))
 
 
 def readout(rho, output_sites):
@@ -117,7 +118,7 @@ class TestBuildHamiltonian:
                                np.zeros(n), 10.0)
 
         assert build_hamiltonian(line(10), np.zeros(10), 1.0).dim == 1 << 10
-        with pytest.raises(CapacityError, match="N=11 exceeds"):
+        with pytest.raises(InputError, match="N=11 exceeds"):
             build_hamiltonian(line(11), np.zeros(11), 1.0)
 
 
@@ -237,7 +238,7 @@ class TestLindbladRhs:
 
     def test_shape_mismatch(self):
         ham = build_hamiltonian(single_atom(), [0.0], omega=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="rho shape does not match"):
             lindblad_rhs(np.eye(4, dtype=complex) / 4, ham, SimParams(1, 0, 0))
 
 
@@ -297,7 +298,7 @@ class TestEvolveQuantum:
 
     def test_unphysical_initial_state_raises(self):
         rho = np.diag([1.5, 0.0]).astype(complex)
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match=r"at t=0\.000: norm_drift"):
             propagate_rho(single_atom(), SimParams(1.0, 0.5, 0.01), rho, 1.0)
 
     def test_starts_from_the_probe_state(self, monkeypatch):

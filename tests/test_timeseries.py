@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rydsim.timeseries import (TimeSeries, TimeSeriesError, config_hash,
-                               write_csv)
+from rydsim.model import InputError
+from rydsim.timeseries import TimeSeries, config_hash, write_csv
 
 
 def make_series(with_err=False):
@@ -16,13 +16,13 @@ def make_series(with_err=False):
 class TestConstruction:
     def test_shape_validation(self):
         t = np.array([0.0, 1.0])
-        with pytest.raises(TimeSeriesError):
+        with pytest.raises(InputError, match="site_density rows must match"):
             TimeSeries(t, np.zeros((3, 1)), np.zeros(2))
-        with pytest.raises(TimeSeriesError):
+        with pytest.raises(InputError, match="output_count must match"):
             TimeSeries(t, np.zeros((2, 1)), np.zeros(3))
 
     def test_rejects_non_increasing_times(self):
-        with pytest.raises(TimeSeriesError):
+        with pytest.raises(InputError, match="strictly increasing"):
             TimeSeries(np.array([0.0, 0.0]), np.zeros((2, 1)), np.zeros(2))
 
 
@@ -35,9 +35,9 @@ class TestValueAt:
 
     def test_out_of_range(self):
         ts = make_series()
-        with pytest.raises(TimeSeriesError):
+        with pytest.raises(InputError, match="outside recorded range"):
             ts.value_at(-0.1)
-        with pytest.raises(TimeSeriesError):
+        with pytest.raises(InputError, match="outside recorded range"):
             ts.value_at(2.1)
 
 
