@@ -16,8 +16,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .model import (AtomNetwork, Configuration, DetuningSchedule, InputError,
-                    SimParams, basis_bits, pair_energies)
-from .propagate import CSR, IntegrationError, propagate
+                    IntegrationError, SimParams, basis_bits, pair_energies)
+from .propagate import CSR, propagate
 from .timeseries import TimeSeries
 
 # Most atoms of the exact engine.  A span's record sums take

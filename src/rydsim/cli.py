@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import ENGINES, EXPERIMENTS, FLAGS, KEYS, run_experiment
+from .experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS, make_config,
+                          run_experiment)
 from . import classical, quantum  # after experiments: 0.5 MB less peak RSS
 from .model import AtomNetwork, Configuration, InputError, SimParams
 from .timeseries import write_csv
@@ -45,7 +46,6 @@ def _load_config(target: str, flags: dict) -> dict:
 
 
 def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     config = result["config"]
     series = result.get("series", {})
@@ -64,13 +64,13 @@ def _write_results(result: dict, out_dir: Path, scan_only: bool = False) -> list
                "outputs": [p.name for p in written]}
     # then the runner's scalar results, in order (config_hash stays put)
     summary.update((key, value) for key, value in result.items()
-                   if np.isscalar(value))
+                   if value is None or np.isscalar(value))
     # engine, work counters and invariant residuals of each series; all
     # deterministic, so a replay writes the same summary
     if series:
         summary["series"] = {key: ts.metadata for key, ts in series.items()}
     path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     written.append(path)
     return written
 
@@ -79,15 +79,25 @@ def cmd_run(args) -> int:
     """`run` writes every output; `scan` only the scan CSV and the summary,
     and refuses an experiment without one."""
     scan_only = args.command == "scan"
-    config = _load_config(args.target,
+    fields = _load_config(args.target,
                           {key: getattr(args, key) for key in FLAGS})
-    name = config.get("experiment")
-    # refused before anything runs (run_experiment checks the name)
-    if (scan_only and isinstance(name, str) and name in EXPERIMENTS
-            and not EXPERIMENTS[name][3]):
+    config = make_config(fields.pop("experiment", None), **fields)
+    name = config["experiment"]
+    if scan_only and not EXPERIMENTS[name][3]:
         raise InputError(f"experiment {name!r} has no scan output")
-    result = run_experiment(config)
-    out_dir = Path(args.out) / result["config"]["experiment"]
+    # made before any job starts; a run refused after that leaves none
+    out_dir = Path(args.out) / name
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory: {exc}") from None
+    try:
+        result = run_experiment(config)
+    except InputError:
+        for d in made:
+            d.rmdir()
+        raise
     for path in _write_results(result, out_dir, scan_only):
         print(path)
     return 0

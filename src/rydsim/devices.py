@@ -85,10 +85,8 @@ def build_gas_switch(seed: int, n_atoms: int = GAS_N_ATOMS
                          "its gate region is narrower than the facilitation "
                          "radius")
     lengths = tuple(l * scale for l in GAS_REGION_LENGTHS)
-    spec = geometry.CylinderSpec(length=sum(lengths),
-                                 radius=GAS_RADIUS * scale,
-                                 n_atoms=n_atoms, d_min=GAS_D_MIN)
-    positions = geometry.sample_cylinder(spec, seed)
+    positions = geometry.sample_cylinder(sum(lengths), GAS_RADIUS * scale,
+                                         n_atoms, GAS_D_MIN, seed)
     output_start = lengths[0] + lengths[1]
     output_sites = tuple(np.nonzero(positions[:, 0] >= output_start)[0])
     devices = []

@@ -230,8 +230,9 @@ def run_fig4(config: dict) -> dict:
         out[f"plateau_{key}"] = float(np.mean(
             [np.mean(ts.output_count[-(RECORD_POINTS // 10):])
              for ts in part]))
+    # no ratio (null in the summary) where the off state never fires
     out["on_off_ratio"] = (out["plateau_on"] / out["plateau_off"]
-                           if out["plateau_off"] > 0 else float("inf"))
+                           if out["plateau_off"] > 0 else None)
     return out
 
 

@@ -21,6 +21,12 @@ class InputError(ValueError):
     `rydsim.cli` exits 2 on it, and 1 on any other exception."""
 
 
+class IntegrationError(RuntimeError):
+    """A failed run: an exact engine broke an invariant past its `LIMITS`
+    entry or kept no span within GROWTH (`rydsim.propagate`), the kmc
+    sampler's total rate vanished, or the gas sampler placed too few atoms."""
+
+
 @dataclass(frozen=True)
 class AtomNetwork:
     """Atom positions, per-atom static detunings and the C6 coefficient.

@@ -37,14 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import InputError, basis_bits
+from .model import InputError, IntegrationError, basis_bits
 from .timeseries import TimeSeries
-
-
-class IntegrationError(RuntimeError):
-    """A failed run, not refused input: an exact engine's state or
-    generator broke an invariant past its `LIMITS` entry, or no span kept
-    its series within GROWTH; or the kmc sampler's total rate vanished."""
 
 
 def _load_sparsetools():
@@ -290,13 +284,13 @@ def propagate(x: np.ndarray, build, segments, engine: str, output_sites=(),
     A[populations], and the populations' normalisation drift and
     negativity at each record time must stay below their LIMITS entries,
     or an IntegrationError names the first time one does not; the largest
-    of each goes to the metadata.
+    of each goes to the metadata, in the order of LIMITS.
     """
     t_end = segments[-1][1]
     if not t_end > 0.0:
         raise InputError(f"t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, RECORD_POINTS)
-    worst, dens = {}, []
+    worst, dens = dict.fromkeys(LIMITS, 0.0), []
     counted = np.zeros(x.size)
     counted[populations] = 1.0
     bits = basis_bits(int(counted.sum()).bit_length() - 1)
@@ -311,15 +305,9 @@ def propagate(x: np.ndarray, build, segments, engine: str, output_sites=(),
             raise IntegrationError(f"at t={at[i]:.3f}: " + ", ".join(
                 f"{key} {value[i]:.1e}" for key, value in residuals.items()))
         for key, value in residuals.items():
-            worst[key] = max(worst.get(key, 0.0), float(value.max()))
+            worst[key] = max(worst[key], float(value.max()))
 
-    def record(at, pops):
-        check(at, norm_drift=np.abs(pops.sum(axis=1) - 1.0),
-              negativity=-pops.min(axis=1))
-        dens.append(pops @ bits)
-
-    record(times[:1], x[None, populations])
-    rec, products, spans = 1, 0, 0
+    rec, products, spans = 0, 0, 0
     for t, end, detunings in segments:
         a, rect = build(detunings)
         check_operator(a, x.size)
@@ -346,7 +334,11 @@ def propagate(x: np.ndarray, build, segments, engine: str, output_sites=(),
             del fit
             products, spans = products + used, spans + 1
             if inside:
-                record(times[rec:rec + inside], pops[:inside])
+                pops = pops[:inside]
+                check(times[rec:rec + inside],
+                      norm_drift=np.abs(pops.sum(axis=1) - 1.0),
+                      negativity=-pops.min(axis=1))
+                dens.append(pops @ bits)
             rec, t = rec + inside, stops.pop()
     dens = np.concatenate(dens)
     sites = np.asarray(list(output_sites), dtype=int)

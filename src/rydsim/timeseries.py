@@ -14,7 +14,7 @@ from .model import InputError
 
 def config_hash(config: dict) -> str:
     """Stable short hash of a JSON-serializable config dict."""
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    blob = json.dumps(config, sort_keys=True, allow_nan=False).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

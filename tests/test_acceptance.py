@@ -146,17 +146,17 @@ class TestCriterion6:
 class TestCriterion7:
     def test_sampler_matches_exact_propagator(self):
         params = SimParams(1.0, 1.0, 0.003)
-        times = np.linspace(0.1, 4.0, 40)
         worst = 0.0
         names = []
         for dev in small_chain_devices():
             exact = evolve_classical_exact(dev.network, params, dev.initial,
                                            4.0, output_sites=dev.output_sites)
+            # every fifth exact record time: compared row for row
             ens = gillespie_ensemble(dev.network, params, dev.initial, 10000,
-                                     123, times,
+                                     123, exact.times[5::5],
                                      output_sites=dev.output_sites)
             diff = float(np.max(np.abs(
-                ens.site_density - exact.resample(times).site_density)))
+                ens.site_density - exact.site_density[5::5])))
             worst = max(worst, diff)
             names.append(f"{dev.name or dev.network.n_atoms}:{diff:.4f}")
         ok = worst < 0.02

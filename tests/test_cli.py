@@ -13,8 +13,7 @@ from rydsim.cli import build_parser, main, run_validation
 from rydsim.devices import GAS_PARAMS, build_transport_chain
 from rydsim.experiments import (ENGINES, EXPERIMENTS, FLAGS, KEYS,
                                 make_config, run_experiment)
-from rydsim.model import InputError, SimParams
-from rydsim.propagate import IntegrationError
+from rydsim.model import InputError, IntegrationError, SimParams
 from rydsim.timeseries import TimeSeries
 from records import to_record, to_scipy
 from test_timeseries import per_value_csv
@@ -29,11 +28,13 @@ NO_JOB_CASES = ("empty-gammas-appB", "empty-gammas-fig5c",
                 "null-gamma", "null-scan", "null-engine",
                 "directory-target", "undecodable-target", "gas-too-small",
                 "diode-gate-not-negative", "diode-gap-overflow",
-                "appD-scan-off-resonance")
-# what the builders and runners refuse, by the message they refuse it with
+                "appD-scan-off-resonance", "out-is-a-file")
+# what the builders, runners and cli refuse, by the message they refuse
+# it with
 REFUSALS = {"diode-gate-not-negative": "gate detuning must be negative",
             "diode-gap-overflow": "spacings must be positive",
-            "appD-scan-off-resonance": "appD reads out at dg/df = 1 only"}
+            "appD-scan-off-resonance": "appD reads out at dg/df = 1 only",
+            "out-is-a-file": "cannot make output directory"}
 
 
 def no_jobs(jobs):
@@ -64,10 +65,16 @@ class TestRun:
         for key in ("on", "off"):
             with open(out / f"{key}.csv") as fh:
                 assert fh.readline() == "t,N_o,N_o_stderr\n"
-        summary = json.loads((out / "summary.json").read_text())
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
         assert summary["experiment"] == "fig4"
         assert summary["plateau_on"] > 0
-        assert "on_off_ratio" in summary
+        # this gas's off state never fires: no ratio, a null
+        assert summary["plateau_off"] == 0.0
+        assert summary["on_off_ratio"] is None
         for key in ("on", "off"):
             counters = summary["series"][key]
             assert counters["events_mean"] > 0
@@ -84,9 +91,9 @@ class TestRun:
         seeds = []
         sample = geometry.sample_cylinder
 
-        def counted(spec, seed):
-            seeds.append(seed)
-            return sample(spec, seed)
+        def counted(*args):  # the cylinder's four numbers, then the seed
+            seeds.append(args[-1])
+            return sample(*args)
         monkeypatch.setattr(geometry, "sample_cylinder", counted)
         run_experiment(make_config("fig4", n_atoms=400, instances=2,
                                    trajectories=2, t_end=20.0, seed=11))
@@ -102,10 +109,10 @@ class TestRun:
         log = tmp_path / "samples.log"
         sample = geometry.sample_cylinder
 
-        def logged(spec, seed):
+        def logged(*args):  # the cylinder's four numbers, then the seed
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {seed}\n")
-            return sample(spec, seed)
+                fh.write(f"{os.getpid()} {args[-1]}\n")
+            return sample(*args)
         monkeypatch.setattr(geometry, "sample_cylinder", logged)
         run_experiment(make_config("fig4", n_atoms=400, instances=2,
                                    trajectories=2, t_end=20.0, seed=11))
@@ -193,7 +200,7 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         config = make_config("fig3", t_end=1.0, engine="classical-exact")
         config["scan"] = [0.5, 1.0]
-        target, flags = str(cfg_path), []
+        target, flags, out = str(cfg_path), [], tmp_path
         if case in NO_JOB_CASES:
             # no runner starts its job list
             monkeypatch.setattr(experiments, "_run_all", no_jobs)
@@ -282,6 +289,10 @@ class TestRun:
             cfg_path.write_text(json.dumps({"experiment": "appB",
                                             "gammas": [0.0, 1.0],
                                             "t_end": 1.0}))
+        elif case == "out-is-a-file":
+            # a file where the output directory's parent would be
+            target, out = "fig7-and", tmp_path / "taken"
+            out.write_text("")
         elif case == "invalid-json":
             cfg_path.write_text("{not json")
         elif case == "no-experiment":
@@ -316,7 +327,9 @@ class TestRun:
             cfg_path.write_text(json.dumps({**make_config(
                 "fig4", n_atoms=400, trajectories=2, t_end=5.0),
                 "instances": 0}))
-        assert main(["run", target, *flags, "--out", str(tmp_path)]) == 2
+        assert main(["run", target, *flags, "--out", str(out)]) == 2
+        # a refused run leaves no output directory behind
+        assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "taken"}
         err = capsys.readouterr().err
         assert err.startswith("error:") and "engine failure" not in err
         if case.startswith("unknown-engine"):

@@ -7,22 +7,19 @@ from scipy.spatial import cKDTree
 from rydsim import geometry
 from rydsim.devices import (GAS_D_MIN, GAS_N_ATOMS, GAS_RADIUS,
                             GAS_REGION_LENGTHS)
-from rydsim.geometry import (CylinderSpec, PackingError, assign_regions,
-                             build_chain, sample_cylinder)
-from rydsim.model import InputError
+from rydsim.geometry import assign_regions, build_chain, sample_cylinder
+from rydsim.model import InputError, IntegrationError
 
 
 class TestSampleCylinder:
     def test_two_atoms_in_bounds(self):
-        spec = CylinderSpec(length=100.0, radius=50.0, n_atoms=2, d_min=0.1)
-        pos = sample_cylinder(spec, seed=0)
+        pos = sample_cylinder(100.0, 50.0, 2, 0.1, seed=0)
         assert np.all(pos[:, 0] >= 0) and np.all(pos[:, 0] <= 100)
         assert np.all(np.hypot(pos[:, 1], pos[:, 2]) <= 50)
         assert np.linalg.norm(pos[0] - pos[1]) >= 0.1
 
     def test_full_scale_gas(self):
-        spec = CylinderSpec(length=30.0, radius=7.0, n_atoms=3000, d_min=0.1)
-        pos = sample_cylinder(spec, seed=42)
+        pos = sample_cylinder(30.0, 7.0, 3000, 0.1, seed=42)
         assert pos.shape == (3000, 3)
         assert np.all(pos[:, 0] >= 0) and np.all(pos[:, 0] <= 30)
         assert np.all(np.hypot(pos[:, 1], pos[:, 2]) <= 7.0)
@@ -32,23 +29,20 @@ class TestSampleCylinder:
         assert dist[:, 1].min() >= 0.1
 
     def test_deterministic_per_seed(self):
-        spec = CylinderSpec(length=10.0, radius=3.0, n_atoms=200, d_min=0.1)
-        a = sample_cylinder(spec, seed=5)
-        b = sample_cylinder(spec, seed=5)
+        a = sample_cylinder(10.0, 3.0, 200, 0.1, seed=5)
+        b = sample_cylinder(10.0, 3.0, 200, 0.1, seed=5)
         assert np.array_equal(a, b)
-        c = sample_cylinder(spec, seed=6)
+        c = sample_cylinder(10.0, 3.0, 200, 0.1, seed=6)
         assert not np.array_equal(a, c)
 
     def test_infeasible_packing_fails(self, monkeypatch):
         monkeypatch.setattr(geometry, "MAX_ATTEMPTS_PER_ATOM", 50)
-        with pytest.warns(UserWarning):
-            spec = CylinderSpec(length=2.0, radius=1.0, n_atoms=300, d_min=1.0)
-        with pytest.raises(PackingError):
-            sample_cylinder(spec, seed=0)
+        with pytest.raises(IntegrationError):
+            sample_cylinder(2.0, 1.0, 300, 1.0, seed=0)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(InputError, match="parameters must be positive"):
-            CylinderSpec(length=0.0, radius=1.0, n_atoms=1, d_min=0.1)
+            sample_cylinder(0.0, 1.0, 1, 0.1, seed=0)
 
 
 LENGTHS = (5.0, 10.0, 15.0)
@@ -125,21 +119,19 @@ class TestSampleCylinderPinned:
 
     @pytest.mark.parametrize("seed", sorted(FULL))
     def test_full_scale_gas(self, seed):
-        spec = CylinderSpec(length=30.0, radius=7.0, n_atoms=3000, d_min=0.1)
-        assert digest(sample_cylinder(spec, seed)) == self.FULL[seed]
+        assert digest(sample_cylinder(30.0, 7.0, 3000, 0.1, seed)
+                      ) == self.FULL[seed]
 
     def test_shrunk_gas(self):
-        # the 400-atom spec build_gas_switch makes: same density, scaled
+        # the 400-atom cylinder build_gas_switch samples: same density,
+        # scaled
         scale = (400 / GAS_N_ATOMS) ** (1.0 / 3.0)
-        spec = CylinderSpec(length=sum(l * scale for l in GAS_REGION_LENGTHS),
-                            radius=GAS_RADIUS * scale, n_atoms=400,
-                            d_min=GAS_D_MIN)
-        assert digest(sample_cylinder(spec, 7)) == self.SHRUNK
+        pos = sample_cylinder(sum(l * scale for l in GAS_REGION_LENGTHS),
+                              GAS_RADIUS * scale, 400, GAS_D_MIN, 7)
+        assert digest(pos) == self.SHRUNK
 
     def test_packing_error_message(self, monkeypatch):
         monkeypatch.setattr(geometry, "MAX_ATTEMPTS_PER_ATOM", 50)
-        with pytest.warns(UserWarning):
-            spec = CylinderSpec(length=2.0, radius=1.0, n_atoms=300, d_min=1.0)
-        with pytest.raises(PackingError) as err:
-            sample_cylinder(spec, seed=0)
+        with pytest.raises(IntegrationError) as err:
+            sample_cylinder(2.0, 1.0, 300, 1.0, seed=0)
         assert str(err.value) == "placed 9/300 atoms after 15000 attempts"

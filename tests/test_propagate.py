@@ -518,6 +518,18 @@ def test_metadata_keeps_each_residuals_largest_value(monkeypatch):
         assert ts.metadata[key] == pytest.approx(values.max(), rel=1e-10)
 
 
+@pytest.mark.parametrize("engine", ["quantum", "classical-exact"])
+def test_first_record_is_the_initial_state(engine):
+    # t = 0 is read off the first span like every later record time: its
+    # coefficient row is [1, 0, ...], so it gives x's populations exactly
+    dev = build_nand_gate((1, 0))
+    ts = run_device(dev, SimParams(1.0, 1.0, 0.003), 8.0, engine=engine)
+    assert np.array_equal(ts.site_density[0], dev.initial.bits)
+    # summary.json writes the metadata in its order, so a summary's bytes
+    # hold only while the residuals keep the order of LIMITS
+    assert list(ts.metadata)[:5] == ["engine", *prop.LIMITS, "output_sites"]
+
+
 @pytest.mark.parametrize("device, segments", [
     (build_nand_gate((1, 0)), 3), (build_switch_chain(DELTA_F), 1)])
 def test_one_bessel_table_per_segment(monkeypatch, device, segments):
